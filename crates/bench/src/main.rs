@@ -219,7 +219,7 @@ fn cmd_ingest_append(repo_path: &str, rows: usize) -> i32 {
     };
     let load_ms = start.elapsed().as_secs_f64() * 1e3;
     if !repo.is_appendable() {
-        eprintln!("ingest --append: `{repo_path}` is a pre-append (v1) artifact");
+        eprintln!("ingest --append: `{repo_path}` is sealed or carries no builder state");
         return 1;
     }
 
@@ -1154,8 +1154,8 @@ fn store_workload(quick: bool, results: &mut Vec<(String, f64)>) {
 /// (estimates cleared outside the timed region each rep, so the run
 /// re-estimates from cached joined sketches).
 ///
-/// `cache/estimate_hit_speedup` and `cache/join_hit_speedup` are the gated
-/// headline numbers; every warm run is asserted bit-for-bit identical to the
+/// `cache/estimate_hit_speedup` is the gated headline number
+/// (`cache/join_hit_speedup` is reported alongside it); every warm run is asserted bit-for-bit identical to the
 /// cold ranking, so a cache that got faster by getting *wrong* fails here
 /// before it ever reaches CI's identity gates.
 fn cache_workload(quick: bool, results: &mut Vec<(String, f64)>) {

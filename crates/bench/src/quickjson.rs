@@ -12,20 +12,21 @@ use std::fmt::Write as _;
 /// sketch-path hot loops whose regressions the paper's efficiency claim
 /// cannot absorb, the PR 4 estimator-kernel medians (the blocked Chebyshev
 /// k-NN kernel and the KSG estimate built on it), the PR 7 cross-query
-/// stage-cache speedups (warm hit path vs. cold execution — gated so the
-/// cache never silently degrades into re-doing the work it claims to skip),
-/// the PR 8 compacted-load speedup (loading a compacted+sealed file vs.
+/// stage-cache estimate-hit speedup (warm hit path vs. cold execution —
+/// gated so the cache never silently degrades into re-doing the work it
+/// claims to skip; the join-level `cache/join_hit_speedup` is reported but
+/// not gated: it reads 1.0–1.1× in every baseline, so a 25 % gate on it
+/// measures noise), the PR 8 compacted-load speedup (loading a compacted+sealed file vs.
 /// replaying its append log — gated so compaction keeps paying for itself),
 /// and the PR 10 early-termination speedup (interval top-k vs. exhaustive
 /// interval scoring on the skewed corpus — gated so the screening bound
 /// keeps actually skipping the weak tail).
-pub const GATED_MEDIANS: [&str; 8] = [
+pub const GATED_MEDIANS: [&str; 7] = [
     "sketch_join/tupsk_n256",
     "estimators/mle_on_sketch_join",
     "knn/chebyshev_n4096",
     "estimators/ksg_n4096",
     "cache/estimate_hit_speedup",
-    "cache/join_hit_speedup",
     "store/compacted_load_speedup",
     "query/early_term_speedup",
 ];

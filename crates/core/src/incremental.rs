@@ -812,44 +812,52 @@ fn write_opt_value<W: std::io::Write>(
     }
 }
 
-fn read_agg_state<R: std::io::Read>(r: &mut joinmi_store::Reader<R>) -> StoreResult<AggState> {
-    Ok(match r.read_u8("agg state tag")? {
-        1 => AggState::Avg {
+/// Reads one aggregation state, which must be the variant of the builder's
+/// (effective) aggregation: the two share their on-disk tag numbering.
+fn read_agg_state(r: &mut SliceReader<'_>, effective: Aggregation) -> StoreResult<AggState> {
+    let tag = r.read_u8("agg state tag")?;
+    if tag != aggregation_tag(effective) {
+        return Err(StoreError::corrupt(format!(
+            "aggregation state tag {tag} does not match the declared aggregation"
+        )));
+    }
+    Ok(match effective {
+        Aggregation::Avg => AggState::Avg {
             sum: r.read_f64("avg sum")?,
             count: r.read_u64("avg count")?,
         },
-        2 => AggState::Sum {
+        Aggregation::Sum => AggState::Sum {
             sum: r.read_f64("sum sum")?,
             count: r.read_u64("sum count")?,
         },
-        3 => AggState::Count {
+        Aggregation::Count => AggState::Count {
             count: r.read_u64("count count")?,
         },
-        4 => {
+        Aggregation::CountDistinct => {
             let n = r.read_len("distinct count")?;
             let mut distinct = std::collections::HashSet::with_capacity(n.min(1 << 16));
             for _ in 0..n {
-                distinct.insert(read_value(r)?);
+                distinct.insert(read_value(r)?.into());
             }
             AggState::CountDistinct { distinct }
         }
-        5 => AggState::Min {
+        Aggregation::Min => AggState::Min {
             best: read_opt_value(r)?,
         },
-        6 => AggState::Max {
+        Aggregation::Max => AggState::Max {
             best: read_opt_value(r)?,
         },
-        7 => {
+        Aggregation::Mode => {
             let n = r.read_len("mode value count")?;
             let mut counts = HashMap::with_capacity(n.min(1 << 16));
             for _ in 0..n {
                 let v = read_value(r)?;
                 let c = r.read_u64("mode count")?;
-                counts.insert(v, c);
+                counts.insert(v.into(), c);
             }
             AggState::Mode { counts }
         }
-        8 => {
+        Aggregation::Median => {
             let n = r.read_len("median value count")?;
             let mut values = Vec::with_capacity(n.min(1 << 16));
             for _ in 0..n {
@@ -857,49 +865,16 @@ fn read_agg_state<R: std::io::Read>(r: &mut joinmi_store::Reader<R>) -> StoreRes
             }
             AggState::Median { values }
         }
-        9 => AggState::First {
+        Aggregation::First => AggState::First {
             first: read_opt_value(r)?,
         },
-        other => {
-            return Err(StoreError::corrupt(format!(
-                "unknown aggregation state tag {other}"
-            )))
-        }
     })
 }
 
-/// The on-disk tag of an [`AggState`] variant — deliberately the same
-/// numbering as [`aggregation_tag`], so a state can be checked against the
-/// declared aggregation.
-fn agg_state_tag(state: &AggState) -> u8 {
-    match state {
-        AggState::Avg { .. } => 1,
-        AggState::Sum { .. } => 2,
-        AggState::Count { .. } => 3,
-        AggState::CountDistinct { .. } => 4,
-        AggState::Min { .. } => 5,
-        AggState::Max { .. } => 6,
-        AggState::Mode { .. } => 7,
-        AggState::Median { .. } => 8,
-        AggState::First { .. } => 9,
-    }
-}
-
-/// Rejects a persisted aggregation state whose variant does not match the
-/// builder's (effective) aggregation.
-fn check_state_matches_aggregation(state: &AggState, effective: Aggregation) -> StoreResult<()> {
-    if agg_state_tag(state) != aggregation_tag(effective) {
-        return Err(StoreError::corrupt(
-            "aggregation state variant does not match the declared aggregation",
-        ));
-    }
-    Ok(())
-}
-
-fn read_opt_value<R: std::io::Read>(r: &mut joinmi_store::Reader<R>) -> StoreResult<Option<Value>> {
+fn read_opt_value(r: &mut SliceReader<'_>) -> StoreResult<Option<Value>> {
     match r.read_u8("optional value flag")? {
         0 => Ok(None),
-        1 => Ok(Some(read_value(r)?)),
+        1 => Ok(Some(read_value(r)?.into())),
         other => Err(StoreError::corrupt(format!(
             "invalid optional-value flag {other}"
         ))),
@@ -963,28 +938,38 @@ impl RightSketchBuilder {
         }
     }
 
-    /// Deserializes a builder state written by [`Self::write_state`].
-    pub fn read_state<R: std::io::Read>(r: &mut joinmi_store::Reader<R>) -> StoreResult<Self> {
+    /// Deserializes a builder state written by [`Self::write_state`] — the
+    /// state's only decoder and validator. Beyond the byte layout it checks
+    /// everything a later append relies on: aggregation/dtype compatibility,
+    /// variant-kind agreement, a sorted seen set, seq ordering,
+    /// selection ⊆ seen, no duplicate keys, and state variants matching the
+    /// declared aggregation. A repository snapshot only checksums these
+    /// bytes at open; they are first interpreted here, by the eager
+    /// `load`/`compact` path.
+    pub fn read_state(r: &mut SliceReader<'_>) -> StoreResult<Self> {
         let kind = sketch_kind_from_tag(r.read_u8("builder kind")?)?;
         let requested_agg = aggregation_from_tag(r.read_u8("builder aggregation")?)?;
         let key_dtype = dtype_from_tag(r.read_u8("builder key dtype")?)?;
         let input_dtype = dtype_from_tag(r.read_u8("builder input dtype")?)?;
         let size = r.read_len("builder sketch size")?;
         let seed = r.read_u64("builder sketch seed")?;
-        let key_column = r.read_string("builder key column")?;
-        let value_column = r.read_string("builder value column")?;
+        let key_column = r.read_str("builder key column")?;
+        let value_column = r.read_str("builder value column")?;
         let source_rows = r.read_len("builder source rows")?;
-        let cfg = SketchConfig::new(size, seed);
+        // `new` pre-sizes its tables for `size` keys. The size is untrusted
+        // here and the decoded selection state replaces those tables below,
+        // so build with size 0 and restore the real configuration after.
         let mut builder = Self::new(
             kind,
-            &key_column,
+            key_column,
             key_dtype,
-            &value_column,
+            value_column,
             input_dtype,
             requested_agg,
-            &cfg,
+            &SketchConfig::new(0, seed),
         )
         .map_err(|e| StoreError::corrupt(format!("invalid builder state: {e}")))?;
+        builder.cfg = SketchConfig::new(size, seed);
         builder.source_rows = source_rows;
 
         match r.read_u8("builder selection variant")? {
@@ -1023,8 +1008,10 @@ impl RightSketchBuilder {
                     let sel = r.read_u64("builder selection digest")?;
                     let seq = r.read_u64("builder selection seq")?;
                     let key_digest = r.read_u64("builder selection key digest")?;
-                    let state = read_agg_state(r)?;
-                    if prev_seq.is_some_and(|p| p >= seq) {
+                    let state = read_agg_state(r, builder.agg)?;
+                    // `u64::MAX` is excluded too: the set resumes numbering
+                    // at the largest seq plus one.
+                    if prev_seq.is_some_and(|p| p >= seq) || seq == u64::MAX {
                         return Err(StoreError::corrupt(
                             "selection entries must be in strictly increasing seq order",
                         ));
@@ -1035,7 +1022,6 @@ impl RightSketchBuilder {
                             "selected key digest missing from the seen set",
                         ));
                     }
-                    check_state_matches_aggregation(&state, builder.agg)?;
                     if states.insert(key_digest, state).is_some() {
                         return Err(StoreError::corrupt(
                             "duplicate key digest in selection entries",
@@ -1061,8 +1047,7 @@ impl RightSketchBuilder {
                     digest_map_with_capacity(count.min(1 << 20));
                 for _ in 0..count {
                     let digest = r.read_u64("builder key digest")?;
-                    let state = read_agg_state(r)?;
-                    check_state_matches_aggregation(&state, builder.agg)?;
+                    let state = read_agg_state(r, builder.agg)?;
                     if states.insert(digest, state).is_some() {
                         return Err(StoreError::corrupt("duplicate key digest in INDSK state"));
                     }
@@ -1086,182 +1071,18 @@ impl RightSketchBuilder {
     }
 }
 
-/// Structurally validates a serialized builder state at the start of `buf`
-/// without materializing a builder, returning the bytes consumed. The walker
-/// mirrors [`RightSketchBuilder::read_state`] check for check — including
-/// the semantic ones (aggregation/dtype compatibility, variant-kind
-/// agreement, sorted seen set, seq ordering, selection⊆seen, duplicate
-/// keys) — which is what lets a lazy repository snapshot defer state
-/// decoding while still guaranteeing the eventual decode cannot fail.
-/// Bounded transient allocations (the seen digests, the entry key list) are
-/// accepted in exchange for that parity.
-pub fn validate_builder_state(buf: &[u8]) -> StoreResult<usize> {
-    let mut p = SliceReader::new(buf);
-    let kind = sketch_kind_from_tag(p.read_u8("builder kind")?)?;
-    let requested_agg = aggregation_from_tag(p.read_u8("builder aggregation")?)?;
-    dtype_from_tag(p.read_u8("builder key dtype")?)?;
-    let input_dtype = dtype_from_tag(p.read_u8("builder input dtype")?)?;
-    let size = p.read_len("builder sketch size")?;
-    p.read_u64("builder sketch seed")?;
-    p.read_str("builder key column")?;
-    p.read_str("builder value column")?;
-    p.read_len("builder source rows")?;
-    // Mirror `RightSketchBuilder::new`: the (effective) aggregation must be
-    // compatible with the value dtype or the decode would fail.
-    let effective = if kind == SketchKind::Csk {
-        Aggregation::First
-    } else {
-        requested_agg
-    };
-    effective
-        .output_dtype(input_dtype)
-        .map_err(|e| StoreError::corrupt(format!("invalid builder state: {e}")))?;
-    match p.read_u8("builder selection variant")? {
-        STATE_KMV => {
-            if kind == SketchKind::Indsk {
-                return Err(StoreError::corrupt(
-                    "coordinated selection state on INDSK builder",
-                ));
-            }
-            let seen_count = p.read_len("builder seen-key count")?;
-            let mut seen = Vec::with_capacity(seen_count.min(1 << 20));
-            let mut prev: Option<u64> = None;
-            for _ in 0..seen_count {
-                let digest = p.read_u64("builder seen key digest")?;
-                if prev.is_some_and(|p| p >= digest) {
-                    return Err(StoreError::corrupt(
-                        "seen key digests must be strictly increasing",
-                    ));
-                }
-                prev = Some(digest);
-                seen.push(digest);
-            }
-            let entry_count = p.read_len("builder selection entry count")?;
-            if entry_count > size {
-                return Err(StoreError::corrupt(format!(
-                    "selection holds {entry_count} entries, capacity is {size}"
-                )));
-            }
-            let mut entry_keys = Vec::with_capacity(entry_count.min(1 << 20));
-            let mut prev_seq: Option<u64> = None;
-            for _ in 0..entry_count {
-                p.read_u64("builder selection digest")?;
-                let seq = p.read_u64("builder selection seq")?;
-                let key_digest = p.read_u64("builder selection key digest")?;
-                if prev_seq.is_some_and(|p| p >= seq) {
-                    return Err(StoreError::corrupt(
-                        "selection entries must be in strictly increasing seq order",
-                    ));
-                }
-                prev_seq = Some(seq);
-                // The seen list was just proven sorted.
-                if seen.binary_search(&key_digest).is_err() {
-                    return Err(StoreError::corrupt(
-                        "selected key digest missing from the seen set",
-                    ));
-                }
-                entry_keys.push(key_digest);
-                walk_agg_state(&mut p, effective)?;
-            }
-            entry_keys.sort_unstable();
-            if entry_keys.windows(2).any(|w| w[0] == w[1]) {
-                return Err(StoreError::corrupt(
-                    "duplicate key digest in selection entries",
-                ));
-            }
-        }
-        STATE_INDEPENDENT => {
-            if kind != SketchKind::Indsk {
-                return Err(StoreError::corrupt(
-                    "independent selection state on a coordinated sketch kind",
-                ));
-            }
-            let count = p.read_len("builder key count")?;
-            let mut keys = Vec::with_capacity(count.min(1 << 20));
-            for _ in 0..count {
-                keys.push(p.read_u64("builder key digest")?);
-                walk_agg_state(&mut p, effective)?;
-            }
-            keys.sort_unstable();
-            if keys.windows(2).any(|w| w[0] == w[1]) {
-                return Err(StoreError::corrupt("duplicate key digest in INDSK state"));
-            }
-        }
-        other => {
-            return Err(StoreError::corrupt(format!(
-                "unknown builder selection variant {other}"
-            )))
-        }
-    }
-    Ok(p.position())
-}
-
-fn walk_value(p: &mut SliceReader<'_>) -> StoreResult<()> {
-    match p.read_u8("value tag")? {
-        0 => Ok(()),
-        1 | 2 => p.read_slice(8, "value payload").map(|_| ()),
-        3 => p.read_str("string value").map(|_| ()),
-        other => Err(StoreError::corrupt(format!("unknown value tag {other}"))),
-    }
-}
-
-fn walk_opt_value(p: &mut SliceReader<'_>) -> StoreResult<()> {
-    match p.read_u8("optional value flag")? {
-        0 => Ok(()),
-        1 => walk_value(p),
-        other => Err(StoreError::corrupt(format!(
-            "invalid optional-value flag {other}"
-        ))),
-    }
-}
-
-/// Walks one serialized aggregation state, returning its variant tag so the
-/// caller can check it against the declared aggregation (mirroring
-/// [`check_state_matches_aggregation`]).
-fn walk_agg_state(p: &mut SliceReader<'_>, effective: Aggregation) -> StoreResult<()> {
-    let tag = p.read_u8("agg state tag")?;
-    match tag {
-        1 | 2 => p.read_slice(16, "numeric fold state").map(|_| ())?,
-        3 => p.read_u64("count state").map(|_| ())?,
-        4 => {
-            let n = p.read_len("distinct count")?;
-            for _ in 0..n {
-                walk_value(p)?;
-            }
-        }
-        5 | 6 | 9 => walk_opt_value(p)?,
-        7 => {
-            let n = p.read_len("mode value count")?;
-            for _ in 0..n {
-                walk_value(p)?;
-                p.read_u64("mode count")?;
-            }
-        }
-        8 => {
-            let n = p.read_len("median value count")?;
-            let bytes = n
-                .checked_mul(8)
-                .ok_or_else(|| StoreError::corrupt("median count overflows"))?;
-            p.read_slice(bytes, "median values").map(|_| ())?;
-        }
-        other => {
-            return Err(StoreError::corrupt(format!(
-                "unknown aggregation state tag {other}"
-            )))
-        }
-    }
-    if tag != aggregation_tag(effective) {
-        return Err(StoreError::corrupt(
-            "aggregation state variant does not match the declared aggregation",
-        ));
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use joinmi_store::{Reader, Writer};
+    use joinmi_store::Writer;
+
+    /// Decodes a whole buffer as one builder state.
+    fn read_state(bytes: &[u8]) -> StoreResult<RightSketchBuilder> {
+        let mut r = SliceReader::new(bytes);
+        let builder = RightSketchBuilder::read_state(&mut r)?;
+        r.expect_consumed("builder state")?;
+        Ok(builder)
+    }
 
     /// A deterministic table with skewed string keys, some NULL keys and
     /// values, and `rows` rows.
@@ -1502,13 +1323,7 @@ mod tests {
             let mut bytes = Writer::new(Vec::new());
             original.write_state(&mut bytes).unwrap();
             let bytes = bytes.into_inner();
-            assert_eq!(
-                validate_builder_state(&bytes).unwrap(),
-                bytes.len(),
-                "{kind}: walker consumption"
-            );
-            let mut restored =
-                RightSketchBuilder::read_state(&mut Reader::new(bytes.as_slice())).unwrap();
+            let mut restored = read_state(&bytes).unwrap();
 
             // Canonical bytes: encode(decode(x)) == x.
             let mut again = Writer::new(Vec::new());
@@ -1558,31 +1373,23 @@ mod tests {
 
         // Truncations at every prefix must be typed, never a panic.
         for cut in 0..bytes.len() {
-            match validate_builder_state(&bytes[..cut]) {
+            match read_state(&bytes[..cut]) {
                 Err(StoreError::Truncated { .. } | StoreError::Corrupt(_)) => {}
-                Ok(_) => panic!("cut at {cut} validated"),
+                Ok(_) => panic!("cut at {cut} decoded"),
                 Err(e) => panic!("cut at {cut}: unexpected error {e:?}"),
             }
         }
         // A bad kind tag is corrupt.
         let mut bad = bytes.clone();
         bad[0] = 99;
-        assert!(matches!(
-            validate_builder_state(&bad),
-            Err(StoreError::Corrupt(_))
-        ));
-        assert!(matches!(
-            RightSketchBuilder::read_state(&mut Reader::new(bad.as_slice())),
-            Err(StoreError::Corrupt(_))
-        ));
+        assert!(matches!(read_state(&bad), Err(StoreError::Corrupt(_))));
     }
 
     #[test]
-    fn walker_and_decoder_agree_on_semantically_invalid_states() {
-        // `validate_builder_state` must reject everything `read_state`
-        // rejects — otherwise a checksum-valid but semantically invalid
-        // CANDIDATE_STATE would pass snapshot validation and panic in the
-        // "infallible" decode. Each corruption is checked against BOTH.
+    fn read_state_rejects_semantically_invalid_states() {
+        // A section checksum proves integrity, not meaning: each of these
+        // states is well-formed byte for byte and must still be a typed
+        // error, never a builder that misbehaves on the next append.
         let cfg = SketchConfig::new(8, 2);
         let builder = RightSketchBuilder::start(
             SketchKind::Lv2sk,
@@ -1597,20 +1404,10 @@ mod tests {
         builder.write_state(&mut w).unwrap();
         let bytes = w.into_inner();
 
-        let assert_both_reject = |mutated: Vec<u8>, what: &str| {
+        let assert_rejected = |mutated: Vec<u8>, what: &str| {
             assert!(
-                matches!(
-                    validate_builder_state(&mutated),
-                    Err(StoreError::Corrupt(_))
-                ),
-                "walker must reject {what}"
-            );
-            assert!(
-                matches!(
-                    RightSketchBuilder::read_state(&mut Reader::new(mutated.as_slice())),
-                    Err(StoreError::Corrupt(_))
-                ),
-                "decoder must reject {what}"
+                matches!(read_state(&mutated), Err(StoreError::Corrupt(_))),
+                "read_state must reject {what}"
             );
         };
 
@@ -1618,13 +1415,13 @@ mod tests {
         let mut bad_dtype = bytes.clone();
         assert_eq!(bad_dtype[3], 2, "input dtype tag offset (Float)");
         bad_dtype[3] = 3; // Str
-        assert_both_reject(bad_dtype, "AVG over a Str value column");
+        assert_rejected(bad_dtype, "AVG over a Str value column");
 
         // Coordinated (KMV) selection state on an INDSK builder.
         let mut bad_kind = bytes.clone();
         assert_eq!(bad_kind[0], 2, "kind tag offset (Lv2sk)");
         bad_kind[0] = 4; // Indsk
-        assert_both_reject(bad_kind, "KMV state on INDSK");
+        assert_rejected(bad_kind, "KMV state on INDSK");
 
         // Locate the seen list: header fields are fixed-width up to the two
         // column-name strings.
@@ -1648,26 +1445,29 @@ mod tests {
         for i in 0..8 {
             unsorted.swap(a + i, b + i);
         }
-        assert_both_reject(unsorted, "unsorted seen digests");
+        assert_rejected(unsorted, "unsorted seen digests");
 
         // A selection entry key missing from the seen set: corrupt the first
         // seen digest (entries reference the original digests).
         let mut missing = bytes.clone();
         missing[seen_start..seen_start + 8].copy_from_slice(&0u64.to_le_bytes());
-        assert_both_reject(missing, "selection key missing from seen");
+        assert_rejected(missing, "selection key missing from seen");
+
+        // A sketch size far beyond memory is not an error by itself — and
+        // must not be pre-allocated for: the decode succeeds, sized by the
+        // entries actually present.
+        let mut huge_size = bytes.clone();
+        huge_size[4..12].copy_from_slice(&(1u64 << 40).to_le_bytes());
+        assert_eq!(read_state(&huge_size).unwrap().cfg.size, 1 << 40);
 
         // An aggregation state variant that contradicts the declared
         // aggregation: claim MIN while the states are AVG-shaped.
         let mut wrong_variant = bytes.clone();
         assert_eq!(wrong_variant[1], 1, "aggregation tag offset (Avg)");
         wrong_variant[1] = 5; // Min — structurally different state layout
-        match validate_builder_state(&wrong_variant) {
+        match read_state(&wrong_variant) {
             Err(StoreError::Corrupt(_) | StoreError::Truncated { .. }) => {}
-            other => panic!("walker must reject variant mismatch, got {other:?}"),
-        }
-        match RightSketchBuilder::read_state(&mut Reader::new(wrong_variant.as_slice())) {
-            Err(StoreError::Corrupt(_) | StoreError::Truncated { .. }) => {}
-            other => panic!("decoder must reject variant mismatch, got {other:?}"),
+            other => panic!("read_state must reject variant mismatch, got {other:?}"),
         }
     }
 

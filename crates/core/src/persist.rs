@@ -18,17 +18,21 @@
 //! bit, so a query answered from a loaded sketch is bit-identical to one
 //! answered from the in-memory original.
 //!
+//! One function knows that layout: [`SketchView::parse`] checks every field
+//! in place and leaves the rows as borrowed bytes — validation at snapshot
+//! open, and with [`SketchView::to_sketch`] the decode on first touch.
+//!
 //! This module also owns the tag codecs for the enums shared across
 //! artifacts ([`SketchKind`], [`Side`], [`DataType`], [`Value`],
 //! [`Aggregation`]), which the repository format in `joinmi_discovery`
 //! reuses. Tags are append-only: a tag value, once released, is never
 //! reassigned.
 
-use std::io::{Read, Write};
+use std::io::Write;
 
 use joinmi_store::{
-    read_header, read_section, write_header_with_version, ArtifactKind, Reader, Result,
-    SectionBuilder, StoreError, Writer, FORMAT_VERSION_V1,
+    read_header, write_header, ArtifactKind, Result, SectionBuilder, SliceReader, StoreError,
+    Writer,
 };
 use joinmi_table::{Aggregation, DataType, Value};
 
@@ -164,13 +168,34 @@ pub fn write_value<W: Write>(w: &mut Writer<W>, value: &Value) -> Result<()> {
     }
 }
 
-/// Reads one tagged [`Value`].
-pub fn read_value<R: Read>(r: &mut Reader<R>) -> Result<Value> {
+/// A decoded [`Value`] whose string still borrows the payload it was read
+/// from, so walking a value run allocates nothing.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum ValueRef<'a> {
+    Null,
+    Int(i64),
+    Float(f64),
+    Str(&'a str),
+}
+
+impl From<ValueRef<'_>> for Value {
+    fn from(value: ValueRef<'_>) -> Self {
+        match value {
+            ValueRef::Null => Value::Null,
+            ValueRef::Int(v) => Value::Int(v),
+            ValueRef::Float(v) => Value::Float(v),
+            ValueRef::Str(s) => Value::Str(s.to_owned()),
+        }
+    }
+}
+
+/// Reads one tagged value written by [`write_value`].
+pub(crate) fn read_value<'a>(r: &mut SliceReader<'a>) -> Result<ValueRef<'a>> {
     match r.read_u8("value tag")? {
-        0 => Ok(Value::Null),
-        1 => Ok(Value::Int(r.read_i64("int value")?)),
-        2 => Ok(Value::Float(r.read_f64("float value")?)),
-        3 => Ok(Value::Str(r.read_string("string value")?)),
+        0 => Ok(ValueRef::Null),
+        1 => Ok(ValueRef::Int(r.read_i64("int value")?)),
+        2 => Ok(ValueRef::Float(r.read_f64("float value")?)),
+        3 => Ok(ValueRef::Str(r.read_str("string value")?)),
         other => Err(StoreError::corrupt(format!("unknown value tag {other}"))),
     }
 }
@@ -184,29 +209,19 @@ impl ColumnSketch {
     /// sections) to any `std::io::Write`.
     pub fn to_writer<W: Write>(&self, out: W) -> Result<()> {
         let mut w = Writer::new(out);
-        // The sketch artifact's wire format is unchanged since v1: keep
-        // stamping v1 so pre-append-format readers can still read sketches
-        // written by newer binaries (only Repository artifacts carry v2
-        // semantics).
-        write_header_with_version(&mut w, ArtifactKind::Sketch, FORMAT_VERSION_V1)?;
+        write_header(&mut w, ArtifactKind::Sketch)?;
         self.write_embedded(&mut w)
     }
 
     /// Deserializes a standalone sketch artifact written by
     /// [`ColumnSketch::to_writer`]. Trailing bytes after the last section
     /// are rejected (the encoding is canonical).
-    pub fn from_reader<R: Read>(input: R) -> Result<Self> {
-        let mut r = Reader::new(input);
+    pub fn from_bytes(buf: &[u8]) -> Result<Self> {
+        let mut r = SliceReader::new(buf);
         read_header(&mut r, ArtifactKind::Sketch)?;
-        let sketch = Self::read_embedded(&mut r)?;
-        let mut probe = [0u8; 1];
-        match r.read_exact(&mut probe, "end of sketch artifact") {
-            Err(StoreError::Truncated { .. }) => Ok(sketch), // clean EOF
-            Ok(()) => Err(StoreError::corrupt(
-                "trailing bytes after the sketch sections",
-            )),
-            Err(e) => Err(e),
-        }
+        let view = SketchView::parse(&mut r)?;
+        r.expect_consumed("sketch artifact")?;
+        Ok(view.to_sketch())
     }
 
     /// Writes the sketch's sections without a file header — the form used
@@ -239,11 +254,32 @@ impl ColumnSketch {
         }
         rows.finish(SECTION_SKETCH_ROWS, w)
     }
+}
 
-    /// Reads the sections written by [`ColumnSketch::write_embedded`].
-    pub fn read_embedded<R: Read>(r: &mut Reader<R>) -> Result<Self> {
-        let meta = read_section(r, SECTION_SKETCH_META)?;
-        let mut m = Reader::new(meta.as_slice());
+/// An embedded sketch (META + ROWS sections) validated in place: the
+/// metadata is decoded and the row columns are fully checked — row count,
+/// value tags, string UTF-8, no trailing bytes — but stay borrowed bytes
+/// until [`SketchView::to_sketch`] materializes them.
+#[derive(Debug, Clone, Copy)]
+pub struct SketchView<'a> {
+    kind: SketchKind,
+    side: Side,
+    value_dtype: DataType,
+    config: SketchConfig,
+    source_rows: usize,
+    source_distinct_keys: usize,
+    /// The key digest column: one `u64` LE per row.
+    digests: &'a [u8],
+    /// The value column: one tagged value per row, in digest order.
+    values: &'a [u8],
+}
+
+impl<'a> SketchView<'a> {
+    /// Parses the sections written by [`ColumnSketch::write_embedded`] at
+    /// the cursor, verifying both section checksums. Every check a decode
+    /// needs runs here, so [`Self::to_sketch`] cannot fail.
+    pub fn parse(r: &mut SliceReader<'a>) -> Result<Self> {
+        let mut m = r.section(SECTION_SKETCH_META)?;
         let kind = sketch_kind_from_tag(m.read_u8("sketch kind")?)?;
         let side = side_from_tag(m.read_u8("sketch side")?)?;
         let value_dtype = dtype_from_tag(m.read_u8("sketch value dtype")?)?;
@@ -253,83 +289,57 @@ impl ColumnSketch {
         let source_distinct_keys = m.read_len("sketch source distinct keys")?;
         // No row-count-vs-size sanity check: the storage bound depends on the
         // kind (TUPSK/CSK ≤ n, LV2SK/PRISK ≤ 2n, INDSK is only *expected* n),
-        // and allocation below is driven by the actual payload length anyway.
+        // and the count is checked against the bytes actually present below.
         let row_count = m.read_len("sketch row count")?;
-        if !m.into_inner().is_empty() {
-            return Err(StoreError::corrupt("trailing bytes in sketch META section"));
-        }
+        m.expect_consumed("sketch META section")?;
 
-        let payload = read_section(r, SECTION_SKETCH_ROWS)?;
-        let mut p = Reader::new(payload.as_slice());
-        let mut digests = Vec::with_capacity(row_count.min(payload.len() / 8));
+        let mut p = r.section(SECTION_SKETCH_ROWS)?;
+        let digest_bytes = row_count
+            .checked_mul(8)
+            .ok_or_else(|| StoreError::corrupt("sketch row count overflows digest column size"))?;
+        let digests = p.read_slice(digest_bytes, "sketch key digest column")?;
+        let values = p.read_slice(p.remaining(), "sketch value column")?;
+        let mut v = SliceReader::new(values);
         for _ in 0..row_count {
-            digests.push(p.read_u64("sketch key digest")?);
+            read_value(&mut v)?;
         }
-        let mut sketch_rows = Vec::with_capacity(digests.len());
-        for digest in digests {
-            let value = read_value(&mut p)?;
-            sketch_rows.push(SketchRow::new(joinmi_hash::KeyHash(digest), value));
-        }
-        if !p.into_inner().is_empty() {
-            return Err(StoreError::corrupt("trailing bytes in sketch ROWS section"));
-        }
+        v.expect_consumed("sketch ROWS section")?;
 
-        Ok(Self::new(
+        Ok(Self {
             kind,
             side,
-            sketch_rows,
             value_dtype,
+            config: SketchConfig::new(size, seed),
             source_rows,
             source_distinct_keys,
-            SketchConfig::new(size, seed),
-        ))
+            digests,
+            values,
+        })
     }
-}
 
-/// Structurally validates an embedded sketch (META + ROWS sections) at the
-/// start of `buf` without materializing it, returning the bytes consumed.
-///
-/// Walks every field with borrowed reads — enum tags, string UTF-8, row
-/// counts, and full payload consumption are all checked, allocating nothing.
-/// This is how a lazy repository snapshot proves at open time that a
-/// checksummed candidate payload will also *decode*, keeping the no-panic
-/// contract without paying for eager materialization.
-pub fn validate_embedded_sketch(buf: &[u8]) -> Result<usize> {
-    let mut pos = 0usize;
-    let meta_range = joinmi_store::scan_section(buf, &mut pos, SECTION_SKETCH_META)?;
-    let mut m = joinmi_store::SliceReader::new(&buf[meta_range]);
-    sketch_kind_from_tag(m.read_u8("sketch kind")?)?;
-    side_from_tag(m.read_u8("sketch side")?)?;
-    dtype_from_tag(m.read_u8("sketch value dtype")?)?;
-    m.read_u64("sketch config size")?;
-    m.read_u64("sketch config seed")?;
-    m.read_u64("sketch source rows")?;
-    m.read_u64("sketch source distinct keys")?;
-    let row_count = m.read_len("sketch row count")?;
-    m.expect_consumed("sketch META section")?;
-
-    let rows_range = joinmi_store::scan_section(buf, &mut pos, SECTION_SKETCH_ROWS)?;
-    let mut p = joinmi_store::SliceReader::new(&buf[rows_range]);
-    let digest_bytes = row_count
-        .checked_mul(8)
-        .ok_or_else(|| StoreError::corrupt("sketch row count overflows digest column size"))?;
-    p.read_slice(digest_bytes, "sketch key digest column")?;
-    for _ in 0..row_count {
-        match p.read_u8("value tag")? {
-            0 => {}
-            1 | 2 => {
-                p.read_slice(8, "value payload")?;
-            }
-            3 => {
-                p.read_str("string value")?;
-            }
-            other => {
-                return Err(StoreError::corrupt(format!("unknown value tag {other}")));
-            }
-        }
+    /// Materializes the owned sketch.
+    #[must_use]
+    pub fn to_sketch(&self) -> ColumnSketch {
+        let mut v = SliceReader::new(self.values);
+        let rows = self
+            .digests
+            .chunks_exact(8)
+            .map(|digest| {
+                let digest = u64::from_le_bytes(digest.try_into().expect("8-byte chunk"));
+                let value = read_value(&mut v).expect("value column checked by SketchView::parse");
+                SketchRow::new(joinmi_hash::KeyHash(digest), value.into())
+            })
+            .collect();
+        ColumnSketch::new(
+            self.kind,
+            self.side,
+            rows,
+            self.value_dtype,
+            self.source_rows,
+            self.source_distinct_keys,
+            self.config,
+        )
     }
-    p.expect_consumed("sketch ROWS section")?;
-    Ok(pos)
 }
 
 #[cfg(test)]
@@ -359,7 +369,7 @@ mod tests {
             let sketch = sample_sketch(kind);
             let mut buf = Vec::new();
             sketch.to_writer(&mut buf).unwrap();
-            let loaded = ColumnSketch::from_reader(buf.as_slice()).unwrap();
+            let loaded = ColumnSketch::from_bytes(&buf).unwrap();
             assert_eq!(loaded, sketch, "{kind} round trip");
         }
     }
@@ -400,27 +410,14 @@ mod tests {
             write_value(&mut w, v).unwrap();
         }
         let bytes = w.into_inner();
-        let mut r = Reader::new(bytes.as_slice());
+        let mut r = SliceReader::new(&bytes);
         for v in &values {
-            let back = read_value(&mut r).unwrap();
+            let back = Value::from(read_value(&mut r).unwrap());
             match (v, &back) {
                 (Value::Float(a), Value::Float(b)) => assert_eq!(a.to_bits(), b.to_bits()),
                 _ => assert_eq!(&back, v),
             }
         }
-    }
-
-    #[test]
-    fn standalone_sketch_artifacts_stay_at_format_v1() {
-        // The sketch wire format did not change in the v2 (appendable
-        // repository) bump, so sketch artifacts keep stamping v1 — a pre-v2
-        // reader must still be able to read sketches written by this binary.
-        let sketch = sample_sketch(SketchKind::Lv2sk);
-        let mut buf = Vec::new();
-        sketch.to_writer(&mut buf).unwrap();
-        assert_eq!(u16::from_le_bytes([buf[4], buf[5]]), 1);
-        let loaded = ColumnSketch::from_reader(buf.as_slice()).unwrap();
-        assert_eq!(loaded, sketch);
     }
 
     #[test]
@@ -431,7 +428,7 @@ mod tests {
         // Overwrite the artifact-kind byte with the repository tag.
         buf[6] = ArtifactKind::Repository.tag();
         assert!(matches!(
-            ColumnSketch::from_reader(buf.as_slice()),
+            ColumnSketch::from_bytes(&buf),
             Err(StoreError::WrongArtifact { .. })
         ));
     }
@@ -442,11 +439,18 @@ mod tests {
         w.into_inner()
     }
 
+    fn parse_embedded(buf: &[u8]) -> Result<ColumnSketch> {
+        let mut r = SliceReader::new(buf);
+        let view = SketchView::parse(&mut r)?;
+        r.expect_consumed("embedded sketch")?;
+        Ok(view.to_sketch())
+    }
+
     #[test]
-    fn validator_accepts_every_kind_and_consumes_exactly() {
+    fn view_round_trips_every_kind_and_consumes_exactly() {
         for kind in SketchKind::ALL {
-            let buf = embedded_bytes(&sample_sketch(kind));
-            assert_eq!(validate_embedded_sketch(&buf).unwrap(), buf.len());
+            let sketch = sample_sketch(kind);
+            assert_eq!(parse_embedded(&embedded_bytes(&sketch)).unwrap(), sketch);
         }
     }
 
@@ -461,15 +465,7 @@ mod tests {
         let fixed = joinmi_store::checksum(&buf[17..17 + meta_len]);
         buf[9..17].copy_from_slice(&fixed.to_le_bytes());
 
-        assert!(matches!(
-            validate_embedded_sketch(&buf),
-            Err(StoreError::Corrupt(_))
-        ));
-        let mut r = Reader::new(buf.as_slice());
-        assert!(matches!(
-            ColumnSketch::read_embedded(&mut r),
-            Err(StoreError::Corrupt(_))
-        ));
+        assert!(matches!(parse_embedded(&buf), Err(StoreError::Corrupt(_))));
     }
 
     #[test]
@@ -491,12 +487,7 @@ mod tests {
         joinmi_store::write_section(&mut w, SECTION_SKETCH_ROWS, &padded_payload).unwrap();
 
         assert!(matches!(
-            validate_embedded_sketch(&padded),
-            Err(StoreError::Corrupt(_))
-        ));
-        let mut r = Reader::new(padded.as_slice());
-        assert!(matches!(
-            ColumnSketch::read_embedded(&mut r),
+            parse_embedded(&padded),
             Err(StoreError::Corrupt(_))
         ));
     }
@@ -508,7 +499,7 @@ mod tests {
         sketch.to_writer(&mut buf).unwrap();
         buf.push(0);
         assert!(matches!(
-            ColumnSketch::from_reader(buf.as_slice()),
+            ColumnSketch::from_bytes(&buf),
             Err(StoreError::Corrupt(_))
         ));
     }
@@ -521,7 +512,7 @@ mod tests {
         // Truncate mid-rows-section: typed truncation, never a panic.
         let cut = buf.len() - 5;
         assert!(matches!(
-            ColumnSketch::from_reader(&buf[..cut]),
+            ColumnSketch::from_bytes(&buf[..cut]),
             Err(StoreError::Truncated { .. })
         ));
     }

@@ -32,7 +32,7 @@ fn build_table(rows: &[(u8, i64)]) -> Table {
 fn assert_round_trip(sketch: &ColumnSketch) {
     let mut buf = Vec::new();
     sketch.to_writer(&mut buf).unwrap();
-    let decoded = ColumnSketch::from_reader(buf.as_slice()).unwrap();
+    let decoded = ColumnSketch::from_bytes(&buf).unwrap();
     assert_eq!(&decoded, sketch);
     // Re-encoding the decoded sketch is byte-identical (canonical encoding).
     let mut buf2 = Vec::new();
@@ -94,7 +94,7 @@ proptest! {
         let round = |s: &ColumnSketch| {
             let mut buf = Vec::new();
             s.to_writer(&mut buf).unwrap();
-            ColumnSketch::from_reader(buf.as_slice()).unwrap()
+            ColumnSketch::from_bytes(&buf).unwrap()
         };
         let joined_mem = left.join(&right);
         let joined_disk = round(&left).join(&round(&right));

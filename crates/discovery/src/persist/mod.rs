@@ -16,9 +16,10 @@
 //!   thanks to the builder state, accepts [`TableRepository::append_rows`].
 //! * [`TableRepository::load_mmap_like`] opens the artifact as a read-only
 //!   [`RepositorySnapshot`]: the whole file is read into one buffer, every
-//!   section checksum is verified up front, but candidate sketches are only
-//!   decoded on first access — a query prunes through the persisted index
-//!   and decodes just the surviving candidates.
+//!   section checksum is verified and every candidate validated up front,
+//!   but candidate sketches are only decoded on first access — a query
+//!   prunes through the persisted index and decodes just the surviving
+//!   candidates.
 //! * [`TableRepository::append_to`] writes the changes accumulated since the
 //!   file was loaded as an **append group** after the existing payload:
 //!   updated candidate sections plus an index delta, each checksummed. The
@@ -35,600 +36,69 @@
 //!   answering queries bit-identically.
 //! * **Seal mode** ([`CompactMode::Seal`]) additionally drops all
 //!   incremental-builder state for frozen corpora: the file shrinks to the
-//!   lean pre-append layout and further appends are rejected with a typed
+//!   lean state-free layout and further appends are rejected with a typed
 //!   [`StoreError::Sealed`] / [`TableError`](joinmi_table::TableError)
 //!   `::Sealed`.
 //!
-//! # Repository file layout (format v3)
+//! # Format and module layout
 //!
-//! ```text
-//! header            magic b"JMIS" | version = 3 | artifact = Repository
-//! REPO_META         sketch kind/size/seed, max pairs, table + candidate
-//!                   counts, distinct-sketch capacity, flags (bit 0 = sealed)
-//! PROFILES          per table: name, rows, per-column stats
-//! FEATURE_DISTINCT  per table, per column: bounded KMV distinct sketch
-//! INDEX             joinability postings (digest → candidate ids) + counts
-//! per candidate:
-//!   CANDIDATE        identity fields + embedded sketch
-//!   CANDIDATE_STATE  incremental-builder state (seen keys, KMV selection
-//!                    entries with aggregation states) — omitted when sealed
-//! zero or more append groups (none when sealed), each:
-//!   APPEND_META       updated-candidate count + refreshed profiles +
-//!                     refreshed distinct sketches
-//!   per updated candidate:
-//!     CANDIDATE_UPDATE  candidate id + identity + refreshed sketch
-//!     CANDIDATE_STATE   refreshed builder state
-//!   INDEX_DELTA       ordered postings deltas (removed / added / sizes)
-//! ```
+//! The byte-level specification — header, section framing, every section's
+//! payload, the append-group grammar — is `docs/FORMAT.md` at the repository
+//! root. Exactly one format version is readable
+//! ([`joinmi_store::FORMAT_VERSION`]); a file stamped with any other is a
+//! typed [`StoreError::UnsupportedVersion`].
 //!
-//! v1 files (pre-append format) and v2 files (appendable, but without
-//! distinct sketches or the sealed flag) still load; appending *to* them on
-//! disk is rejected with a typed error until a re-save or
-//! [`TableRepository::compact`] upgrades them to v3. Earlier readers reject
-//! v3 files cleanly via the version check — the bump exists precisely so an
-//! old binary never misparses a new section as trailing garbage.
+//! Each on-disk structure has one writer and **one** function that reads its
+//! fields, used both to validate at open and to decode on first touch:
+//! `sections` holds one codec per section in `docs/FORMAT.md` order,
+//! `snapshot` the open-time walk over them and the lazy candidate decode
+//! ([`RepositorySnapshot`]), and this module the [`TableRepository`] file
+//! operations built on both.
 //!
-//! The byte-level specification of all of the above lives in
-//! `docs/FORMAT.md` at the repository root.
+//! Builder state (`CANDIDATE_STATE`) is interpreted by nothing on the
+//! read-only path, so a snapshot open verifies its checksum and presence
+//! flag and stops there; `RightSketchBuilder::read_state` decodes and
+//! validates it where it is first used, in [`TableRepository::load`] and
+//! [`TableRepository::compact`].
 
 use std::io::{Read, Write};
-use std::ops::Range;
 use std::path::Path;
-use std::sync::OnceLock;
 
-use joinmi_sketch::persist::{aggregation_from_tag, aggregation_tag, dtype_from_tag, dtype_tag};
-use joinmi_sketch::{incremental, ColumnSketch, DistinctSketch, RightSketchBuilder, SketchConfig};
 use joinmi_store::{
-    read_header, scan_section, write_header, ArtifactKind, GroupGrammar, Reader, RecoveryReport,
-    Result, SectionBuilder, StoreError, Writer,
+    read_header, scan_section, write_header, ArtifactKind, GroupGrammar, RecoveryReport, Result,
+    SliceReader, StoreError, Writer,
 };
 
-use crate::index::{IndexDelta, JoinabilityIndex};
-use crate::profile::{ColumnProfile, TableProfile};
-use crate::repository::{CandidateColumn, CandidateSource, RepositoryConfig, TableRepository};
+use crate::repository::TableRepository;
 
-/// Section tag: repository configuration and counts.
-pub const SECTION_REPO_META: u8 = 0x10;
-/// Section tag: table profiles.
-pub const SECTION_PROFILES: u8 = 0x11;
-/// Section tag: joinability-index postings.
-pub const SECTION_INDEX: u8 = 0x12;
-/// Section tag: one candidate column (identity + embedded sketch).
-pub const SECTION_CANDIDATE: u8 = 0x13;
-/// Section tag: one candidate's incremental-builder state (v2).
-pub const SECTION_CANDIDATE_STATE: u8 = 0x14;
-/// Section tag: header of one append group (v2).
-pub const SECTION_APPEND_META: u8 = 0x15;
-/// Section tag: one updated candidate inside an append group (v2).
-pub const SECTION_CANDIDATE_UPDATE: u8 = 0x16;
-/// Section tag: the ordered index deltas of one append group (v2).
-pub const SECTION_INDEX_DELTA: u8 = 0x17;
-/// Section tag: per-column bounded distinct sketches (v3).
-pub const SECTION_FEATURE_DISTINCT: u8 = 0x18;
+mod sections;
+mod snapshot;
 
-/// The v2 repository append-group grammar for the structural repair scanner
-/// in [`joinmi_store::repair`]: a group opens with APPEND_META and commits
-/// with INDEX_DELTA.
+pub use sections::{
+    SECTION_APPEND_META, SECTION_CANDIDATE, SECTION_CANDIDATE_STATE, SECTION_CANDIDATE_UPDATE,
+    SECTION_FEATURE_DISTINCT, SECTION_INDEX, SECTION_INDEX_DELTA, SECTION_PROFILES,
+    SECTION_REPO_META,
+};
+pub use snapshot::RepositorySnapshot;
+
+use sections::{
+    read_repo_meta, write_append_meta, write_candidate, write_candidate_state,
+    write_candidate_update, write_distincts, write_index, write_index_delta, write_profiles,
+    write_repo_meta, REPO_META_END,
+};
+
+/// The repository append-group grammar for the structural repair scanner in
+/// [`joinmi_store::repair`]: a group opens with APPEND_META and commits with
+/// INDEX_DELTA.
 pub const REPOSITORY_GROUP_GRAMMAR: GroupGrammar = GroupGrammar {
     start_tag: SECTION_APPEND_META,
     end_tag: SECTION_INDEX_DELTA,
 };
 
-// ---------------------------------------------------------------------------
-// Encoding
-// ---------------------------------------------------------------------------
-
-/// Flag bit in the v3 REPO_META flags byte: the repository is sealed.
-const META_FLAG_SEALED: u8 = 0x01;
-
-fn write_repo_meta<W: Write>(
-    w: &mut Writer<W>,
-    config: &RepositoryConfig,
-    num_tables: usize,
-    num_candidates: usize,
-    sealed: bool,
-) -> Result<()> {
-    let mut meta = SectionBuilder::new();
-    {
-        let m = meta.writer();
-        m.write_u8(joinmi_sketch::persist::sketch_kind_tag(config.sketch_kind))?;
-        m.write_len(config.sketch.size)?;
-        m.write_u64(config.sketch.seed)?;
-        m.write_len(config.max_pairs_per_table)?;
-        m.write_len(num_tables)?;
-        m.write_len(num_candidates)?;
-        // v3 trailer: distinct-sketch capacity + flags byte.
-        m.write_len(config.distinct_sketch_size)?;
-        m.write_u8(if sealed { META_FLAG_SEALED } else { 0 })?;
-    }
-    meta.finish(SECTION_REPO_META, w)
-}
-
-/// Encodes the profiles payload (shared by the PROFILES section and the
-/// refreshed profiles inside APPEND_META).
-fn encode_profiles(p: &mut Writer<Vec<u8>>, profiles: &[TableProfile]) -> Result<()> {
-    p.write_len(profiles.len())?;
-    for profile in profiles {
-        p.write_str(&profile.table)?;
-        p.write_len(profile.rows)?;
-        p.write_len(profile.columns.len())?;
-        for column in &profile.columns {
-            p.write_str(&column.name)?;
-            p.write_u8(dtype_tag(column.dtype))?;
-            p.write_len(column.distinct)?;
-            p.write_len(column.nulls)?;
-            p.write_len(column.rows)?;
-        }
-    }
-    Ok(())
-}
-
-fn write_profiles<W: Write>(w: &mut Writer<W>, profiles: &[TableProfile]) -> Result<()> {
-    let mut section = SectionBuilder::new();
-    encode_profiles(section.writer(), profiles)?;
-    section.finish(SECTION_PROFILES, w)
-}
-
-/// Encodes the per-column distinct sketches (shared by the FEATURE_DISTINCT
-/// section and the refreshed block inside v3 APPEND_META payloads). Each
-/// column carries a presence byte so columns loaded from pre-v3 files (no
-/// sketch) survive a re-save.
-fn encode_distincts(
-    p: &mut Writer<Vec<u8>>,
-    distincts: &[Vec<Option<DistinctSketch>>],
-) -> Result<()> {
-    p.write_len(distincts.len())?;
-    for table in distincts {
-        p.write_len(table.len())?;
-        for sketch in table {
-            match sketch {
-                None => p.write_u8(0)?,
-                Some(sketch) => {
-                    p.write_u8(1)?;
-                    p.write_len(sketch.capacity())?;
-                    p.write_len(sketch.len())?;
-                    for digest in sketch.digests() {
-                        p.write_u64(digest)?;
-                    }
-                }
-            }
-        }
-    }
-    Ok(())
-}
-
-fn write_distincts<W: Write>(
-    w: &mut Writer<W>,
-    distincts: &[Vec<Option<DistinctSketch>>],
-) -> Result<()> {
-    let mut section = SectionBuilder::new();
-    encode_distincts(section.writer(), distincts)?;
-    section.finish(SECTION_FEATURE_DISTINCT, w)
-}
-
-/// Decodes a distinct-sketch block, validating its shape against the decoded
-/// profiles (one entry per table, one per column) and each sketch's
-/// invariants (count ≤ capacity, digests strictly increasing).
-fn decode_distincts<R: Read>(
-    p: &mut Reader<R>,
-    profiles: &[TableProfile],
-) -> Result<Vec<Vec<Option<DistinctSketch>>>> {
-    let table_count = p.read_len("distinct sketch table count")?;
-    if table_count != profiles.len() {
-        return Err(StoreError::corrupt(format!(
-            "distinct sketch block covers {table_count} tables, profiles cover {}",
-            profiles.len()
-        )));
-    }
-    let mut distincts = Vec::with_capacity(table_count);
-    for profile in profiles {
-        let column_count = p.read_len("distinct sketch column count")?;
-        if column_count != profile.columns.len() {
-            return Err(StoreError::corrupt(format!(
-                "distinct sketch block covers {column_count} columns of table `{}`, \
-                 its profile covers {}",
-                profile.table,
-                profile.columns.len()
-            )));
-        }
-        let mut table = Vec::with_capacity(column_count);
-        for _ in 0..column_count {
-            match p.read_u8("distinct sketch presence flag")? {
-                0 => table.push(None),
-                1 => {
-                    let capacity = p.read_len("distinct sketch capacity")?;
-                    if capacity == 0 {
-                        return Err(StoreError::corrupt("distinct sketch capacity of zero"));
-                    }
-                    let count = p.read_len("distinct sketch digest count")?;
-                    if count > capacity {
-                        return Err(StoreError::corrupt(format!(
-                            "distinct sketch holds {count} digests over capacity {capacity}"
-                        )));
-                    }
-                    let mut digests = std::collections::BTreeSet::new();
-                    let mut previous: Option<u64> = None;
-                    for _ in 0..count {
-                        let digest = p.read_u64("distinct sketch digest")?;
-                        if previous.is_some_and(|prev| digest <= prev) {
-                            return Err(StoreError::corrupt(
-                                "distinct sketch digests are not strictly increasing",
-                            ));
-                        }
-                        previous = Some(digest);
-                        digests.insert(digest);
-                    }
-                    table.push(Some(DistinctSketch::from_parts(capacity, digests)));
-                }
-                other => {
-                    return Err(StoreError::corrupt(format!(
-                        "invalid distinct sketch presence flag {other}"
-                    )))
-                }
-            }
-        }
-        distincts.push(table);
-    }
-    Ok(distincts)
-}
-
-/// The all-`None` distinct-sketch shape for pre-v3 files: counts stay at
-/// their last fully-profiled values.
-fn absent_distincts(profiles: &[TableProfile]) -> Vec<Vec<Option<DistinctSketch>>> {
-    profiles
-        .iter()
-        .map(|profile| vec![None; profile.columns.len()])
-        .collect()
-}
-
-fn write_index<W: Write>(w: &mut Writer<W>, index: &JoinabilityIndex) -> Result<()> {
-    let (postings, sizes) = index.canonical_parts();
-    let mut section = SectionBuilder::new();
-    {
-        let p = section.writer();
-        p.write_len(sizes.len())?;
-        for (id, size) in sizes {
-            p.write_len(id)?;
-            p.write_len(size)?;
-        }
-        p.write_len(postings.len())?;
-        for (digest, ids) in postings {
-            p.write_u64(digest)?;
-            p.write_len(ids.len())?;
-            for id in ids {
-                p.write_len(id)?;
-            }
-        }
-    }
-    section.finish(SECTION_INDEX, w)
-}
-
-/// Encodes a candidate's identity + sketch (the shared body of CANDIDATE and
-/// CANDIDATE_UPDATE payloads).
-fn encode_candidate(p: &mut Writer<Vec<u8>>, candidate: &CandidateColumn) -> Result<()> {
-    p.write_len(candidate.table_index)?;
-    p.write_str(&candidate.table_name)?;
-    p.write_str(&candidate.key_column)?;
-    p.write_str(&candidate.feature_column)?;
-    p.write_u8(aggregation_tag(candidate.aggregation))?;
-    candidate.sketch.write_embedded(p)
-}
-
-fn write_candidate<W: Write>(w: &mut Writer<W>, candidate: &CandidateColumn) -> Result<()> {
-    let mut section = SectionBuilder::new();
-    encode_candidate(section.writer(), candidate)?;
-    section.finish(SECTION_CANDIDATE, w)
-}
-
-/// Writes one CANDIDATE_STATE section: a presence flag plus the serialized
-/// builder. A missing builder (candidate loaded from a v1 file) writes the
-/// flag alone, keeping the section structure uniform.
-fn write_candidate_state<W: Write>(
-    w: &mut Writer<W>,
-    builder: Option<&RightSketchBuilder>,
-) -> Result<()> {
-    let mut section = SectionBuilder::new();
-    {
-        let p = section.writer();
-        match builder {
-            None => p.write_u8(0)?,
-            Some(builder) => {
-                p.write_u8(1)?;
-                builder.write_state(p)?;
-            }
-        }
-    }
-    section.finish(SECTION_CANDIDATE_STATE, w)
-}
-
-fn write_index_delta<W: Write>(w: &mut Writer<W>, deltas: &[IndexDelta]) -> Result<()> {
-    let mut section = SectionBuilder::new();
-    {
-        let p = section.writer();
-        p.write_len(deltas.len())?;
-        for delta in deltas {
-            p.write_len(delta.removed.len())?;
-            for &(digest, id) in &delta.removed {
-                p.write_u64(digest)?;
-                p.write_len(id)?;
-            }
-            p.write_len(delta.added.len())?;
-            for &(digest, id) in &delta.added {
-                p.write_u64(digest)?;
-                p.write_len(id)?;
-            }
-            p.write_len(delta.sizes.len())?;
-            for &(id, size) in &delta.sizes {
-                p.write_len(id)?;
-                p.write_len(size)?;
-            }
-        }
-    }
-    section.finish(SECTION_INDEX_DELTA, w)
-}
-
-// ---------------------------------------------------------------------------
-// Decoding
-// ---------------------------------------------------------------------------
-
-struct RepoMeta {
-    config: RepositoryConfig,
-    num_tables: usize,
-    num_candidates: usize,
-    sealed: bool,
-}
-
-fn read_repo_meta(payload: &[u8], version: u16) -> Result<RepoMeta> {
-    let mut m = Reader::new(payload);
-    let sketch_kind = joinmi_sketch::persist::sketch_kind_from_tag(m.read_u8("repo sketch kind")?)?;
-    let size = m.read_len("repo sketch size")?;
-    let seed = m.read_u64("repo sketch seed")?;
-    let max_pairs_per_table = m.read_len("repo max pairs per table")?;
-    let num_tables = m.read_len("repo table count")?;
-    let num_candidates = m.read_len("repo candidate count")?;
-    // v3 trailer; pre-v3 files had no distinct sketches and cannot be sealed.
-    let (distinct_sketch_size, sealed) = if version >= 3 {
-        let capacity = m.read_len("repo distinct sketch size")?;
-        let flags = m.read_u8("repo flags")?;
-        if flags & !META_FLAG_SEALED != 0 {
-            return Err(StoreError::corrupt(format!(
-                "unknown repository flag bits {flags:#04x}"
-            )));
-        }
-        (capacity, flags & META_FLAG_SEALED != 0)
-    } else {
-        (RepositoryConfig::default().distinct_sketch_size, false)
-    };
-    if !m.into_inner().is_empty() {
-        return Err(StoreError::corrupt("trailing bytes in REPO_META section"));
-    }
-    Ok(RepoMeta {
-        config: RepositoryConfig {
-            sketch_kind,
-            sketch: SketchConfig::new(size, seed),
-            max_pairs_per_table,
-            distinct_sketch_size,
-        },
-        num_tables,
-        num_candidates,
-        sealed,
-    })
-}
-
-fn read_profiles(payload: &[u8], expected_tables: usize) -> Result<Vec<TableProfile>> {
-    let mut p = Reader::new(payload);
-    let profiles = decode_profiles(&mut p, expected_tables, payload.len())?;
-    if !p.into_inner().is_empty() {
-        return Err(StoreError::corrupt("trailing bytes in PROFILES section"));
-    }
-    Ok(profiles)
-}
-
-fn decode_profiles<R: Read>(
-    p: &mut Reader<R>,
-    expected_tables: usize,
-    payload_len: usize,
-) -> Result<Vec<TableProfile>> {
-    let count = p.read_len("profile count")?;
-    if count != expected_tables {
-        return Err(StoreError::corrupt(format!(
-            "profile count {count} does not match table count {expected_tables}"
-        )));
-    }
-    let mut profiles = Vec::with_capacity(count.min(payload_len));
-    for _ in 0..count {
-        let table = p.read_string("profile table name")?;
-        let rows = p.read_len("profile row count")?;
-        let num_columns = p.read_len("profile column count")?;
-        let mut columns = Vec::with_capacity(num_columns.min(payload_len));
-        for _ in 0..num_columns {
-            columns.push(ColumnProfile {
-                name: p.read_string("column profile name")?,
-                dtype: dtype_from_tag(p.read_u8("column profile dtype")?)?,
-                distinct: p.read_len("column profile distinct")?,
-                nulls: p.read_len("column profile nulls")?,
-                rows: p.read_len("column profile rows")?,
-            });
-        }
-        profiles.push(TableProfile {
-            table,
-            rows,
-            columns,
-        });
-    }
-    Ok(profiles)
-}
-
-fn read_index(payload: &[u8], num_candidates: usize) -> Result<JoinabilityIndex> {
-    let mut p = Reader::new(payload);
-    let size_count = p.read_len("index size count")?;
-    let mut sizes = Vec::with_capacity(size_count.min(payload.len()));
-    let mut covered = vec![false; num_candidates];
-    for _ in 0..size_count {
-        let id = p.read_len("index candidate id")?;
-        if id >= num_candidates {
-            return Err(StoreError::corrupt(format!(
-                "index references candidate {id}, but the file holds {num_candidates}"
-            )));
-        }
-        covered[id] = true;
-        sizes.push((id, p.read_len("index candidate digest count")?));
-    }
-    let digest_count = p.read_len("index digest count")?;
-    let mut postings = Vec::with_capacity(digest_count.min(payload.len()));
-    for _ in 0..digest_count {
-        let digest = p.read_u64("index digest")?;
-        let id_count = p.read_len("index posting length")?;
-        let mut ids = Vec::with_capacity(id_count.min(payload.len()));
-        for _ in 0..id_count {
-            let id = p.read_len("index posting id")?;
-            // Posting ids must also appear in the sizes list: queries size
-            // their per-candidate overlap counters from the sizes, so an
-            // uncovered posting id would index out of bounds.
-            if id >= num_candidates || !covered[id] {
-                return Err(StoreError::corrupt(format!(
-                    "index posting references candidate {id} with no digest-count entry"
-                )));
-            }
-            ids.push(id);
-        }
-        postings.push((digest, ids));
-    }
-    if !p.into_inner().is_empty() {
-        return Err(StoreError::corrupt("trailing bytes in INDEX section"));
-    }
-    Ok(JoinabilityIndex::from_canonical_parts(postings, sizes))
-}
-
-/// Decodes a candidate body (identity + sketch) from a payload slice,
-/// requiring full consumption.
-fn read_candidate_body(payload: &[u8]) -> Result<CandidateColumn> {
-    let mut p = Reader::new(payload);
-    let table_index = p.read_len("candidate table index")?;
-    let table_name = p.read_string("candidate table name")?;
-    let key_column = p.read_string("candidate key column")?;
-    let feature_column = p.read_string("candidate feature column")?;
-    let aggregation = aggregation_from_tag(p.read_u8("candidate aggregation")?)?;
-    let sketch = ColumnSketch::read_embedded(&mut p)?;
-    if !p.into_inner().is_empty() {
-        return Err(StoreError::corrupt("trailing bytes in CANDIDATE section"));
-    }
-    Ok(CandidateColumn {
-        table_index,
-        table_name,
-        key_column,
-        feature_column,
-        aggregation,
-        sketch,
-    })
-}
-
-/// Structurally validates one candidate body without materializing it
-/// (borrowed reads only): identity fields, enum tags, the embedded sketch
-/// ([`joinmi_sketch::persist::validate_embedded_sketch`]), and full payload
-/// consumption. Run for every candidate at snapshot open, this is what makes
-/// the lazy decode in [`RepositorySnapshot::candidate`] infallible — a
-/// checksum only proves integrity, not that the payload *decodes*.
-fn validate_candidate_body(payload: &[u8], num_tables: usize) -> Result<()> {
-    let mut p = joinmi_store::SliceReader::new(payload);
-    let table_index = p.read_len("candidate table index")?;
-    if table_index >= num_tables {
-        return Err(StoreError::corrupt(format!(
-            "candidate references table {table_index}, but the file holds {num_tables}"
-        )));
-    }
-    p.read_str("candidate table name")?;
-    p.read_str("candidate key column")?;
-    p.read_str("candidate feature column")?;
-    aggregation_from_tag(p.read_u8("candidate aggregation")?)?;
-    let consumed = joinmi_sketch::persist::validate_embedded_sketch(&payload[p.position()..])?;
-    if p.position() + consumed != payload.len() {
-        return Err(StoreError::corrupt("trailing bytes in CANDIDATE section"));
-    }
-    Ok(())
-}
-
-/// Structurally validates a CANDIDATE_STATE payload; returns `true` when a
-/// builder state is present.
-fn validate_state_payload(payload: &[u8]) -> Result<bool> {
-    match payload.first() {
-        None => Err(StoreError::Truncated {
-            context: "candidate state flag",
-        }),
-        Some(0) => {
-            if payload.len() != 1 {
-                return Err(StoreError::corrupt(
-                    "trailing bytes in empty CANDIDATE_STATE section",
-                ));
-            }
-            Ok(false)
-        }
-        Some(1) => {
-            let consumed = incremental::validate_builder_state(&payload[1..])?;
-            if 1 + consumed != payload.len() {
-                return Err(StoreError::corrupt(
-                    "trailing bytes in CANDIDATE_STATE section",
-                ));
-            }
-            Ok(true)
-        }
-        Some(other) => Err(StoreError::corrupt(format!(
-            "invalid candidate state flag {other}"
-        ))),
-    }
-}
-
-fn read_index_delta(payload: &[u8], num_candidates: usize) -> Result<Vec<IndexDelta>> {
-    let mut p = Reader::new(payload);
-    let delta_count = p.read_len("index delta count")?;
-    let mut deltas = Vec::with_capacity(delta_count.min(payload.len()));
-    for _ in 0..delta_count {
-        let mut delta = IndexDelta::default();
-        let removed = p.read_len("index delta removed count")?;
-        for _ in 0..removed {
-            let digest = p.read_u64("index delta removed digest")?;
-            let id = p.read_len("index delta removed id")?;
-            check_candidate_id(id, num_candidates)?;
-            delta.removed.push((digest, id));
-        }
-        let added = p.read_len("index delta added count")?;
-        for _ in 0..added {
-            let digest = p.read_u64("index delta added digest")?;
-            let id = p.read_len("index delta added id")?;
-            check_candidate_id(id, num_candidates)?;
-            delta.added.push((digest, id));
-        }
-        let sizes = p.read_len("index delta size count")?;
-        for _ in 0..sizes {
-            let id = p.read_len("index delta size id")?;
-            check_candidate_id(id, num_candidates)?;
-            delta.sizes.push((id, p.read_len("index delta size")?));
-        }
-        deltas.push(delta);
-    }
-    if !p.into_inner().is_empty() {
-        return Err(StoreError::corrupt("trailing bytes in INDEX_DELTA section"));
-    }
-    Ok(deltas)
-}
-
-fn check_candidate_id(id: usize, num_candidates: usize) -> Result<()> {
-    if id >= num_candidates {
-        return Err(StoreError::corrupt(format!(
-            "append group references candidate {id}, but the file holds {num_candidates}"
-        )));
-    }
-    Ok(())
-}
-
-// ---------------------------------------------------------------------------
-// Public API
-// ---------------------------------------------------------------------------
-
 impl TableRepository {
     /// Serializes the repository (config, profiles, distinct sketches, index
     /// postings, candidate sketches and builder states — not the raw tables)
-    /// to any `std::io::Write`, as a flat (append-group-free) v3 artifact
+    /// to any `std::io::Write`, as a flat (append-group-free) artifact
     /// covering the repository's *current* state. A sealed repository writes
     /// the lean sealed layout: no `CANDIDATE_STATE` sections at all.
     pub fn save_to<W: Write>(&self, out: W) -> Result<()> {
@@ -675,9 +145,9 @@ impl TableRepository {
     /// appended — the [`Self::append_rows`] log — to an existing repository
     /// file as one append group, without rewriting any existing bytes.
     ///
-    /// The target must be the v3 artifact this repository's base state came
-    /// from (header and REPO_META are verified; appending to a mismatched,
-    /// pre-v3, or sealed file is rejected before any byte is written — with
+    /// The target must be the artifact this repository's base state came
+    /// from (header and REPO_META are verified; appending to a mismatched or
+    /// sealed file is rejected before any byte is written — with
     /// [`StoreError::Sealed`] for the sealed case). A no-op when nothing
     /// changed. On success the pending log is cleared, so consecutive
     /// appends produce consecutive groups.
@@ -696,19 +166,17 @@ impl TableRepository {
             return Ok(());
         }
 
-        // Light compatibility check against the target's header + meta.
+        // Light compatibility check against the target's header + meta: the
+        // only bytes of the target this ever reads.
         {
-            let file = joinmi_store::fault::open_read(&path)?;
-            let mut r = Reader::new(std::io::BufReader::new(file));
-            let version = read_header(&mut r, ArtifactKind::Repository)?;
-            if version < 3 {
-                return Err(StoreError::corrupt(format!(
-                    "cannot append to a v{version} repository file (append groups need the v3 \
-                     distinct-sketch layout); re-save or compact it to upgrade"
-                )));
-            }
-            let meta_payload = joinmi_store::read_section(&mut r, SECTION_REPO_META)?;
-            let meta = read_repo_meta(&meta_payload, version)?;
+            let mut head = Vec::with_capacity(REPO_META_END);
+            joinmi_store::fault::open_read(&path)?
+                .take(REPO_META_END as u64)
+                .read_to_end(&mut head)?;
+            let mut r = SliceReader::new(&head);
+            read_header(&mut r, ArtifactKind::Repository)?;
+            let mut pos = r.position();
+            let meta = read_repo_meta(&head[scan_section(&head, &mut pos, SECTION_REPO_META)?])?;
             if meta.sealed {
                 return Err(StoreError::Sealed {
                     operation: "appending a group to a sealed repository file",
@@ -730,24 +198,15 @@ impl TableRepository {
         let file = joinmi_store::fault::open_append(&path)?;
         let mut w = Writer::new(std::io::BufWriter::new(file));
 
-        let dirty: Vec<usize> = self.pending().dirty.iter().copied().collect();
-        let mut meta = SectionBuilder::new();
-        {
-            let p = meta.writer();
-            p.write_len(dirty.len())?;
-            encode_profiles(p, self.profiles())?;
-            encode_distincts(p, self.distinct_sketches())?;
-        }
-        meta.finish(SECTION_APPEND_META, &mut w)?;
-
-        for &id in &dirty {
-            let mut update = SectionBuilder::new();
-            {
-                let p = update.writer();
-                p.write_len(id)?;
-                encode_candidate(p, &self.candidates()[id])?;
-            }
-            update.finish(SECTION_CANDIDATE_UPDATE, &mut w)?;
+        let dirty = &self.pending().dirty;
+        write_append_meta(
+            &mut w,
+            dirty.len(),
+            self.profiles(),
+            self.distinct_sketches(),
+        )?;
+        for &id in dirty {
+            write_candidate_update(&mut w, id, &self.candidates()[id])?;
             write_candidate_state(&mut w, self.builders()[id].as_ref())?;
         }
         write_index_delta(&mut w, &self.pending().deltas)?;
@@ -769,24 +228,27 @@ impl TableRepository {
     pub fn load_from<R: Read>(mut input: R) -> Result<TableRepository> {
         let mut buf = Vec::new();
         input.read_to_end(&mut buf).map_err(StoreError::from)?;
-        Ok(RepositorySnapshot::from_bytes(buf)?.into_repository())
+        RepositorySnapshot::from_bytes(buf)?.into_repository()
     }
 
     /// Loads a repository saved by [`Self::save`], decoding every candidate
-    /// eagerly. The result is a *sketch-only* repository: it answers queries
-    /// bit-identically to the original and — for v2 artifacts — accepts
-    /// [`Self::append_rows`], but holds no raw tables, so new-table ingest
-    /// and [`AugmentationPlan::materialize`](crate::AugmentationPlan) are
-    /// rejected with typed errors.
+    /// eagerly — including its builder state, which is decoded and validated
+    /// here and nowhere earlier (a state that fails is a typed error even
+    /// though the same file opens as a snapshot). The result is a
+    /// *sketch-only* repository: it answers queries bit-identically to the
+    /// original and accepts [`Self::append_rows`], but holds no raw tables,
+    /// so new-table ingest and
+    /// [`AugmentationPlan::materialize`](crate::AugmentationPlan) are rejected
+    /// with typed errors.
     pub fn load<P: AsRef<Path>>(path: P) -> Result<TableRepository> {
-        Ok(Self::load_mmap_like(path)?.into_repository())
+        Self::load_mmap_like(path)?.into_repository()
     }
 
     /// Opens a repository artifact as a read-only [`RepositorySnapshot`]:
     /// the file is read into a single buffer (one syscall — the closest to
     /// `mmap` the no-unsafe policy allows), every section checksum is
-    /// verified immediately, and candidate sketches are decoded lazily on
-    /// first access.
+    /// verified and every candidate validated immediately, and candidate
+    /// sketches are decoded lazily on first access.
     pub fn load_mmap_like<P: AsRef<Path>>(path: P) -> Result<RepositorySnapshot> {
         RepositorySnapshot::from_bytes(joinmi_store::fault::read(path)?)
     }
@@ -894,14 +356,16 @@ impl TableRepository {
     }
 
     /// Rewrites a repository file in place, folding all accumulated append
-    /// groups back into a fresh flat v3 base — the read-time cost of replayed
+    /// groups back into a fresh flat base — the read-time cost of replayed
     /// groups goes to zero while queries stay bit-for-bit identical. With
     /// [`CompactMode::Seal`] the rewrite additionally drops every candidate's
     /// incremental-builder state and marks the file sealed: the lean
-    /// pre-append read profile, at the price that further appends are
+    /// state-free read profile, at the price that further appends are
     /// rejected with typed `Sealed` errors. Compacting an already-sealed or
     /// already-flat file is a valid no-op-shaped rewrite (it reproduces the
-    /// canonical bytes); pre-v3 files are upgraded to v3.
+    /// canonical bytes). Builder state is decoded on the way through, so a
+    /// file whose state is invalid fails here with a typed error and is left
+    /// untouched.
     ///
     /// Crash semantics: the new image is written to a sibling temp file,
     /// fsynced, **read back and verified to open**, then atomically renamed
@@ -918,7 +382,7 @@ impl TableRepository {
         let bytes_before = buf.len() as u64;
         let snapshot = RepositorySnapshot::from_bytes(buf)?;
         let groups_folded = snapshot.append_groups();
-        let mut repo = snapshot.into_repository();
+        let mut repo = snapshot.into_repository()?;
         if matches!(mode, CompactMode::Seal) {
             repo.seal();
         }
@@ -988,297 +452,12 @@ pub struct CompactionReport {
     pub sealed: bool,
 }
 
-/// A candidate section that decodes its [`CandidateColumn`] on first access.
-#[derive(Debug)]
-struct LazyCandidate {
-    /// Payload byte range inside [`RepositorySnapshot::buf`] (checksum
-    /// already verified at open). For a candidate refreshed by an append
-    /// group this points at the latest CANDIDATE_UPDATE body.
-    payload: Range<usize>,
-    /// Byte range of the serialized builder state, when present (v2).
-    state: Option<Range<usize>>,
-    cell: OnceLock<CandidateColumn>,
-}
-
-/// A read-only repository view over a single in-memory copy of the file.
-///
-/// Produced by [`TableRepository::load_mmap_like`]. All section checksums are
-/// verified at open — including every append group's; truncation, bit rot,
-/// torn appends, wrong magic, and future versions all surface as typed
-/// [`StoreError`]s, never panics. After open, candidate sketches are decoded
-/// lazily: a query that prunes to `k` candidates through the persisted
-/// joinability index decodes exactly those `k` sketches and leaves the rest
-/// (and every builder state) as raw bytes.
-#[derive(Debug)]
-pub struct RepositorySnapshot {
-    buf: Vec<u8>,
-    config: RepositoryConfig,
-    num_tables: usize,
-    profiles: Vec<TableProfile>,
-    distincts: Vec<Vec<Option<DistinctSketch>>>,
-    index: JoinabilityIndex,
-    candidates: Vec<LazyCandidate>,
-    /// Number of append groups the artifact carried.
-    append_groups: usize,
-    /// Byte length of the base image (everything before the first append
-    /// group); `buf.len() - base_len` is the appended-history weight.
-    base_len: usize,
-    /// `true` when the artifact is sealed (v3 flag).
-    sealed: bool,
-}
-
-impl RepositorySnapshot {
-    /// Parses a repository artifact held in memory, verifying the header and
-    /// every section checksum up front and applying any append groups.
-    pub fn from_bytes(buf: Vec<u8>) -> Result<Self> {
-        // Header (8 bytes) via the streaming reader, then section scanning.
-        let mut header = Reader::new(buf.as_slice());
-        let version = read_header(&mut header, ArtifactKind::Repository)?;
-        let mut pos = 8usize;
-
-        let meta_range = scan_section(&buf, &mut pos, SECTION_REPO_META)?;
-        let meta = read_repo_meta(&buf[meta_range], version)?;
-        let profiles_range = scan_section(&buf, &mut pos, SECTION_PROFILES)?;
-        let mut profiles = read_profiles(&buf[profiles_range], meta.num_tables)?;
-        let mut distincts = if version >= 3 {
-            let distincts_range = scan_section(&buf, &mut pos, SECTION_FEATURE_DISTINCT)?;
-            let mut p = Reader::new(&buf[distincts_range]);
-            let decoded = decode_distincts(&mut p, &profiles)?;
-            if !p.into_inner().is_empty() {
-                return Err(StoreError::corrupt(
-                    "trailing bytes in FEATURE_DISTINCT section",
-                ));
-            }
-            decoded
-        } else {
-            absent_distincts(&profiles)
-        };
-        let index_range = scan_section(&buf, &mut pos, SECTION_INDEX)?;
-        let mut index = read_index(&buf[index_range], meta.num_candidates)?;
-
-        let mut candidates = Vec::with_capacity(meta.num_candidates.min(buf.len()));
-        for _ in 0..meta.num_candidates {
-            let payload = scan_section(&buf, &mut pos, SECTION_CANDIDATE)?;
-            // Structural validation (borrowed reads, no allocation): after
-            // this, the lazy decode below cannot fail — a checksum-valid but
-            // malformed payload is rejected here with a typed error instead
-            // of panicking at first access.
-            validate_candidate_body(&buf[payload.clone()], meta.num_tables)?;
-            // Sealed files carry no builder state at all (that is the point
-            // of sealing); appendable v2+ files carry one per candidate.
-            let state = if version >= 2 && !meta.sealed {
-                let state_payload = scan_section(&buf, &mut pos, SECTION_CANDIDATE_STATE)?;
-                validate_state_payload(&buf[state_payload.clone()])?
-                    .then(|| state_payload.start + 1..state_payload.end)
-            } else {
-                None
-            };
-            candidates.push(LazyCandidate {
-                payload,
-                state,
-                cell: OnceLock::new(),
-            });
-        }
-        let base_len = pos;
-        if meta.sealed && pos < buf.len() {
-            return Err(StoreError::corrupt(
-                "sealed repository file carries trailing bytes (append groups are not \
-                 allowed after a seal)",
-            ));
-        }
-
-        // Append groups (v2+): replace updated candidates' payload ranges,
-        // replay index deltas, adopt refreshed profiles + distinct sketches.
-        let mut append_groups = 0usize;
-        while version >= 2 && pos < buf.len() {
-            let meta_payload = scan_section(&buf, &mut pos, SECTION_APPEND_META)?;
-            let (updated_count, new_profiles, new_distincts) = {
-                let mut p = Reader::new(&buf[meta_payload.clone()]);
-                let updated = p.read_len("append group update count")?;
-                let profiles = decode_profiles(&mut p, meta.num_tables, meta_payload.len())?;
-                let distincts = if version >= 3 {
-                    Some(decode_distincts(&mut p, &profiles)?)
-                } else {
-                    None
-                };
-                if !p.into_inner().is_empty() {
-                    return Err(StoreError::corrupt("trailing bytes in APPEND_META section"));
-                }
-                (updated, profiles, distincts)
-            };
-            for _ in 0..updated_count {
-                let update_payload = scan_section(&buf, &mut pos, SECTION_CANDIDATE_UPDATE)?;
-                let mut p = joinmi_store::SliceReader::new(&buf[update_payload.clone()]);
-                let id = p.read_len("updated candidate id")?;
-                check_candidate_id(id, meta.num_candidates)?;
-                let body = update_payload.start + p.position()..update_payload.end;
-                validate_candidate_body(&buf[body.clone()], meta.num_tables)?;
-                let state_payload = scan_section(&buf, &mut pos, SECTION_CANDIDATE_STATE)?;
-                let state = validate_state_payload(&buf[state_payload.clone()])?
-                    .then(|| state_payload.start + 1..state_payload.end);
-                candidates[id] = LazyCandidate {
-                    payload: body,
-                    state,
-                    cell: OnceLock::new(),
-                };
-            }
-            let delta_payload = scan_section(&buf, &mut pos, SECTION_INDEX_DELTA)?;
-            for delta in read_index_delta(&buf[delta_payload], meta.num_candidates)? {
-                index.apply_delta(&delta);
-            }
-            profiles = new_profiles;
-            if let Some(new_distincts) = new_distincts {
-                distincts = new_distincts;
-            }
-            append_groups += 1;
-        }
-        if pos != buf.len() {
-            return Err(StoreError::corrupt(format!(
-                "{} trailing bytes after the last section",
-                buf.len() - pos
-            )));
-        }
-
-        Ok(Self {
-            buf,
-            config: meta.config,
-            num_tables: meta.num_tables,
-            profiles,
-            distincts,
-            index,
-            candidates,
-            append_groups,
-            base_len,
-            sealed: meta.sealed,
-        })
-    }
-
-    /// The repository configuration recorded at ingest time.
-    #[must_use]
-    pub fn config(&self) -> RepositoryConfig {
-        self.config
-    }
-
-    /// Number of tables the repository was built from.
-    #[must_use]
-    pub fn num_tables(&self) -> usize {
-        self.num_tables
-    }
-
-    /// Profiles of the ingested tables (refreshed by append groups).
-    #[must_use]
-    pub fn profiles(&self) -> &[TableProfile] {
-        &self.profiles
-    }
-
-    /// Number of append groups the artifact carried (0 for a flat save).
-    #[must_use]
-    pub fn append_groups(&self) -> usize {
-        self.append_groups
-    }
-
-    /// Bytes of appended history after the base image (0 for a flat save) —
-    /// the weight [`TableRepository::compact`] would fold away.
-    #[must_use]
-    pub fn appended_bytes(&self) -> usize {
-        self.buf.len() - self.base_len
-    }
-
-    /// `true` when the artifact is sealed: no builder state on disk, and
-    /// further on-disk appends are rejected with [`StoreError::Sealed`].
-    #[must_use]
-    pub fn sealed(&self) -> bool {
-        self.sealed
-    }
-
-    /// Number of candidate sketches already decoded (observability for the
-    /// lazy path; a fresh snapshot reports 0).
-    #[must_use]
-    pub fn decoded_candidates(&self) -> usize {
-        self.candidates
-            .iter()
-            .filter(|c| c.cell.get().is_some())
-            .count()
-    }
-
-    /// Decodes every candidate (and its builder state, when present) and
-    /// assembles a sketch-only [`TableRepository`].
-    #[must_use]
-    pub fn into_repository(self) -> TableRepository {
-        let candidates: Vec<CandidateColumn> = self
-            .candidates
-            .iter()
-            .map(|lazy| match lazy.cell.get() {
-                Some(done) => done.clone(),
-                None => Self::decode_candidate(&self.buf, &lazy.payload),
-            })
-            .collect();
-        let builders: Vec<Option<RightSketchBuilder>> = self
-            .candidates
-            .iter()
-            .map(|lazy| {
-                lazy.state.as_ref().map(|range| {
-                    // Validated structurally at open (the walker mirrors the
-                    // decoder), so this cannot fail on input data.
-                    RightSketchBuilder::read_state(&mut Reader::new(&self.buf[range.clone()]))
-                        .expect("validated builder state failed to decode")
-                })
-            })
-            .collect();
-        TableRepository::from_loaded_parts(
-            self.config,
-            self.profiles,
-            candidates,
-            self.index,
-            builders,
-            self.distincts,
-            self.sealed,
-        )
-    }
-
-    fn decode_candidate(buf: &[u8], payload: &Range<usize>) -> CandidateColumn {
-        // Every candidate payload passed `validate_candidate_body` (the
-        // structural walker covering exactly the fields read here) when the
-        // snapshot was opened, so this decode is infallible by construction;
-        // a failure would be a walker/decoder mismatch, i.e. a bug, not
-        // input-dependent behaviour.
-        read_candidate_body(&buf[payload.clone()])
-            .expect("validated candidate section failed to decode")
-    }
-}
-
-impl CandidateSource for RepositorySnapshot {
-    fn candidate_count(&self) -> usize {
-        self.candidates.len()
-    }
-
-    fn candidate(&self, index: usize) -> &CandidateColumn {
-        let lazy = &self.candidates[index];
-        lazy.cell
-            .get_or_init(|| Self::decode_candidate(&self.buf, &lazy.payload))
-    }
-
-    fn joinability(&self) -> &JoinabilityIndex {
-        &self.index
-    }
-
-    fn key_distinct_bound(&self, index: usize) -> Option<usize> {
-        // Resolving the bound decodes the candidate (key-column name), which
-        // the scoring path was about to do anyway for any candidate it joins;
-        // pruned candidates pay one decode but skip the join and estimate.
-        crate::repository::key_distinct_bound_from(
-            self.candidate(index),
-            &self.profiles,
-            &self.distincts,
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{RelationshipQuery, RepositoryConfig};
-    use joinmi_sketch::SketchKind;
+    use crate::index::JoinabilityIndex;
+    use crate::{CandidateSource, RelationshipQuery, RepositoryConfig};
+    use joinmi_sketch::{SketchConfig, SketchKind};
     use joinmi_synth::TaxiScenario;
 
     fn sample_repo() -> (TableRepository, RelationshipQuery) {
@@ -1444,6 +623,19 @@ mod tests {
             Err(StoreError::ChecksumMismatch { .. })
         ));
 
+        // A candidate count no file of this size could hold is refused
+        // before anything is allocated for it.
+        let mut pos = 8usize;
+        let meta = scan_section(&bytes, &mut pos, SECTION_REPO_META).unwrap();
+        let mut lying = bytes.clone();
+        lying[meta.start + 33..meta.start + 41].copy_from_slice(&(1u64 << 40).to_le_bytes());
+        let fixed = joinmi_store::checksum(&lying[meta.clone()]);
+        lying[meta.start - 8..meta.start].copy_from_slice(&fixed.to_le_bytes());
+        assert!(matches!(
+            RepositorySnapshot::from_bytes(lying),
+            Err(StoreError::Corrupt(_))
+        ));
+
         // Trailing garbage after the last section.
         let mut trailing = bytes;
         trailing.extend_from_slice(b"junk");
@@ -1459,9 +651,8 @@ mod tests {
     fn checksum_valid_but_malformed_candidate_is_corrupt_not_a_panic() {
         // A checksum proves integrity, not decodability: craft a file whose
         // first CANDIDATE payload carries an invalid aggregation tag under a
-        // correct checksum. Open must return a typed error, and the eager
-        // load path (which shares the open) must never reach the panic in
-        // decode_candidate.
+        // correct checksum. Open must return a typed error, so the lazy
+        // decode (the same parse, run again on first touch) cannot fail.
         let (repo, _) = sample_repo();
         let mut bytes = save_bytes(&repo);
 
@@ -1506,12 +697,12 @@ mod tests {
             vec![(0usize, 1usize)],
         );
         let mut w = joinmi_store::Writer::new(Vec::new());
-        super::write_index(&mut w, &inconsistent).unwrap();
+        sections::write_index(&mut w, &inconsistent).unwrap();
         let bytes = w.into_inner();
         let mut pos = 0usize;
         let payload = joinmi_store::scan_section(&bytes, &mut pos, SECTION_INDEX).unwrap();
         assert!(matches!(
-            super::read_index(&bytes[payload], 6),
+            sections::read_index(&bytes[payload], 6),
             Err(StoreError::Corrupt(_))
         ));
     }
@@ -1963,30 +1154,6 @@ mod tests {
             RepositorySnapshot::from_bytes(trailing),
             Err(StoreError::Corrupt(_))
         ));
-    }
-
-    #[test]
-    fn append_to_rejects_pre_v3_targets() {
-        // A v2 target (no distinct sketches) must be rejected with the
-        // upgrade hint, not extended with mixed-format groups.
-        let (mut repo, _, tail) = scenario_with_split(8);
-        let path =
-            std::env::temp_dir().join(format!("joinmi-append-v2-{}.jmi", std::process::id()));
-        repo.save(&path).unwrap();
-
-        // Downgrade the header to v2 in place (the payload difference does
-        // not matter: the version gate fires before the meta is decoded).
-        let mut bytes = std::fs::read(&path).unwrap();
-        bytes[4..6].copy_from_slice(&2u16.to_le_bytes());
-        std::fs::write(&path, &bytes).unwrap();
-
-        repo.append_rows(&tail).unwrap();
-        let err = repo.append_to(&path).expect_err("v2 target");
-        match err {
-            StoreError::Corrupt(msg) => assert!(msg.contains("compact"), "{msg}"),
-            other => panic!("expected Corrupt, got {other:?}"),
-        }
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

@@ -136,13 +136,13 @@ pub struct TableRepository {
     /// `true` for repositories loaded from disk (no raw tables).
     sketch_only: bool,
     /// One appendable sketch builder per candidate. `None` only for
-    /// candidates loaded from a pre-append-format (v1) file, which cannot
-    /// absorb further rows — or after [`TableRepository::seal`] dropped them.
+    /// candidates persisted without builder state, which cannot absorb
+    /// further rows — as after [`TableRepository::seal`] dropped them.
     builders: Vec<Option<RightSketchBuilder>>,
     /// One bounded distinct sketch per profiled column (`distincts[t][c]`
     /// parallels `profiles[t].columns[c]`), keeping feature-column distinct
-    /// counts fresh under appends. `None` only for columns loaded from a
-    /// pre-v3 file, whose counts stay at their last fully-profiled value.
+    /// counts fresh under appends. `None` only for columns persisted without
+    /// a sketch, whose counts stay at their last fully-profiled value.
     distincts: Vec<Vec<Option<DistinctSketch>>>,
     /// `true` once the repository was frozen by [`TableRepository::seal`]
     /// (directly or via a seal-mode compaction): all ingest is rejected with
@@ -323,8 +323,7 @@ impl TableRepository {
     /// key are stored but, as at build time, never sampled into sketches).
     ///
     /// Works on in-memory repositories *and* on repositories loaded from an
-    /// appendable (v2) file — this is the operation that used to be rejected
-    /// outright for loaded repositories. Every candidate sketch of the table
+    /// unsealed file. Every candidate sketch of the table
     /// is updated in `O(changed)` via its [`RightSketchBuilder`] (the KMV
     /// threshold skips rows of non-qualifying keys), the joinability index
     /// is patched incrementally, and the resulting state is bit-for-bit
@@ -337,8 +336,7 @@ impl TableRepository {
     /// every other column's distinct count is maintained through its bounded
     /// KMV [`DistinctSketch`] — exact while under
     /// [`RepositoryConfig::distinct_sketch_size`] distincts, then a fresh
-    /// approximation (the sketch replaces the pre-v3 behaviour of freezing
-    /// those counts at their base-ingest values).
+    /// approximation.
     pub fn append_rows(&mut self, chunk: &Table) -> Result<usize> {
         self.append_tables(std::slice::from_ref(chunk))
     }
@@ -384,8 +382,8 @@ impl TableRepository {
                 }
                 if self.builders[candidate_index].is_none() {
                     return Err(TableError::Unsupported(format!(
-                        "candidate `{}` was loaded from a pre-append repository file and \
-                         cannot absorb new rows; re-ingest to upgrade it",
+                        "candidate `{}` was persisted without builder state and cannot \
+                         absorb new rows; re-ingest it",
                         candidate.label()
                     )));
                 }
@@ -480,9 +478,8 @@ impl TableRepository {
     }
 
     /// Returns `true` when every candidate carries the appendable builder
-    /// state required by [`Self::append_rows`] (always true for in-memory
-    /// ingests and v2+ files; false for repositories loaded from v1 files
-    /// and for sealed repositories).
+    /// state required by [`Self::append_rows`] (true for in-memory ingests
+    /// and repositories loaded from unsealed files; false once sealed).
     #[must_use]
     pub fn is_appendable(&self) -> bool {
         !self.sealed && self.builders.iter().all(Option::is_some)
@@ -492,7 +489,7 @@ impl TableRepository {
     /// the unpersisted append log, and rejects every further
     /// [`Self::add_table`] / [`Self::append_rows`] with
     /// [`TableError::Sealed`]. Saving a sealed repository produces a lean
-    /// flat file without `CANDIDATE_STATE` sections — the pre-append read
+    /// flat file without `CANDIDATE_STATE` sections — the leanest read
     /// profile. Irreversible (re-ingest from source data to unfreeze).
     pub fn seal(&mut self) {
         self.sealed = true;

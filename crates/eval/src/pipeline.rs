@@ -206,7 +206,7 @@ pub fn sketch_estimate_persisted_in(
     let round_trip = |sketch: &ColumnSketch| -> Option<ColumnSketch> {
         let mut buf = Vec::new();
         sketch.to_writer(&mut buf).ok()?;
-        ColumnSketch::from_reader(buf.as_slice()).ok()
+        ColumnSketch::from_bytes(&buf).ok()
     };
     let left = round_trip(&left)?;
     let right = round_trip(&right)?;

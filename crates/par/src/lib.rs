@@ -41,7 +41,7 @@
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 
 /// Environment variable controlling the default worker count.
 pub const THREADS_ENV_VAR: &str = "JOINMI_THREADS";
@@ -68,21 +68,42 @@ pub fn parse_thread_count(value: &str) -> Option<usize> {
 ///
 /// Resolution order: [`with_threads`] override → `JOINMI_THREADS` → available
 /// parallelism → 1. Inside a parallel region this always returns 1 so nested
-/// parallelism cannot multiply thread counts.
+/// parallelism cannot multiply thread counts. The available parallelism is
+/// an OS query (≈ 15 µs) and callers sit on per-item paths, so it is resolved
+/// once per process.
 #[must_use]
 pub fn num_threads() -> usize {
-    if IN_PARALLEL_REGION.with(Cell::get) {
+    static AVAILABLE: OnceLock<usize> = OnceLock::new();
+    resolve_threads(
+        IN_PARALLEL_REGION.with(Cell::get),
+        THREAD_OVERRIDE.with(Cell::get),
+        || std::env::var(THREADS_ENV_VAR).ok(),
+        || {
+            *AVAILABLE.get_or_init(|| {
+                std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+            })
+        },
+    )
+}
+
+/// [`num_threads`]' precedence, with the two lookups that leave the process
+/// passed in so each is made only when everything ahead of it is absent.
+fn resolve_threads(
+    in_parallel_region: bool,
+    pinned: Option<usize>,
+    env: impl FnOnce() -> Option<String>,
+    available: impl FnOnce() -> usize,
+) -> usize {
+    if in_parallel_region {
         return 1;
     }
-    if let Some(n) = THREAD_OVERRIDE.with(Cell::get) {
+    if let Some(n) = pinned {
         return n.max(1);
     }
-    if let Ok(value) = std::env::var(THREADS_ENV_VAR) {
-        if let Some(n) = parse_thread_count(&value) {
-            return n;
-        }
-    }
-    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+    env()
+        .as_deref()
+        .and_then(parse_thread_count)
+        .unwrap_or_else(available)
 }
 
 /// Runs `f` with the calling thread's worker count pinned to `threads`.
@@ -449,6 +470,34 @@ mod tests {
             })
         });
         assert!(depths.iter().all(|&d| d == 1), "nested counts: {depths:?}");
+    }
+
+    #[test]
+    fn thread_count_precedence_makes_no_lookup_it_does_not_need() {
+        // (in region, pinned, env) → (threads, env lookups, OS lookups)
+        for (in_region, pinned, env, expected) in [
+            (true, Some(4), Some("3"), (1, 0, 0)),
+            (false, Some(4), Some("3"), (4, 0, 0)),
+            (false, Some(0), Some("3"), (1, 0, 0)),
+            (false, None, Some("3"), (3, 1, 0)),
+            (false, None, Some("junk"), (7, 1, 1)),
+            (false, None, None, (7, 1, 1)),
+        ] {
+            let (env_lookups, os_lookups) = (Cell::new(0), Cell::new(0));
+            let threads = resolve_threads(
+                in_region,
+                pinned,
+                || {
+                    env_lookups.set(env_lookups.get() + 1);
+                    env.map(str::to_owned)
+                },
+                || {
+                    os_lookups.set(os_lookups.get() + 1);
+                    7
+                },
+            );
+            assert_eq!((threads, env_lookups.get(), os_lookups.get()), expected);
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The typed error surface of the store.
 //!
-//! Every malformed input — truncation, a foreign file, a file written by a
-//! future version of the library, bit rot — maps to a [`StoreError`] variant.
+//! Every malformed input — truncation, a foreign file, a file written at
+//! another format version, bit rot — maps to a [`StoreError`] variant.
 //! Decoders never panic on untrusted bytes; the corrupt-input test suite pins
 //! that contract.
 
@@ -18,11 +18,12 @@ pub enum StoreError {
         /// The bytes actually found where the magic was expected.
         found: [u8; 4],
     },
-    /// The file was written by a format version this library cannot read.
+    /// The file was written at a format version — older or newer — other
+    /// than the one this library reads.
     UnsupportedVersion {
         /// Version recorded in the file header.
         found: u16,
-        /// Highest version this library understands.
+        /// The only version this library reads.
         supported: u16,
     },
     /// The file holds a different artifact kind than the caller asked for
@@ -84,7 +85,7 @@ impl fmt::Display for StoreError {
             }
             Self::UnsupportedVersion { found, supported } => write!(
                 f,
-                "store format version {found} is newer than the supported version {supported}"
+                "store format version {found} is not the supported version {supported}"
             ),
             Self::WrongArtifact { expected, found } => write!(
                 f,

@@ -8,48 +8,23 @@
 //! 7       1     reserved (must be 0)
 //! ```
 //!
-//! The version is bumped on any incompatible layout change; readers reject
-//! files with a version greater than [`FORMAT_VERSION`] with a typed
-//! [`StoreError::UnsupportedVersion`] so an old binary never misreads a new
-//! file.
+//! The version is bumped on any incompatible layout change, and exactly one
+//! version is readable: files stamped with any other — older or newer — are
+//! rejected with a typed [`StoreError::UnsupportedVersion`], so a binary
+//! never misreads a layout it was not written for.
 
-use std::io::{Read, Write};
+use std::io::Write;
 
 use crate::error::{Result, StoreError};
-use crate::wire::{Reader, Writer};
+use crate::wire::{SliceReader, Writer};
 
 /// Magic bytes identifying a `joinmi` store file.
 pub const MAGIC: [u8; 4] = *b"JMIS";
 
-/// Current (highest understood) format version.
-///
-/// * **v1** — the original repository layout: REPO_META, PROFILES, INDEX,
-///   one CANDIDATE section per candidate, end of file.
-/// * **v2** — the appendable layout: every CANDIDATE is followed by a
-///   CANDIDATE_STATE section carrying its incremental-builder state, and the
-///   base payload may be followed by append groups (APPEND_META, updated
-///   candidates, INDEX_DELTA) written by `TableRepository::append_to`
-///   without rewriting the file. v1 readers reject v2 files cleanly with
-///   [`StoreError::UnsupportedVersion`]; v2 readers still accept v1 files
-///   (whose candidates are simply not appendable).
-/// * **v3** — the compactable layout: REPO_META gains the per-column
-///   distinct-sketch capacity and a flags byte (bit 0 = **sealed**), a
-///   FEATURE_DISTINCT section after PROFILES carries one bounded KMV
-///   distinct sketch per profiled column, and every APPEND_META payload
-///   carries the refreshed sketches alongside the refreshed profiles.
-///   Sealed files are flat (no append groups, no builder state) and reject
-///   appends with [`StoreError::Sealed`]. Earlier readers reject v3 files
-///   via the version check; v3 readers still accept v1 and v2 files.
-///
-/// The full byte-level specification lives in `docs/FORMAT.md`.
+/// The format version this library writes and the only one it reads, for
+/// both artifact kinds. The byte-level specification lives in
+/// `docs/FORMAT.md`.
 pub const FORMAT_VERSION: u16 = 3;
-
-/// The last pre-append format version (see [`FORMAT_VERSION`]).
-pub const FORMAT_VERSION_V1: u16 = 1;
-
-/// The last pre-compaction format version — appendable, but without
-/// per-column distinct sketches or the sealed flag (see [`FORMAT_VERSION`]).
-pub const FORMAT_VERSION_V2: u16 = 2;
 
 /// What a store file holds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -82,36 +57,26 @@ impl ArtifactKind {
     }
 }
 
-/// Writes the 8-byte file header at the current [`FORMAT_VERSION`].
+/// Writes the 8-byte file header at [`FORMAT_VERSION`].
 pub fn write_header<W: Write>(w: &mut Writer<W>, kind: ArtifactKind) -> Result<()> {
-    write_header_with_version(w, kind, FORMAT_VERSION)
-}
-
-/// Writes the 8-byte file header with an explicit version — for artifact
-/// kinds whose wire format did not change in a bump (standalone sketches are
-/// still written as v1 so pre-v2 readers keep reading them).
-pub fn write_header_with_version<W: Write>(
-    w: &mut Writer<W>,
-    kind: ArtifactKind,
-    version: u16,
-) -> Result<()> {
-    debug_assert!((1..=FORMAT_VERSION).contains(&version));
     w.write_raw(&MAGIC)?;
-    w.write_u16(version)?;
+    w.write_u16(FORMAT_VERSION)?;
     w.write_u8(kind.tag())?;
     w.write_u8(0) // reserved
 }
 
-/// Reads and validates the file header, checking magic, version, and that the
-/// file holds the expected artifact kind.
-pub fn read_header<R: Read>(r: &mut Reader<R>, expected: ArtifactKind) -> Result<u16> {
-    let mut magic = [0u8; 4];
-    r.read_exact(&mut magic, "file header magic")?;
+/// Reads and validates the file header: magic, version (exactly
+/// [`FORMAT_VERSION`]), and that the file holds the expected artifact kind.
+pub fn read_header(r: &mut SliceReader<'_>, expected: ArtifactKind) -> Result<()> {
+    let magic: [u8; 4] = r
+        .read_slice(4, "file header magic")?
+        .try_into()
+        .expect("4-byte slice");
     if magic != MAGIC {
         return Err(StoreError::BadMagic { found: magic });
     }
     let version = r.read_u16("file header version")?;
-    if version > FORMAT_VERSION {
+    if version != FORMAT_VERSION {
         return Err(StoreError::UnsupportedVersion {
             found: version,
             supported: FORMAT_VERSION,
@@ -126,7 +91,7 @@ pub fn read_header<R: Read>(r: &mut Reader<R>, expected: ArtifactKind) -> Result
         });
     }
     let _reserved = r.read_u8("file header reserved byte")?;
-    Ok(version)
+    Ok(())
 }
 
 #[cfg(test)]
@@ -139,13 +104,17 @@ mod tests {
         w.into_inner()
     }
 
+    fn read(bytes: &[u8], expected: ArtifactKind) -> Result<()> {
+        read_header(&mut SliceReader::new(bytes), expected)
+    }
+
     #[test]
     fn header_round_trips() {
         for kind in [ArtifactKind::Sketch, ArtifactKind::Repository] {
             let bytes = header_bytes(kind);
             assert_eq!(bytes.len(), 8);
-            let mut r = Reader::new(bytes.as_slice());
-            assert_eq!(read_header(&mut r, kind).unwrap(), FORMAT_VERSION);
+            assert_eq!(u16::from_le_bytes([bytes[4], bytes[5]]), FORMAT_VERSION);
+            read(&bytes, kind).unwrap();
         }
     }
 
@@ -153,33 +122,32 @@ mod tests {
     fn wrong_magic_is_rejected() {
         let mut bytes = header_bytes(ArtifactKind::Sketch);
         bytes[0] = b'X';
-        let mut r = Reader::new(bytes.as_slice());
         assert!(matches!(
-            read_header(&mut r, ArtifactKind::Sketch),
+            read(&bytes, ArtifactKind::Sketch),
             Err(StoreError::BadMagic { .. })
         ));
     }
 
     #[test]
-    fn future_version_is_rejected() {
-        let mut bytes = header_bytes(ArtifactKind::Sketch);
-        bytes[4..6].copy_from_slice(&(FORMAT_VERSION + 1).to_le_bytes());
-        let mut r = Reader::new(bytes.as_slice());
-        match read_header(&mut r, ArtifactKind::Sketch) {
-            Err(StoreError::UnsupportedVersion { found, supported }) => {
-                assert_eq!(found, FORMAT_VERSION + 1);
-                assert_eq!(supported, FORMAT_VERSION);
+    fn any_other_version_is_rejected() {
+        for version in [0, 1, 2, FORMAT_VERSION + 1, u16::MAX] {
+            let mut bytes = header_bytes(ArtifactKind::Sketch);
+            bytes[4..6].copy_from_slice(&version.to_le_bytes());
+            match read(&bytes, ArtifactKind::Sketch) {
+                Err(StoreError::UnsupportedVersion { found, supported }) => {
+                    assert_eq!(found, version);
+                    assert_eq!(supported, FORMAT_VERSION);
+                }
+                other => panic!("v{version}: expected UnsupportedVersion, got {other:?}"),
             }
-            other => panic!("expected UnsupportedVersion, got {other:?}"),
         }
     }
 
     #[test]
     fn artifact_kind_mismatch_is_rejected() {
         let bytes = header_bytes(ArtifactKind::Sketch);
-        let mut r = Reader::new(bytes.as_slice());
         assert!(matches!(
-            read_header(&mut r, ArtifactKind::Repository),
+            read(&bytes, ArtifactKind::Repository),
             Err(StoreError::WrongArtifact { .. })
         ));
     }
@@ -187,9 +155,8 @@ mod tests {
     #[test]
     fn truncated_header_is_typed() {
         let bytes = header_bytes(ArtifactKind::Sketch);
-        let mut r = Reader::new(&bytes[..3]);
         assert!(matches!(
-            read_header(&mut r, ArtifactKind::Sketch),
+            read(&bytes[..3], ArtifactKind::Sketch),
             Err(StoreError::Truncated { .. })
         ));
     }

@@ -18,44 +18,34 @@
 //!   round-trip, including NaN payloads).
 //! * Each section's payload carries a 64-bit MurmurHash3 checksum (reusing
 //!   [`joinmi_hash`]) verified **before** any structural decoding.
-//! * Readers reject wrong magic, future format versions, wrong artifact
-//!   kinds, truncation, and checksum mismatches with typed [`StoreError`]s —
-//!   decoding untrusted bytes never panics.
+//! * Readers reject wrong magic, any format version other than the current
+//!   one, wrong artifact kinds, truncation, and checksum mismatches with
+//!   typed [`StoreError`]s — decoding untrusted bytes never panics.
+//! * There is one reader, [`SliceReader`], over the in-memory bytes of an
+//!   artifact: strings and byte runs are borrowed, nothing is copied until a
+//!   decoder materializes a value.
 //!
-//! # The v2 append-group layout
+//! # Append groups
 //!
-//! Format v2 made repository artifacts **appendable**: after the base
-//! payload (meta, profiles, index, candidates with their incremental-builder
-//! state), a writer may extend the file in place with **append groups**,
-//! never rewriting an existing byte:
-//!
-//! ```text
-//! v2 repository = header, base payload, append group*
-//! base payload  = REPO_META, PROFILES, INDEX,
-//!                 (CANDIDATE, CANDIDATE_STATE)*          one pair per candidate
-//! append group  = APPEND_META                            update count + refreshed profiles
-//!                 (CANDIDATE_UPDATE, CANDIDATE_STATE)*   refreshed sketch + builder state
-//!                 INDEX_DELTA                            ordered postings deltas
-//! ```
-//!
-//! Every section of a group is checksummed like any other, and the group's
-//! closing `INDEX_DELTA` section is its **commit point**: a reader replays a
-//! group only when the whole group is on disk. A writer crash mid-group
+//! Repository artifacts are **appendable**: after the base payload a writer
+//! may extend the file in place with **append groups**, never rewriting an
+//! existing byte. Every section of a group is checksummed like any other,
+//! and the group's closing section is its **commit point**: a reader replays
+//! a group only when the whole group is on disk. A writer crash mid-group
 //! therefore leaves the base payload and all previously committed groups
 //! byte-identical, and the torn tail surfaces at the next open as a typed
 //! [`StoreError`] — the strict read path is never silently tolerant, because
 //! it cannot distinguish a torn append from bit rot in the tail. The
 //! explicit repair step lives in [`repair`]: [`repair::recover_truncated`]
 //! drops an incomplete trailing group at a durable boundary and reports
-//! exactly what it dropped. v1 readers reject v2 files cleanly via the
-//! header version; v2 readers still accept v1 files (which simply carry no
-//! builder state and no groups).
+//! exactly what it dropped.
 //!
 //! The concrete artifact encodings live next to the types they persist:
 //! sketch columns in `joinmi_sketch::persist`, repositories in
 //! `joinmi_discovery::persist` (which also wraps the repair API with
 //! repository-aware verification). This crate only owns the format
-//! plumbing, so it sits below both in the dependency graph.
+//! plumbing, so it sits below both in the dependency graph. The byte-level
+//! specification is `docs/FORMAT.md`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -69,12 +59,7 @@ pub mod wire;
 
 pub use error::{Result, StoreError};
 pub use fault::{FaultAction, FaultKind, FaultPlan};
-pub use format::{
-    read_header, write_header, write_header_with_version, ArtifactKind, FORMAT_VERSION,
-    FORMAT_VERSION_V1, MAGIC,
-};
+pub use format::{read_header, write_header, ArtifactKind, FORMAT_VERSION, MAGIC};
 pub use repair::{recover_truncated, scan_recoverable, GroupGrammar, RecoveryReport};
-pub use section::{
-    checksum, read_section, scan_section, scan_section_any, write_section, SectionBuilder,
-};
-pub use wire::{Reader, SliceReader, Writer};
+pub use section::{checksum, scan_section, scan_section_any, write_section, SectionBuilder};
+pub use wire::{SliceReader, Writer};

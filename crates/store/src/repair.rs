@@ -1,6 +1,6 @@
 //! Torn-tail repair for append-extended store files.
 //!
-//! An appendable artifact (today: the v2 repository format) is a **base
+//! An appendable artifact (today: the repository format) is a **base
 //! payload** followed by zero or more **append groups**, each written by a
 //! single `append_to` call. A writer that crashes mid-group leaves a torn
 //! tail on disk, and the strict open path refuses the whole file with a
@@ -30,7 +30,7 @@ use std::path::Path;
 use crate::error::{Result, StoreError};
 use crate::format::{read_header, ArtifactKind};
 use crate::section::scan_section_any;
-use crate::wire::Reader;
+use crate::wire::SliceReader;
 
 /// The two tags that delimit one append group within a section stream.
 ///
@@ -96,9 +96,9 @@ pub fn scan_recoverable(
     expected: ArtifactKind,
     grammar: GroupGrammar,
 ) -> Result<RecoveryReport> {
-    let mut header = Reader::new(buf);
+    let mut header = SliceReader::new(buf);
     read_header(&mut header, expected)?;
-    let mut pos = 8usize;
+    let mut pos = header.position();
 
     // `boundary` tracks the byte offset of the last durable point: end of
     // the base payload once the first group-start tag is seen, then the end

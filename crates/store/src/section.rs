@@ -12,12 +12,12 @@
 //! checksum to zero. Readers verify the checksum before any payload decoding,
 //! so structural decoders only ever run over integrity-checked bytes.
 
-use std::io::{Read, Write};
+use std::io::Write;
 
 use joinmi_hash::murmur3_x64_128;
 
 use crate::error::{Result, StoreError};
-use crate::wire::{Reader, Writer};
+use crate::wire::{SliceReader, Writer};
 
 /// Seed for the section checksum hash.
 const CHECKSUM_SEED: u64 = 0x6A6D_6931_5345_4354; // "jmi1SECT"
@@ -69,30 +69,6 @@ impl SectionBuilder {
     }
 }
 
-/// Reads one framed section, requiring `expected_tag`, verifying the checksum
-/// and returning the payload bytes.
-pub fn read_section<R: Read>(r: &mut Reader<R>, expected_tag: u8) -> Result<Vec<u8>> {
-    let tag = r.read_u8("section tag")?;
-    if tag != expected_tag {
-        return Err(StoreError::UnexpectedSection {
-            expected: expected_tag,
-            found: tag,
-        });
-    }
-    let len = r.read_len("section length")?;
-    let stored = r.read_u64("section checksum")?;
-    let payload = r.read_bytes(len, "section payload")?;
-    let actual = checksum(&payload);
-    if actual != stored {
-        return Err(StoreError::ChecksumMismatch {
-            section: tag,
-            expected: stored,
-            actual,
-        });
-    }
-    Ok(payload)
-}
-
 /// Walks one framed section inside an in-memory buffer without copying the
 /// payload: verifies the tag and checksum, advances `pos` past the section,
 /// and returns the payload's byte range within `buf`.
@@ -124,24 +100,11 @@ pub fn scan_section(
 /// checksum verified) is present, so a failed scan leaves `pos` at the start
 /// of the damaged tail.
 pub fn scan_section_any(buf: &[u8], pos: &mut usize) -> Result<(u8, std::ops::Range<usize>)> {
-    let header_end = pos
-        .checked_add(1 + 8 + 8)
-        .filter(|&end| end <= buf.len())
-        .ok_or(StoreError::Truncated {
-            context: "section frame",
-        })?;
-    let tag = buf[*pos];
-    let len_bytes: [u8; 8] = buf[*pos + 1..*pos + 9].try_into().expect("8-byte slice");
-    let len = usize::try_from(u64::from_le_bytes(len_bytes))
-        .map_err(|_| StoreError::corrupt("section length exceeds usize"))?;
-    let stored = u64::from_le_bytes(buf[*pos + 9..*pos + 17].try_into().expect("8-byte slice"));
-    let payload_end = header_end
-        .checked_add(len)
-        .filter(|&end| end <= buf.len())
-        .ok_or(StoreError::Truncated {
-            context: "section payload",
-        })?;
-    let payload = &buf[header_end..payload_end];
+    let mut r = SliceReader { buf, pos: *pos };
+    let tag = r.read_u8("section frame")?;
+    let len = r.read_len("section frame")?;
+    let stored = r.read_u64("section frame")?;
+    let payload = r.read_slice(len, "section payload")?;
     let actual = checksum(payload);
     if actual != stored {
         return Err(StoreError::ChecksumMismatch {
@@ -150,8 +113,18 @@ pub fn scan_section_any(buf: &[u8], pos: &mut usize) -> Result<(u8, std::ops::Ra
             actual,
         });
     }
-    *pos = payload_end;
-    Ok((tag, header_end..payload_end))
+    *pos = r.pos;
+    Ok((tag, r.pos - len..r.pos))
+}
+
+impl<'a> SliceReader<'a> {
+    /// Reads one framed section at the cursor with [`scan_section`] (tag and
+    /// checksum verified) and returns a reader over its payload — how a
+    /// decoder descends into sections nested inside another payload.
+    pub fn section(&mut self, expected_tag: u8) -> Result<SliceReader<'a>> {
+        let range = scan_section(self.buf, &mut self.pos, expected_tag)?;
+        Ok(SliceReader::new(&self.buf[range]))
+    }
 }
 
 #[cfg(test)]
@@ -159,7 +132,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn scan_matches_read() {
+    fn scan_walks_consecutive_sections() {
         let mut w = Writer::new(Vec::new());
         write_section(&mut w, 5, b"first").unwrap();
         write_section(&mut w, 6, b"second payload").unwrap();
@@ -208,12 +181,31 @@ mod tests {
     }
 
     #[test]
-    fn section_round_trips() {
-        let mut w = Writer::new(Vec::new());
-        write_section(&mut w, 7, b"hello section").unwrap();
-        let bytes = w.into_inner();
-        let mut r = Reader::new(bytes.as_slice());
-        assert_eq!(read_section(&mut r, 7).unwrap(), b"hello section");
+    fn nested_sections_read_through_the_slice_reader() {
+        let mut inner = Writer::new(Vec::new());
+        inner.write_u8(9).unwrap();
+        write_section(&mut inner, 7, b"hello section").unwrap();
+        write_section(&mut inner, 8, b"").unwrap();
+        let mut outer = Writer::new(Vec::new());
+        write_section(&mut outer, 3, &inner.into_inner()).unwrap();
+        let buf = outer.into_inner();
+
+        let mut r = SliceReader::new(&buf);
+        let mut p = r.section(3).unwrap();
+        r.expect_consumed("outer").unwrap();
+        assert_eq!(p.read_u8("prefix").unwrap(), 9);
+        let mut first = p.section(7).unwrap();
+        assert_eq!(first.read_slice(13, "payload").unwrap(), b"hello section");
+        p.section(8).unwrap().expect_consumed("empty").unwrap();
+        p.expect_consumed("inner").unwrap();
+
+        assert!(matches!(
+            SliceReader::new(&buf).section(4),
+            Err(StoreError::UnexpectedSection {
+                expected: 4,
+                found: 3
+            })
+        ));
     }
 
     #[test]
@@ -232,46 +224,5 @@ mod tests {
     #[test]
     fn empty_payload_checksum_is_nonzero() {
         assert_ne!(checksum(&[]), 0);
-    }
-
-    #[test]
-    fn wrong_tag_is_typed() {
-        let mut w = Writer::new(Vec::new());
-        write_section(&mut w, 1, b"x").unwrap();
-        let bytes = w.into_inner();
-        let mut r = Reader::new(bytes.as_slice());
-        assert!(matches!(
-            read_section(&mut r, 2),
-            Err(StoreError::UnexpectedSection {
-                expected: 2,
-                found: 1
-            })
-        ));
-    }
-
-    #[test]
-    fn flipped_payload_bit_fails_checksum() {
-        let mut w = Writer::new(Vec::new());
-        write_section(&mut w, 1, b"sensitive payload").unwrap();
-        let mut bytes = w.into_inner();
-        let last = bytes.len() - 1;
-        bytes[last] ^= 0x01;
-        let mut r = Reader::new(bytes.as_slice());
-        assert!(matches!(
-            read_section(&mut r, 1),
-            Err(StoreError::ChecksumMismatch { section: 1, .. })
-        ));
-    }
-
-    #[test]
-    fn truncated_payload_is_typed() {
-        let mut w = Writer::new(Vec::new());
-        write_section(&mut w, 1, b"0123456789").unwrap();
-        let bytes = w.into_inner();
-        let mut r = Reader::new(&bytes[..bytes.len() - 4]);
-        assert!(matches!(
-            read_section(&mut r, 1),
-            Err(StoreError::Truncated { .. })
-        ));
     }
 }

@@ -2,11 +2,13 @@
 //!
 //! The store deliberately avoids external serialization dependencies (the
 //! workspace builds offline; see `vendor/README.md`): every artifact is
-//! encoded through this [`Writer`] / [`Reader`] pair over `std::io`. All
-//! multi-byte integers are little-endian; strings are UTF-8 with a `u32`
-//! length prefix; bulk columns are length-prefixed element runs.
+//! encoded through [`Writer`] (over any `std::io::Write`) and decoded through
+//! [`SliceReader`] (over the in-memory bytes of the artifact — every reader
+//! in the workspace holds the whole file anyway). All multi-byte integers
+//! are little-endian; strings are UTF-8 with a `u32` length prefix; bulk
+//! columns are length-prefixed element runs.
 
-use std::io::{Read, Write};
+use std::io::Write;
 
 use crate::error::{Result, StoreError};
 
@@ -78,113 +80,16 @@ impl<W: Write> Writer<W> {
     }
 }
 
-/// Reads wire primitives from an underlying `std::io::Read`.
-#[derive(Debug)]
-pub struct Reader<R: Read> {
-    inner: R,
-}
-
-impl<R: Read> Reader<R> {
-    /// Wraps an input stream.
-    pub fn new(inner: R) -> Self {
-        Self { inner }
-    }
-
-    /// Unwraps the underlying stream.
-    pub fn into_inner(self) -> R {
-        self.inner
-    }
-
-    /// Reads exactly `buf.len()` bytes, mapping EOF to a typed truncation
-    /// error naming what was being decoded.
-    pub fn read_exact(&mut self, buf: &mut [u8], context: &'static str) -> Result<()> {
-        self.inner.read_exact(buf).map_err(|e| match e.kind() {
-            std::io::ErrorKind::UnexpectedEof => StoreError::Truncated { context },
-            _ => StoreError::Io(e),
-        })
-    }
-
-    /// Reads one byte.
-    pub fn read_u8(&mut self, context: &'static str) -> Result<u8> {
-        let mut buf = [0u8; 1];
-        self.read_exact(&mut buf, context)?;
-        Ok(buf[0])
-    }
-
-    /// Reads a little-endian `u16`.
-    pub fn read_u16(&mut self, context: &'static str) -> Result<u16> {
-        let mut buf = [0u8; 2];
-        self.read_exact(&mut buf, context)?;
-        Ok(u16::from_le_bytes(buf))
-    }
-
-    /// Reads a little-endian `u32`.
-    pub fn read_u32(&mut self, context: &'static str) -> Result<u32> {
-        let mut buf = [0u8; 4];
-        self.read_exact(&mut buf, context)?;
-        Ok(u32::from_le_bytes(buf))
-    }
-
-    /// Reads a little-endian `u64`.
-    pub fn read_u64(&mut self, context: &'static str) -> Result<u64> {
-        let mut buf = [0u8; 8];
-        self.read_exact(&mut buf, context)?;
-        Ok(u64::from_le_bytes(buf))
-    }
-
-    /// Reads a little-endian `i64`.
-    pub fn read_i64(&mut self, context: &'static str) -> Result<i64> {
-        Ok(self.read_u64(context)? as i64)
-    }
-
-    /// Reads an `f64` from its little-endian bit pattern.
-    pub fn read_f64(&mut self, context: &'static str) -> Result<f64> {
-        Ok(f64::from_bits(self.read_u64(context)?))
-    }
-
-    /// Reads a `u64` length and narrows it to `usize`.
-    pub fn read_len(&mut self, context: &'static str) -> Result<usize> {
-        let v = self.read_u64(context)?;
-        usize::try_from(v)
-            .map_err(|_| StoreError::corrupt(format!("{context}: length {v} exceeds usize")))
-    }
-
-    /// Reads `len` bytes into a fresh buffer.
-    ///
-    /// Allocation is driven by the bytes actually present, not by the claimed
-    /// length, so a corrupt length prefix cannot trigger a huge up-front
-    /// allocation — it surfaces as [`StoreError::Truncated`] instead.
-    pub fn read_bytes(&mut self, len: usize, context: &'static str) -> Result<Vec<u8>> {
-        let mut buf = Vec::new();
-        let got = (&mut self.inner)
-            .take(len as u64)
-            .read_to_end(&mut buf)
-            .map_err(StoreError::Io)?;
-        if got < len {
-            return Err(StoreError::Truncated { context });
-        }
-        Ok(buf)
-    }
-
-    /// Reads a length-prefixed UTF-8 string written by [`Writer::write_str`].
-    pub fn read_string(&mut self, context: &'static str) -> Result<String> {
-        let len = self.read_u32(context)? as usize;
-        let bytes = self.read_bytes(len, context)?;
-        String::from_utf8(bytes)
-            .map_err(|_| StoreError::corrupt(format!("{context}: string is not valid UTF-8")))
-    }
-}
-
-/// Zero-copy reads over a borrowed byte slice.
+/// Zero-copy reads over a borrowed byte slice — the workspace's only reader.
 ///
-/// The complement of [`Reader`] for buffer-resident decoding: the structural
-/// validators walk entire artifacts with borrowed strings and skipped runs,
-/// allocating nothing — which is what lets a lazy snapshot prove a file is
-/// well-formed at open without paying for materialization.
+/// Strings and byte runs are borrowed from the slice, so a decoder can walk
+/// an entire artifact without allocating; a length prefix that claims more
+/// bytes than the slice holds is a typed [`StoreError::Truncated`], never an
+/// allocation.
 #[derive(Debug)]
 pub struct SliceReader<'a> {
-    buf: &'a [u8],
-    pos: usize,
+    pub(crate) buf: &'a [u8],
+    pub(crate) pos: usize,
 }
 
 impl<'a> SliceReader<'a> {
@@ -223,6 +128,12 @@ impl<'a> SliceReader<'a> {
         Ok(self.read_slice(1, context)?[0])
     }
 
+    /// Reads a little-endian `u16`.
+    pub fn read_u16(&mut self, context: &'static str) -> Result<u16> {
+        let bytes = self.read_slice(2, context)?;
+        Ok(u16::from_le_bytes(bytes.try_into().expect("2-byte slice")))
+    }
+
     /// Reads a little-endian `u32`.
     pub fn read_u32(&mut self, context: &'static str) -> Result<u32> {
         let bytes = self.read_slice(4, context)?;
@@ -233,6 +144,16 @@ impl<'a> SliceReader<'a> {
     pub fn read_u64(&mut self, context: &'static str) -> Result<u64> {
         let bytes = self.read_slice(8, context)?;
         Ok(u64::from_le_bytes(bytes.try_into().expect("8-byte slice")))
+    }
+
+    /// Reads a little-endian `i64`.
+    pub fn read_i64(&mut self, context: &'static str) -> Result<i64> {
+        Ok(self.read_u64(context)? as i64)
+    }
+
+    /// Reads an `f64` from its little-endian bit pattern.
+    pub fn read_f64(&mut self, context: &'static str) -> Result<f64> {
+        Ok(f64::from_bits(self.read_u64(context)?))
     }
 
     /// Reads a `u64` length and narrows it to `usize`.
@@ -268,15 +189,15 @@ impl<'a> SliceReader<'a> {
 mod tests {
     use super::*;
 
-    fn round_trip(write: impl FnOnce(&mut Writer<Vec<u8>>)) -> Reader<std::io::Cursor<Vec<u8>>> {
+    fn written(write: impl FnOnce(&mut Writer<Vec<u8>>)) -> Vec<u8> {
         let mut w = Writer::new(Vec::new());
         write(&mut w);
-        Reader::new(std::io::Cursor::new(w.into_inner()))
+        w.into_inner()
     }
 
     #[test]
     fn scalars_round_trip() {
-        let mut r = round_trip(|w| {
+        let buf = written(|w| {
             w.write_u8(0xAB).unwrap();
             w.write_u16(0xBEEF).unwrap();
             w.write_u32(0xDEAD_BEEF).unwrap();
@@ -285,6 +206,7 @@ mod tests {
             w.write_f64(-0.0).unwrap();
             w.write_len(7).unwrap();
         });
+        let mut r = SliceReader::new(&buf);
         assert_eq!(r.read_u8("t").unwrap(), 0xAB);
         assert_eq!(r.read_u16("t").unwrap(), 0xBEEF);
         assert_eq!(r.read_u32("t").unwrap(), 0xDEAD_BEEF);
@@ -292,31 +214,32 @@ mod tests {
         assert_eq!(r.read_i64("t").unwrap(), -42);
         assert_eq!(r.read_f64("t").unwrap().to_bits(), (-0.0f64).to_bits());
         assert_eq!(r.read_len("t").unwrap(), 7);
+        r.expect_consumed("scalars").unwrap();
     }
 
     #[test]
     fn nan_bits_round_trip_exactly() {
         let weird_nan = f64::from_bits(0x7FF8_0000_0000_1234);
-        let mut r = round_trip(|w| w.write_f64(weird_nan).unwrap());
+        let buf = written(|w| w.write_f64(weird_nan).unwrap());
+        let mut r = SliceReader::new(&buf);
         assert_eq!(r.read_f64("nan").unwrap().to_bits(), weird_nan.to_bits());
     }
 
     #[test]
     fn strings_round_trip() {
-        let mut r = round_trip(|w| {
+        let buf = written(|w| {
             w.write_str("").unwrap();
             w.write_str("zip-codes: ünïcode").unwrap();
         });
-        assert_eq!(r.read_string("s").unwrap(), "");
-        assert_eq!(r.read_string("s").unwrap(), "zip-codes: ünïcode");
+        let mut r = SliceReader::new(&buf);
+        assert_eq!(r.read_str("s").unwrap(), "");
+        assert_eq!(r.read_str("s").unwrap(), "zip-codes: ünïcode");
     }
 
     #[test]
     fn truncation_is_typed_not_a_panic() {
-        let mut w = Writer::new(Vec::new());
-        w.write_u64(12345).unwrap();
-        let bytes = w.into_inner();
-        let mut r = Reader::new(&bytes[..5]);
+        let buf = written(|w| w.write_u64(12345).unwrap());
+        let mut r = SliceReader::new(&buf[..5]);
         match r.read_u64("u64 under test") {
             Err(StoreError::Truncated { context }) => assert_eq!(context, "u64 under test"),
             other => panic!("expected Truncated, got {other:?}"),
@@ -324,27 +247,27 @@ mod tests {
     }
 
     #[test]
-    fn huge_claimed_length_does_not_allocate() {
+    fn huge_claimed_length_is_truncated_not_allocated() {
         // A corrupt 1 GiB length prefix over a 3-byte payload must fail with
-        // Truncated (after reading only 3 bytes), not try to allocate 1 GiB.
-        let mut w = Writer::new(Vec::new());
-        w.write_u32(1 << 30).unwrap();
-        w.write_raw(b"abc").unwrap();
-        let bytes = w.into_inner();
-        let mut r = Reader::new(bytes.as_slice());
+        // Truncated: reads borrow from the slice, so nothing is allocated.
+        let buf = written(|w| {
+            w.write_u32(1 << 30).unwrap();
+            w.write_raw(b"abc").unwrap();
+        });
+        let mut r = SliceReader::new(&buf);
         assert!(matches!(
-            r.read_string("huge"),
+            r.read_str("huge"),
             Err(StoreError::Truncated { .. })
         ));
     }
 
     #[test]
     fn slice_reader_walks_and_guards() {
-        let mut w = Writer::new(Vec::new());
-        w.write_u8(7).unwrap();
-        w.write_u64(999).unwrap();
-        w.write_str("borrowed").unwrap();
-        let buf = w.into_inner();
+        let buf = written(|w| {
+            w.write_u8(7).unwrap();
+            w.write_u64(999).unwrap();
+            w.write_str("borrowed").unwrap();
+        });
 
         let mut r = SliceReader::new(&buf);
         assert_eq!(r.read_u8("a").unwrap(), 7);
@@ -368,11 +291,11 @@ mod tests {
 
     #[test]
     fn invalid_utf8_is_corrupt() {
-        let mut w = Writer::new(Vec::new());
-        w.write_u32(2).unwrap();
-        w.write_raw(&[0xFF, 0xFE]).unwrap();
-        let bytes = w.into_inner();
-        let mut r = Reader::new(bytes.as_slice());
-        assert!(matches!(r.read_string("utf8"), Err(StoreError::Corrupt(_))));
+        let buf = written(|w| {
+            w.write_u32(2).unwrap();
+            w.write_raw(&[0xFF, 0xFE]).unwrap();
+        });
+        let mut r = SliceReader::new(&buf);
+        assert!(matches!(r.read_str("utf8"), Err(StoreError::Corrupt(_))));
     }
 }

@@ -159,59 +159,54 @@ fn corrupt_append_section_is_a_typed_error_never_a_panic() {
 }
 
 #[test]
-fn v1_files_still_load_but_reject_appends() {
-    // Synthesize a v1 artifact from a v3 one: strip the v3 REPO_META trailer
-    // (distinct-sketch capacity + flags byte), drop the FEATURE_DISTINCT and
-    // CANDIDATE_STATE sections, and patch the header version. This is
-    // byte-for-byte what the PR 3 format wrote.
+fn any_format_version_other_than_3_is_unsupported() {
+    // One readable version, for both artifact kinds and on every path that
+    // opens a file: older stamps are refused exactly like newer ones.
     let full = corpus_table("cand", 200);
-    let repo = repo_with(SketchKind::Tupsk, vec![full.clone()]);
-    let mut v3 = Vec::new();
-    repo.save_to(&mut v3).unwrap();
+    let mut repo = repo_with(SketchKind::Tupsk, vec![full.slice_rows(0..180)]);
+    let (mut repo_bytes, mut sketch_bytes) = (Vec::new(), Vec::new());
+    repo.save_to(&mut repo_bytes).unwrap();
+    repo.candidates()[0]
+        .sketch
+        .to_writer(&mut sketch_bytes)
+        .unwrap();
+    assert_eq!(joinmi::store::FORMAT_VERSION, 3);
+    assert_eq!(repo_bytes[4..6], [3, 0]);
+    assert_eq!(sketch_bytes[4..6], [3, 0]);
 
-    let mut v1 = v3[..8].to_vec();
-    v1[4..6].copy_from_slice(&1u16.to_le_bytes());
-    let mut pos = 8usize;
-    use joinmi::discovery::persist::{
-        SECTION_CANDIDATE, SECTION_CANDIDATE_STATE, SECTION_FEATURE_DISTINCT, SECTION_INDEX,
-        SECTION_PROFILES, SECTION_REPO_META,
-    };
-    // REPO_META: re-encode the payload without the 9-byte v3 trailer
-    // (u64 distinct-sketch capacity + u8 flags).
-    {
-        let payload = joinmi::store::scan_section(&v3, &mut pos, SECTION_REPO_META).unwrap();
-        let stripped = &v3[payload.start..payload.end - 9];
-        let mut section = joinmi::store::SectionBuilder::new();
-        section.writer().write_raw(stripped).unwrap();
-        let mut w = joinmi::store::Writer::new(&mut v1);
-        section.finish(SECTION_REPO_META, &mut w).unwrap();
+    repo.append_rows(&full.slice_rows(180..200)).unwrap();
+    let path = std::env::temp_dir().join(format!("joinmi-version-{}.jmi", std::process::id()));
+    for version in [0u16, 1, 2, 4, u16::MAX] {
+        repo_bytes[4..6].copy_from_slice(&version.to_le_bytes());
+        sketch_bytes[4..6].copy_from_slice(&version.to_le_bytes());
+        std::fs::write(&path, &repo_bytes).unwrap();
+        for (what, result) in [
+            (
+                "snapshot open",
+                RepositorySnapshot::from_bytes(repo_bytes.clone()).map(drop),
+            ),
+            (
+                "eager load",
+                TableRepository::load_from(repo_bytes.as_slice()).map(drop),
+            ),
+            (
+                "standalone sketch",
+                ColumnSketch::from_bytes(&sketch_bytes).map(drop),
+            ),
+            ("append target", repo.append_to(&path)),
+            (
+                "compact",
+                TableRepository::compact(&path, joinmi::discovery::CompactMode::Preserve).map(drop),
+            ),
+        ] {
+            assert!(
+                matches!(result, Err(StoreError::UnsupportedVersion { found, supported: 3 }) if found == version),
+                "{what} at v{version}: {result:?}"
+            );
+        }
+        assert_eq!(std::fs::read(&path).unwrap(), repo_bytes, "file untouched");
     }
-    {
-        let start = pos;
-        joinmi::store::scan_section(&v3, &mut pos, SECTION_PROFILES).unwrap();
-        v1.extend_from_slice(&v3[start..pos]);
-        joinmi::store::scan_section(&v3, &mut pos, SECTION_FEATURE_DISTINCT).unwrap();
-        let start = pos;
-        joinmi::store::scan_section(&v3, &mut pos, SECTION_INDEX).unwrap();
-        v1.extend_from_slice(&v3[start..pos]);
-    }
-    while pos < v3.len() {
-        let start = pos;
-        joinmi::store::scan_section(&v3, &mut pos, SECTION_CANDIDATE).unwrap();
-        v1.extend_from_slice(&v3[start..pos]);
-        joinmi::store::scan_section(&v3, &mut pos, SECTION_CANDIDATE_STATE).unwrap();
-    }
-
-    let mut loaded = TableRepository::load_from(v1.as_slice()).unwrap();
-    assert!(!loaded.is_appendable());
-    assert_eq!(loaded.candidates().len(), repo.candidates().len());
-    for (a, b) in loaded.candidates().iter().zip(repo.candidates()) {
-        assert_eq!(a.sketch, b.sketch);
-    }
-    let err = loaded
-        .append_rows(&corpus_table("cand", 220).slice_rows(200..220))
-        .expect_err("v1-loaded repositories cannot absorb appends");
-    assert!(matches!(err, joinmi::table::TableError::Unsupported(_)));
+    std::fs::remove_file(&path).unwrap();
 }
 
 proptest! {

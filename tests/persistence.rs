@@ -72,11 +72,11 @@ fn single_sketch_round_trips_through_the_facade() {
 
     let mut buf = Vec::new();
     sketch.to_writer(&mut buf).unwrap();
-    let decoded = ColumnSketch::from_reader(buf.as_slice()).unwrap();
+    let decoded = ColumnSketch::from_bytes(&buf).unwrap();
     assert_eq!(decoded, sketch);
 
     // Typed error surface reaches the facade.
-    match ColumnSketch::from_reader(&buf[..4]) {
+    match ColumnSketch::from_bytes(&buf[..4]) {
         Err(StoreError::Truncated { .. }) => {}
         other => panic!("expected StoreError::Truncated, got {other:?}"),
     }
