@@ -65,7 +65,7 @@ fn bench_full_vs_sketch(c: &mut Criterion) {
             |b, _| {
                 b.iter(|| {
                     let joined = left.join(&right);
-                    black_box(EstimatorMode::Mle.estimate(joined.xs(), joined.ys(), 0))
+                    black_box(EstimatorMode::Mle.estimate_joined(&joined, 0))
                 });
             },
         );

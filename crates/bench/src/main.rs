@@ -16,7 +16,7 @@
 //! targets, the parallel ingest-and-query pipeline workload, the repository
 //! save/load/compact workload, and the cross-query stage-cache workload, and
 //! emits a machine-readable JSON (bench name → median wall nanoseconds;
-//! default `BENCH_PR10.json`) that seeds the perf trajectory for future PRs. Unlike
+//! default `BENCH_PR17.json`) that seeds the perf trajectory for future PRs. Unlike
 //! the criterion benches (minutes), quick mode finishes in seconds, so CI
 //! runs it on every push.
 //!
@@ -37,8 +37,8 @@ use joinmi_discovery::{CandidateSource, TableRepository};
 use joinmi_eval::EstimatorMode;
 use joinmi_serve::json::Json;
 use joinmi_sketch::{SketchConfig, SketchKind};
-use joinmi_synth::KeyDistribution;
-use joinmi_table::{augment, AugmentSpec};
+use joinmi_synth::{decompose, KeyDistribution};
+use joinmi_table::{augment, AugmentSpec, Value};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -77,7 +77,7 @@ fn print_usage() {
     eprintln!("       joinmi_bench chaos [--rows N] [--seed N] [--max-cases N]");
     eprintln!();
     eprintln!("  --quick   small iteration counts / workloads (seconds, not minutes)");
-    eprintln!("  --json    write benchmark results to PATH (default BENCH_PR10.json)");
+    eprintln!("  --json    write benchmark results to PATH (default BENCH_PR17.json)");
     eprintln!("  --base    ingest the corpus minus its append tail (the daemon's day-0 state)");
     eprintln!("  --append  load REPO, append the corpus tail rows, extend the file in place");
     eprintln!("  --seal    also drop builder state; the compacted file rejects future appends");
@@ -724,7 +724,7 @@ fn cmd_compare(args: &[String]) -> i32 {
 fn cmd_bench(args: &[String]) -> i32 {
     let quick = args.iter().any(|a| a == "--quick");
     let json = args.iter().any(|a| a == "--json");
-    let out_path = flag_value(args, "--out").unwrap_or("BENCH_PR10.json");
+    let out_path = flag_value(args, "--out").unwrap_or("BENCH_PR17.json");
 
     // Quick mode: smaller tables and fewer repetitions; default mode uses the
     // criterion-bench sizes for closer comparability.
@@ -808,9 +808,47 @@ fn bench_targets(rows: usize, iters: usize, results: &mut Vec<(String, f64)>) {
     let joined = left.join(&right);
     results.push((
         "estimators/mle_on_sketch_join".to_owned(),
-        median_ns(iters, || {
-            EstimatorMode::Mle.estimate(joined.xs(), joined.ys(), 0)
-        }),
+        median_ns(iters, || EstimatorMode::Mle.estimate_joined(&joined, 0)),
+    ));
+
+    // The same two rows with both columns as strings: the join gathers the
+    // sketches' interned codes instead of numeric coordinates.
+    let as_str = |values: &[Value]| -> Vec<Value> {
+        values
+            .iter()
+            .map(|v| Value::from(format!("v{v}")))
+            .collect()
+    };
+    let str_pair = decompose(
+        &as_str(&workload.xs),
+        &as_str(&workload.ys),
+        KeyDistribution::KeyInd,
+    );
+    let str_left = SketchKind::Tupsk
+        .build_left(
+            &str_pair.train,
+            &str_pair.key_column,
+            &str_pair.target_column,
+            &cfg,
+        )
+        .expect("left sketch");
+    let str_right = SketchKind::Tupsk
+        .build_right(
+            &str_pair.cand,
+            &str_pair.key_column,
+            &str_pair.feature_column,
+            str_pair.aggregation,
+            &cfg,
+        )
+        .expect("right sketch");
+    results.push((
+        "sketch_join/tupsk_n256_str".to_owned(),
+        median_ns(iters * 4, || str_left.join(&str_right).len()),
+    ));
+    let str_joined = str_left.join(&str_right);
+    results.push((
+        "estimators/mle_on_sketch_join_str".to_owned(),
+        median_ns(iters, || EstimatorMode::Mle.estimate_joined(&str_joined, 0)),
     ));
 
     // full_vs_sketch: the §V-D head-to-head, both sides.
@@ -839,7 +877,7 @@ fn bench_targets(rows: usize, iters: usize, results: &mut Vec<(String, f64)>) {
         format!("full_vs_sketch/sketch_join_and_estimate_{rows}"),
         median_ns(iters, || {
             let joined = left.join(&right);
-            EstimatorMode::Mle.estimate(joined.xs(), joined.ys(), 0)
+            EstimatorMode::Mle.estimate_joined(&joined, 0)
         }),
     ));
 
@@ -871,7 +909,7 @@ fn bench_targets(rows: usize, iters: usize, results: &mut Vec<(String, f64)>) {
                 )
                 .expect("right");
             let joined = l.join(&r);
-            EstimatorMode::Mle.estimate(joined.xs(), joined.ys(), 0)
+            EstimatorMode::Mle.estimate_joined(&joined, 0)
         }),
     ));
 

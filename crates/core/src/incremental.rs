@@ -369,16 +369,19 @@ impl RightSketchBuilder {
             agg
         };
         let value_dtype = effective.output_dtype(input_dtype)?;
+        // Every table starts empty and grows with the keys that arrive; none
+        // is sized for `cfg.size`, which most candidates of a wide lake (a
+        // few dozen keys each) never come near.
         let state = if kind == SketchKind::Indsk {
             SelectionState::Independent {
                 order: Vec::new(),
-                states: digest_map_with_capacity(cfg.size),
+                states: DigestHashMap::default(),
             }
         } else {
             SelectionState::Kmv {
-                seen: digest_set_with_capacity(cfg.size),
+                seen: DigestHashSet::default(),
                 set: BoundedMinSet::new(cfg.size),
-                states: digest_map_with_capacity(cfg.size),
+                states: DigestHashMap::default(),
             }
         };
         Ok(Self {
@@ -956,9 +959,7 @@ impl RightSketchBuilder {
         let key_column = r.read_str("builder key column")?;
         let value_column = r.read_str("builder value column")?;
         let source_rows = r.read_len("builder source rows")?;
-        // `new` pre-sizes its tables for `size` keys. The size is untrusted
-        // here and the decoded selection state replaces those tables below,
-        // so build with size 0 and restore the real configuration after.
+        // `size` is untrusted here; `new` allocates nothing for it.
         let mut builder = Self::new(
             kind,
             key_column,
@@ -966,10 +967,9 @@ impl RightSketchBuilder {
             value_column,
             input_dtype,
             requested_agg,
-            &SketchConfig::new(0, seed),
+            &SketchConfig::new(size, seed),
         )
         .map_err(|e| StoreError::corrupt(format!("invalid builder state: {e}")))?;
-        builder.cfg = SketchConfig::new(size, seed);
         builder.source_rows = source_rows;
 
         match r.read_u8("builder selection variant")? {
@@ -1202,6 +1202,42 @@ mod tests {
                     .unwrap();
             }
             assert_sketch_bits_equal(&direct, &builder.finish(), &format!("{kind} append"));
+        }
+    }
+
+    #[test]
+    fn tables_are_sized_by_the_keys_held_not_by_the_sketch_size() {
+        // 40 rows, 36 distinct non-NULL keys, default-sized sketch: the
+        // shape of a wide lake's tail candidates.
+        let keys: Vec<String> = (0..40).map(|i| format!("k{}", i % 36)).collect();
+        let table = Table::builder("t")
+            .push_str_column("k", keys.iter().map(String::as_str))
+            .push_int_column("z", 0..40)
+            .build()
+            .unwrap();
+        let cfg = SketchConfig::new(1024, 3);
+        for kind in SketchKind::ALL {
+            let builder =
+                RightSketchBuilder::start(kind, &table, "k", "z", Aggregation::Avg, &cfg).unwrap();
+            assert_eq!(builder.distinct_keys(), 36);
+            let allocated = match &builder.state {
+                SelectionState::Kmv { seen, set, states } => {
+                    vec![seen.capacity(), set.allocated(), states.capacity()]
+                }
+                SelectionState::Independent { order, states } => {
+                    vec![order.capacity(), states.capacity()]
+                }
+            };
+            assert!(
+                allocated
+                    .iter()
+                    .all(|&slots| (36..=4 * 36).contains(&slots)),
+                "{kind}: {allocated:?} slots allocated for 36 keys"
+            );
+            let direct = kind
+                .build_right(&table, "k", "z", Aggregation::Avg, &cfg)
+                .unwrap();
+            assert_sketch_bits_equal(&direct, &builder.finish(), &format!("{kind} small"));
         }
     }
 

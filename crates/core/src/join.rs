@@ -12,57 +12,167 @@ use joinmi_estimators::{
 use joinmi_hash::{digest_map_with_capacity, DigestHashMap};
 use joinmi_table::{DataType, Value};
 
-use crate::row::ColumnSketch;
+use crate::row::{ColumnSketch, SketchRow};
 
-/// The paired sample recovered by joining a left sketch with a right sketch.
+/// The paired sample recovered by joining a left sketch with a right sketch,
+/// held as the two typed columns the estimators consume.
 #[derive(Debug, Clone)]
 pub struct JoinedSketch {
-    /// Feature values (from the right / augmentation sketch), aligned with `ys`.
-    xs: Vec<Value>,
-    /// Target values (from the left / training sketch), aligned with `xs`.
-    ys: Vec<Value>,
+    /// `(x, y)`: feature values from the right / augmentation side and target
+    /// values from the left / training side, aligned — or the error every
+    /// estimate fails with, when a numeric-typed side held a non-numeric
+    /// value.
+    sample: Result<(Variable, Variable), EstimatorError>,
+    /// Number of recovered pairs, also when `sample` is an error.
+    len: usize,
     x_dtype: DataType,
     y_dtype: DataType,
 }
 
+/// One side of a sketch join being gathered into its estimator column.
+enum Gather<'a> {
+    /// A `Str` sketch: per-row codes, relabelled to first-occurrence order
+    /// *within the join* — the integers `discretize` assigns to the joined
+    /// values, which the contingency-table estimators are sensitive to.
+    Codes {
+        codes: &'a [u32],
+        /// Sketch-level code → join-level code ([`UNSEEN`] until first met).
+        relabel: Vec<u32>,
+        next: u32,
+        out: Vec<u32>,
+    },
+    /// A numeric sketch: `as_f64` of each row's value.
+    Floats {
+        rows: &'a [SketchRow],
+        dtype: DataType,
+        out: Vec<f64>,
+        /// The conversion error of the first non-numeric value met.
+        error: Option<EstimatorError>,
+    },
+}
+
+const UNSEEN: u32 = u32::MAX;
+
+impl<'a> Gather<'a> {
+    fn new(sketch: &'a ColumnSketch, capacity: usize) -> Self {
+        match sketch.value_dtype() {
+            DataType::Str => {
+                let sample = sketch.sample_codes();
+                Self::Codes {
+                    codes: &sample.codes,
+                    relabel: vec![UNSEEN; sample.distinct],
+                    next: 0,
+                    out: Vec::with_capacity(capacity),
+                }
+            }
+            dtype @ (DataType::Int | DataType::Float) => Self::Floats {
+                rows: sketch.rows(),
+                dtype,
+                out: Vec::with_capacity(capacity),
+                error: None,
+            },
+        }
+    }
+
+    /// Appends the (non-NULL) value of sketch row `index`.
+    fn push(&mut self, index: usize) {
+        match self {
+            Self::Codes {
+                codes,
+                relabel,
+                next,
+                out,
+            } => {
+                let slot = &mut relabel[codes[index] as usize];
+                if *slot == UNSEEN {
+                    *slot = *next;
+                    *next += 1;
+                }
+                out.push(*slot);
+            }
+            Self::Floats {
+                rows,
+                dtype,
+                out,
+                error,
+            } => {
+                let value = &rows[index].value;
+                // A value that is not a number poisons the sample with the
+                // error the `Value`-level conversion reports for it; the NaN
+                // only keeps both columns the same length.
+                out.push(value.as_f64().unwrap_or_else(|| {
+                    if error.is_none() {
+                        *error = Variable::from_values(std::slice::from_ref(value), *dtype).err();
+                    }
+                    f64::NAN
+                }));
+            }
+        }
+    }
+
+    /// The gathered column, allocated to its length.
+    fn finish(self) -> Result<Variable, EstimatorError> {
+        match self {
+            Self::Codes { mut out, .. } => {
+                out.shrink_to_fit();
+                Ok(Variable::Discrete(out))
+            }
+            Self::Floats {
+                error: Some(error), ..
+            } => Err(error),
+            Self::Floats { mut out, .. } => {
+                out.shrink_to_fit();
+                Ok(Variable::Continuous(out))
+            }
+        }
+    }
+}
+
 impl JoinedSketch {
     /// Joins a left sketch with a right sketch on the hashed join keys.
+    ///
+    /// Pairs come out in left-row order; a pair with a NULL on either side is
+    /// dropped. No value is copied: string sides contribute their sketch's
+    /// interned codes, numeric sides their coordinates.
     #[must_use]
     pub fn from_sketches(left: &ColumnSketch, right: &ColumnSketch) -> Self {
         // Right side: unique keys (first row wins if the builder somehow kept
         // duplicates, mirroring many-to-one semantics). Keys are already
         // 64-bit digests, so the probe map skips SipHash entirely.
-        let mut right_map: DigestHashMap<&Value> = digest_map_with_capacity(right.len());
-        for row in right.rows() {
-            right_map.entry(row.key.raw()).or_insert(&row.value);
+        let right_rows = right.rows();
+        let mut right_index: DigestHashMap<usize> = digest_map_with_capacity(right_rows.len());
+        for (j, row) in right_rows.iter().enumerate() {
+            right_index.entry(row.key.raw()).or_insert(j);
         }
 
-        // Coordinated sketches typically match most of the smaller side, so
-        // min(|left|, |right|) is a tight pre-size that avoids the doubling
-        // reallocations on the hot scoring path.
-        let reserve = left.len().min(right.len());
-        let mut xs = Vec::with_capacity(reserve);
-        let mut ys = Vec::with_capacity(reserve);
-        for row in left.rows() {
-            if let Some(&x) = right_map.get(&row.key.raw()) {
-                if row.value.is_null() || x.is_null() {
+        // Every left row yields at most one pair.
+        let mut x = Gather::new(right, left.len());
+        let mut y = Gather::new(left, left.len());
+        let mut len = 0;
+        for (i, row) in left.rows().iter().enumerate() {
+            if let Some(&j) = right_index.get(&row.key.raw()) {
+                if row.value.is_null() || right_rows[j].value.is_null() {
                     continue;
                 }
-                xs.push(x.clone());
-                ys.push(row.value.clone());
+                x.push(j);
+                y.push(i);
+                len += 1;
             }
         }
+        // Like the `Value`-level conversion, report the feature side first.
+        let sample = x.finish().and_then(|x| Ok((x, y.finish()?)));
         Self {
-            xs,
-            ys,
+            sample,
+            len,
             x_dtype: right.value_dtype(),
             y_dtype: left.value_dtype(),
         }
     }
 
-    /// Builds a joined sample directly from paired value columns (used for
-    /// the full-join baseline, which shares the estimation path with the
-    /// sketches).
+    /// Builds a joined sample directly from paired value columns: the
+    /// `Value`-level reference [`Self::from_sketches`] is tested against, and
+    /// the entry point of the full-join baseline, which shares the estimation
+    /// path with the sketches.
     #[must_use]
     pub fn from_pairs(
         xs: Vec<Value>,
@@ -82,9 +192,11 @@ impl JoinedSketch {
                 kept_ys.push(y);
             }
         }
+        let sample = Variable::from_values(&kept_xs, x_dtype)
+            .and_then(|x| Ok((x, Variable::from_values(&kept_ys, y_dtype)?)));
         Self {
-            xs: kept_xs,
-            ys: kept_ys,
+            sample,
+            len: kept_xs.len(),
             x_dtype,
             y_dtype,
         }
@@ -93,48 +205,31 @@ impl JoinedSketch {
     /// Number of recovered pairs (the paper's "sketch join size").
     #[must_use]
     pub fn len(&self) -> usize {
-        self.xs.len()
+        self.len
     }
 
     /// Returns `true` if no pairs were recovered.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.xs.is_empty()
+        self.len == 0
     }
 
-    /// Approximate resident heap + inline size of this joined sample, in
-    /// bytes.
-    ///
-    /// Counts the struct itself, both value vectors at their allocated
-    /// capacity, and the heap payload of any string values. Used by the
-    /// cross-query stage cache to bound resident memory rather than entry
-    /// count alone.
+    /// Resident size of this joined sample in bytes: the struct plus 4 bytes
+    /// per code and 8 per coordinate, exactly — the columns of a sketch join
+    /// are allocated to their length. So a pair costs 16 B numeric–numeric,
+    /// 12 B code–numeric and 8 B code–code. The cross-query stage cache
+    /// charges entries by this.
     #[must_use]
     pub fn resident_bytes(&self) -> usize {
-        let value_heap: usize = self
-            .xs
-            .iter()
-            .chain(self.ys.iter())
-            .map(|v| match v {
-                Value::Str(s) => s.len(),
-                _ => 0,
-            })
-            .sum();
+        let column_bytes = |v: &Variable| match v {
+            Variable::Discrete(codes) => std::mem::size_of_val(codes.as_slice()),
+            Variable::Continuous(coords) => std::mem::size_of_val(coords.as_slice()),
+        };
         std::mem::size_of::<Self>()
-            + (self.xs.capacity() + self.ys.capacity()) * std::mem::size_of::<Value>()
-            + value_heap
-    }
-
-    /// The feature values.
-    #[must_use]
-    pub fn xs(&self) -> &[Value] {
-        &self.xs
-    }
-
-    /// The target values.
-    #[must_use]
-    pub fn ys(&self) -> &[Value] {
-        &self.ys
+            + self
+                .sample
+                .as_ref()
+                .map_or(0, |(x, y)| column_bytes(x) + column_bytes(y))
     }
 
     /// Data type of the feature values.
@@ -149,18 +244,19 @@ impl JoinedSketch {
         self.y_dtype
     }
 
-    /// Converts both sides to estimator variables (strings → discrete codes,
-    /// numerics → continuous coordinates).
-    pub fn variables(&self) -> Result<(Variable, Variable), EstimatorError> {
-        let x = Variable::from_values(&self.xs, self.x_dtype)?;
-        let y = Variable::from_values(&self.ys, self.y_dtype)?;
-        Ok((x, y))
+    /// Both sides as estimator variables, `(x, y)`: strings are discrete
+    /// codes, numerics continuous coordinates.
+    pub fn variables(&self) -> Result<(&Variable, &Variable), EstimatorError> {
+        match &self.sample {
+            Ok((x, y)) => Ok((x, y)),
+            Err(error) => Err(error.clone()),
+        }
     }
 
     /// The estimator that the data-type rule would select for this sample.
     pub fn selected_estimator(&self) -> Result<EstimatorKind, EstimatorError> {
         let (x, y) = self.variables()?;
-        Ok(select_estimator(&x, &y))
+        Ok(select_estimator(x, y))
     }
 
     /// Estimates `I(X; Y)` from the recovered pairs with the automatically
@@ -184,8 +280,8 @@ impl JoinedSketch {
         k: usize,
     ) -> Result<MiEstimate, EstimatorError> {
         let (x, y) = self.variables()?;
-        let kind = select_estimator(&x, &y);
-        joinmi_estimators::estimate_mi_with_workspace(ws, &x, &y, kind, k)
+        let kind = select_estimator(x, y);
+        joinmi_estimators::estimate_mi_with_workspace(ws, x, y, kind, k)
     }
 
     /// Estimates MI like [`Self::estimate_mi_in`] and additionally computes a
@@ -204,9 +300,9 @@ impl JoinedSketch {
         level: f64,
     ) -> Result<(MiEstimate, MiInterval), EstimatorError> {
         let (x, y) = self.variables()?;
-        let kind = select_estimator(&x, &y);
-        let est = joinmi_estimators::estimate_mi_with_workspace(ws, &x, &y, kind, k)?;
-        let interval = mi_interval(&x, &y, est.mi, level)?;
+        let kind = select_estimator(x, y);
+        let est = joinmi_estimators::estimate_mi_with_workspace(ws, x, y, kind, k)?;
+        let interval = mi_interval(x, y, est.mi, level)?;
         Ok((est, interval))
     }
 
@@ -217,25 +313,31 @@ impl JoinedSketch {
         k: usize,
     ) -> Result<MiEstimate, EstimatorError> {
         let (x, y) = self.variables()?;
-        joinmi_estimators::select::estimate_mi_with(&x, &y, kind, k)
+        joinmi_estimators::select::estimate_mi_with(x, y, kind, k)
+    }
+
+    /// Both sides as numeric coordinates, when both are numeric.
+    fn coordinates(&self) -> Option<(&[f64], &[f64])> {
+        match self.sample.as_ref().ok()? {
+            (Variable::Continuous(x), Variable::Continuous(y)) => Some((x, y)),
+            _ => None,
+        }
     }
 
     /// Pearson correlation of the recovered pairs (what the CSK baseline
     /// estimates); `None` when either side is non-numeric or degenerate.
     #[must_use]
     pub fn estimate_pearson(&self) -> Option<f64> {
-        let xs: Option<Vec<f64>> = self.xs.iter().map(Value::as_f64).collect();
-        let ys: Option<Vec<f64>> = self.ys.iter().map(Value::as_f64).collect();
-        pearson(&xs?, &ys?)
+        let (x, y) = self.coordinates()?;
+        pearson(x, y)
     }
 
     /// Spearman rank correlation of the recovered pairs; `None` when either
     /// side is non-numeric or degenerate.
     #[must_use]
     pub fn estimate_spearman(&self) -> Option<f64> {
-        let xs: Option<Vec<f64>> = self.xs.iter().map(Value::as_f64).collect();
-        let ys: Option<Vec<f64>> = self.ys.iter().map(Value::as_f64).collect();
-        spearman(&xs?, &ys?)
+        let (x, y) = self.coordinates()?;
+        spearman(x, y)
     }
 }
 
@@ -284,14 +386,76 @@ mod tests {
         );
         let joined = left.join(&right);
         assert_eq!(joined.len(), 3);
-        assert_eq!(
-            joined.ys(),
-            &[Value::Int(10), Value::Int(11), Value::Int(20)]
+        let (x, y) = joined.variables().unwrap();
+        assert_eq!(y, &Variable::Continuous(vec![10.0, 11.0, 20.0]));
+        assert_eq!(x, &Variable::Continuous(vec![0.5, 0.5, 0.7]));
+    }
+
+    #[test]
+    fn string_sides_join_as_codes_in_first_occurrence_order() {
+        // The sketches intern "c" before "a"; the join meets "a" first, so
+        // "a" is code 0 there — what `discretize` gives the joined values.
+        let left = sketch(
+            Side::Left,
+            DataType::Str,
+            vec![
+                (7, Value::from("unmatched")),
+                (1, Value::from("u")),
+                (2, Value::from("v")),
+                (1, Value::from("u")),
+                (3, Value::Null),
+            ],
         );
-        assert_eq!(
-            joined.xs(),
-            &[Value::Float(0.5), Value::Float(0.5), Value::Float(0.7)]
+        let right = sketch(
+            Side::Right,
+            DataType::Str,
+            vec![
+                (9, Value::from("c")),
+                (1, Value::from("a")),
+                (2, Value::from("c")),
+                (3, Value::from("b")),
+                (1, Value::from("late duplicate key")),
+            ],
         );
+        let joined = left.join(&right);
+        let (x, y) = joined.variables().unwrap();
+        assert_eq!(x, &Variable::Discrete(vec![0, 1, 0]));
+        assert_eq!(y, &Variable::Discrete(vec![0, 1, 0]));
+        assert_eq!(joined.selected_estimator().unwrap(), EstimatorKind::Mle);
+    }
+
+    #[test]
+    fn non_numeric_value_in_a_numeric_sketch_fails_the_estimate_not_the_join() {
+        let left = sketch(
+            Side::Left,
+            DataType::Int,
+            vec![
+                (1, Value::Int(1)),
+                (2, Value::from("two")),
+                (3, Value::Int(3)),
+            ],
+        );
+        let right = sketch(
+            Side::Right,
+            DataType::Float,
+            vec![
+                (1, Value::Float(1.0)),
+                (2, Value::Float(2.0)),
+                (3, Value::Float(3.0)),
+            ],
+        );
+        let joined = left.join(&right);
+        assert_eq!(joined.len(), 3);
+        let reference = JoinedSketch::from_pairs(
+            right.rows().iter().map(|r| r.value.clone()).collect(),
+            left.rows().iter().map(|r| r.value.clone()).collect(),
+            DataType::Float,
+            DataType::Int,
+        );
+        let error = joined.estimate_mi().unwrap_err();
+        assert!(matches!(error, EstimatorError::IncompatibleTypes { .. }));
+        assert_eq!(error, reference.estimate_mi().unwrap_err());
+        assert!(joined.estimate_pearson().is_none());
     }
 
     #[test]
@@ -381,25 +545,42 @@ mod tests {
     }
 
     #[test]
-    fn resident_bytes_counts_vectors_and_string_heap() {
-        let empty = JoinedSketch::from_pairs(vec![], vec![], DataType::Int, DataType::Int);
-        assert!(empty.resident_bytes() >= std::mem::size_of::<JoinedSketch>());
-
-        let ints = JoinedSketch::from_pairs(
-            vec![Value::Int(1), Value::Int(2)],
-            vec![Value::Int(3), Value::Int(4)],
-            DataType::Int,
-            DataType::Int,
-        );
-        let strs = JoinedSketch::from_pairs(
-            vec![Value::from("a-reasonably-long-string"), Value::from("x")],
-            vec![Value::Int(3), Value::Int(4)],
+    fn resident_bytes_is_exact_per_pair() {
+        let base = std::mem::size_of::<JoinedSketch>();
+        let keys = |n: u64| {
+            (0..n)
+                .map(|i| (i, Value::Int(i as i64)))
+                .collect::<Vec<_>>()
+        };
+        let strs = |n: u64| {
+            (0..n)
+                .map(|i| (i, Value::from(format!("a-reasonably-long-string-{i}"))))
+                .collect::<Vec<_>>()
+        };
+        let ints = sketch(Side::Left, DataType::Int, keys(10));
+        // Only 7 of the left sketch's 10 rows match: the columns are charged
+        // (and allocated) for the pairs held, not for either sketch's size.
+        let num = ints.join(&sketch(Side::Right, DataType::Int, keys(7)));
+        assert_eq!(num.len(), 7);
+        assert_eq!(num.resident_bytes(), base + 7 * 16);
+        let mixed = ints.join(&sketch(Side::Right, DataType::Str, strs(7)));
+        assert_eq!(mixed.resident_bytes(), base + 7 * 12);
+        // String payloads cost nothing: a join holds codes, not values.
+        let coded = sketch(Side::Left, DataType::Str, strs(10)).join(&sketch(
+            Side::Right,
             DataType::Str,
-            DataType::Int,
-        );
-        assert!(ints.resident_bytes() > empty.resident_bytes());
-        // Same pair count, but string payloads add heap bytes.
-        assert!(strs.resident_bytes() > ints.resident_bytes());
+            strs(7),
+        ));
+        assert_eq!(coded.resident_bytes(), base + 7 * 8);
+        let (x, y) = coded.variables().unwrap();
+        for column in [x, y] {
+            let Variable::Discrete(codes) = column else {
+                panic!("string sides are discrete");
+            };
+            assert_eq!(codes.capacity(), codes.len());
+        }
+        let empty = ints.join(&sketch(Side::Right, DataType::Int, vec![]));
+        assert_eq!(empty.resident_bytes(), base);
     }
 
     #[test]

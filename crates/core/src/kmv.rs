@@ -98,12 +98,14 @@ pub struct BoundedMinSet<T> {
 }
 
 impl<T> BoundedMinSet<T> {
-    /// Creates a set that keeps at most `capacity` items.
+    /// Creates a set that keeps at most `capacity` items. Nothing is
+    /// allocated until items arrive: a set that ends up holding 40 items
+    /// costs a few dozen slots, whatever its capacity.
     #[must_use]
     pub fn new(capacity: usize) -> Self {
         Self {
             capacity,
-            heap: BinaryHeap::with_capacity(capacity + 1),
+            heap: BinaryHeap::new(),
             next_seq: 0,
         }
     }
@@ -153,6 +155,12 @@ impl<T> BoundedMinSet<T> {
             seq,
             payload,
         });
+    }
+
+    /// Item slots currently allocated (the allocation-size tests read this).
+    #[cfg(test)]
+    pub(crate) fn allocated(&self) -> usize {
+        self.heap.capacity()
     }
 
     /// Current number of kept items.

@@ -1,5 +1,8 @@
 //! Sketch rows and per-column sketches.
 
+use std::collections::HashMap;
+use std::sync::OnceLock;
+
 use joinmi_hash::KeyHash;
 use joinmi_table::{DataType, Value};
 
@@ -24,6 +27,46 @@ impl SketchRow {
     }
 }
 
+/// The values of a sketch's rows interned to dense integer codes, in the
+/// order the rows are stored.
+///
+/// Estimators over categorical data consume `u32` codes, not values. A sketch
+/// is joined against many others (a query sketch against every scored
+/// candidate, a candidate by every query that reaches it), so its values are
+/// hashed once here and every join gathers the codes.
+#[derive(Debug, Clone)]
+pub(crate) struct SampleCodes {
+    /// `codes[i]` is the code of `rows[i].value`: equal values (by [`Value`]
+    /// equality) share a code, codes count up from 0 in first-occurrence
+    /// order, and NULL rows hold [`SampleCodes::NULL`].
+    pub(crate) codes: Vec<u32>,
+    /// Number of distinct non-NULL values, i.e. one past the largest code.
+    pub(crate) distinct: usize,
+}
+
+impl SampleCodes {
+    /// Placeholder code of a NULL row (a join never pairs one).
+    pub(crate) const NULL: u32 = u32::MAX;
+
+    fn of(rows: &[SketchRow]) -> Self {
+        let mut seen: HashMap<&Value, u32> = HashMap::new();
+        let codes = rows
+            .iter()
+            .map(|row| {
+                if row.value.is_null() {
+                    return Self::NULL;
+                }
+                let next = seen.len() as u32;
+                *seen.entry(&row.value).or_insert(next)
+            })
+            .collect();
+        Self {
+            codes,
+            distinct: seen.len(),
+        }
+    }
+}
+
 /// A sketch of one `(join key, value column)` pair of a table.
 ///
 /// Built offline with one of the [`SketchKind`]
@@ -31,7 +74,7 @@ impl SketchRow {
 /// sample of the (never materialized) join. Equality is exact (float values
 /// compare by canonical bit pattern via [`Value`]), which is what the
 /// persistence round-trip tests rely on.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct ColumnSketch {
     kind: SketchKind,
     side: Side,
@@ -40,6 +83,21 @@ pub struct ColumnSketch {
     source_rows: usize,
     source_distinct_keys: usize,
     config: SketchConfig,
+    /// Derived from `rows` by the first join that needs it; never persisted
+    /// and not part of equality or the content fingerprint.
+    codes: OnceLock<SampleCodes>,
+}
+
+impl PartialEq for ColumnSketch {
+    fn eq(&self, other: &Self) -> bool {
+        self.kind == other.kind
+            && self.side == other.side
+            && self.rows == other.rows
+            && self.value_dtype == other.value_dtype
+            && self.source_rows == other.source_rows
+            && self.source_distinct_keys == other.source_distinct_keys
+            && self.config == other.config
+    }
 }
 
 impl ColumnSketch {
@@ -62,6 +120,7 @@ impl ColumnSketch {
             source_rows,
             source_distinct_keys,
             config,
+            codes: OnceLock::new(),
         }
     }
 
@@ -81,6 +140,11 @@ impl ColumnSketch {
     #[must_use]
     pub fn rows(&self) -> &[SketchRow] {
         &self.rows
+    }
+
+    /// The rows' values as dense codes, computed on first use.
+    pub(crate) fn sample_codes(&self) -> &SampleCodes {
+        self.codes.get_or_init(|| SampleCodes::of(&self.rows))
     }
 
     /// Number of sampled rows actually stored (the paper's "storage size").
@@ -238,6 +302,27 @@ mod tests {
         assert_eq!(s.kind(), SketchKind::Tupsk);
         assert_eq!(s.side(), Side::Left);
         assert_eq!(s.config().size, 256);
+    }
+
+    #[test]
+    fn sample_codes_follow_value_equality_and_leave_identity_alone() {
+        let values = vec![
+            (1, Value::from("b")),
+            (2, Value::Null),
+            (3, Value::from("a")),
+            (4, Value::from("b")),
+            (5, Value::Float(0.0)),
+            (6, Value::Float(-0.0)),
+        ];
+        let coded = sample_sketch(values.clone());
+        let fresh = sample_sketch(values);
+        let codes = coded.sample_codes();
+        assert_eq!(codes.codes, vec![0, SampleCodes::NULL, 1, 0, 2, 2]);
+        assert_eq!(codes.distinct, 3);
+        // The derived column is invisible to equality, clones and the digest.
+        assert_eq!(coded, fresh);
+        assert_eq!(coded.clone(), fresh);
+        assert_eq!(coded.content_fingerprint(), fresh.content_fingerprint());
     }
 
     #[test]

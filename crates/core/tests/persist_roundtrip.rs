@@ -99,7 +99,6 @@ proptest! {
         let joined_mem = left.join(&right);
         let joined_disk = round(&left).join(&round(&right));
         prop_assert_eq!(joined_mem.len(), joined_disk.len());
-        prop_assert_eq!(joined_mem.xs(), joined_disk.xs());
-        prop_assert_eq!(joined_mem.ys(), joined_disk.ys());
+        prop_assert_eq!(joined_mem.variables(), joined_disk.variables());
     }
 }

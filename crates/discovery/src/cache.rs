@@ -28,16 +28,21 @@
 //! every hit, so queries with different thresholds still agree with their
 //! cold runs exactly.
 //!
-//! Capacity is bounded in **entries and resident bytes** (joined sketches
-//! dominate; see [`JoinedSketch::resident_bytes`]). Eviction is
-//! least-recently-used via a shared logical tick with a scan-for-minimum
-//! victim search across both levels — the same "obviousness over
-//! asymptotics" trade the serve daemon's response cache makes, sized for
-//! thousands of entries, not millions.
+//! Capacity is bounded in **entries and resident bytes**. A joined sketch is
+//! charged what it holds — [`JoinedSketch::resident_bytes`] is exact: 4 bytes
+//! per code, 8 per coordinate, allocated to length — plus a fixed per-entry
+//! overhead. At the default bounds (4 096 entries, 64 MiB) the entry bound
+//! binds unless the average resident entry exceeds 16 KiB, i.e. a cache of
+//! little but full 1 024-pair numeric joins.
+//!
+//! Eviction is least-recently-used across both levels via a shared logical
+//! tick: every use stamps the entry with a fresh tick, and an ordered
+//! tick → entry index names the victim (the smallest tick) in `O(log n)`, so
+//! the lock is never held for a scan.
 //!
 //! [`ShardSet`]: https://docs.rs/joinmi_serve
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Mutex};
 
 use joinmi_estimators::EstimatorKind;
@@ -125,6 +130,13 @@ type JoinKey = (u64, u64, u64);
 /// pattern for interval scoring), so point and interval results never alias.
 type EstimateKey = (u64, u64, u64, u64, u64);
 
+/// A resident entry of either level, as the eviction index names it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Slot {
+    Join(JoinKey),
+    Estimate(EstimateKey),
+}
+
 #[derive(Debug)]
 struct JoinEntry {
     tick: u64,
@@ -152,6 +164,10 @@ struct Inner {
     tick: u64,
     joins: HashMap<JoinKey, JoinEntry>,
     estimates: HashMap<EstimateKey, EstimateEntry>,
+    /// Every resident entry under the tick of its last use. Ticks are unique
+    /// and only grow, so the first entry is the least recently used one
+    /// across both levels.
+    by_tick: BTreeMap<u64, Slot>,
     /// Resident bytes across both maps.
     bytes: usize,
     join_hits: u64,
@@ -177,26 +193,15 @@ impl Inner {
     }
 
     /// Evicts the globally least-recently-used entry (across both levels)
-    /// until within bounds. Scan-for-minimum: O(entries) per eviction, which
-    /// is the obvious-and-correct choice at the few-thousand-entry capacities
-    /// this cache is sized for.
+    /// until within bounds.
     fn evict_to_fit(&mut self, config: &StageCacheConfig) {
         while self.over_capacity(config) {
-            let join_victim = self
-                .joins
-                .iter()
-                .min_by_key(|(_, e)| e.tick)
-                .map(|(k, e)| (*k, e.tick));
-            let estimate_victim = self
-                .estimates
-                .iter()
-                .min_by_key(|(_, e)| e.tick)
-                .map(|(k, e)| (*k, e.tick));
-            match (join_victim, estimate_victim) {
-                (Some((jk, jt)), Some((_, et))) if jt <= et => self.evict_join(jk),
-                (Some((jk, _)), None) => self.evict_join(jk),
-                (_, Some((ek, _))) => self.evict_estimate(ek),
-                (None, None) => return,
+            let Some((_, victim)) = self.by_tick.pop_first() else {
+                return;
+            };
+            match victim {
+                Slot::Join(key) => self.evict_join(key),
+                Slot::Estimate(key) => self.evict_estimate(key),
             }
             self.evictions += 1;
         }
@@ -217,6 +222,7 @@ impl Inner {
     fn clear_entries(&mut self) {
         self.joins.clear();
         self.estimates.clear();
+        self.by_tick.clear();
         self.bytes = 0;
     }
 }
@@ -290,6 +296,9 @@ impl QueryStageCache {
         let mut inner = self.lock();
         let freed = inner.estimates.len() * estimate_entry_bytes();
         inner.estimates.clear();
+        inner
+            .by_tick
+            .retain(|_, slot| matches!(slot, Slot::Join(_)));
         inner.bytes -= freed;
     }
 
@@ -334,10 +343,13 @@ impl QueryStageCache {
         if self.is_disabled() {
             return None;
         }
-        let mut inner = self.lock();
+        let mut guard = self.lock();
+        let inner = &mut *guard;
         let tick = inner.next_tick();
         match inner.joins.get_mut(&key) {
             Some(entry) => {
+                inner.by_tick.remove(&entry.tick);
+                inner.by_tick.insert(tick, Slot::Join(key));
                 entry.tick = tick;
                 let joined = Arc::clone(&entry.joined);
                 inner.join_hits += 1;
@@ -368,8 +380,10 @@ impl QueryStageCache {
                 bytes,
             },
         );
+        inner.by_tick.insert(tick, Slot::Join(key));
         inner.bytes += bytes;
         if let Some(previous) = previous {
+            inner.by_tick.remove(&previous.tick);
             inner.bytes -= previous.bytes;
         }
         inner.evict_to_fit(&self.config);
@@ -379,10 +393,13 @@ impl QueryStageCache {
         if self.is_disabled() {
             return None;
         }
-        let mut inner = self.lock();
+        let mut guard = self.lock();
+        let inner = &mut *guard;
         let tick = inner.next_tick();
         match inner.estimates.get_mut(&key) {
             Some(entry) => {
+                inner.by_tick.remove(&entry.tick);
+                inner.by_tick.insert(tick, Slot::Estimate(key));
                 entry.tick = tick;
                 let estimate = entry.estimate;
                 inner.estimate_hits += 1;
@@ -405,12 +422,15 @@ impl QueryStageCache {
         }
         let mut inner = self.lock();
         let tick = inner.next_tick();
-        if inner
+        inner.by_tick.insert(tick, Slot::Estimate(key));
+        match inner
             .estimates
             .insert(key, EstimateEntry { tick, estimate })
-            .is_none()
         {
-            inner.bytes += bytes;
+            Some(previous) => {
+                inner.by_tick.remove(&previous.tick);
+            }
+            None => inner.bytes += bytes,
         }
         inner.evict_to_fit(&self.config);
     }
@@ -615,6 +635,109 @@ mod tests {
         assert!(scope.get_estimate(fp, 0, 3, 0).is_none());
         assert!(scope.get_join(fp, 1).is_some());
         assert!(scope.get_join(fp, 2).is_some());
+    }
+
+    /// The eviction rule the ordered index replaced, kept as the model: scan
+    /// every resident entry for the smallest tick.
+    #[derive(Default)]
+    struct ScanMinModel {
+        tick: u64,
+        /// (entry, tick of last use, charged bytes)
+        resident: Vec<(Slot, u64, usize)>,
+        evictions: u64,
+    }
+
+    impl ScanMinModel {
+        fn touch(&mut self, slot: Slot) -> bool {
+            self.tick += 1;
+            let found = self.resident.iter_mut().find(|(s, ..)| *s == slot);
+            found.map(|entry| entry.1 = self.tick).is_some()
+        }
+
+        fn put(&mut self, slot: Slot, bytes: usize, config: &StageCacheConfig) {
+            if !self.touch(slot) {
+                self.resident.push((slot, self.tick, 0));
+            }
+            let entry = self.resident.iter_mut().find(|(s, ..)| *s == slot);
+            entry.expect("just inserted").2 = bytes;
+            while self.resident.len() > config.max_entries
+                || self.resident.iter().map(|e| e.2).sum::<usize>() > config.max_bytes
+            {
+                let victim = (0..self.resident.len())
+                    .min_by_key(|&i| self.resident[i].1)
+                    .expect("over capacity implies non-empty");
+                self.resident.swap_remove(victim);
+                self.evictions += 1;
+            }
+        }
+    }
+
+    #[test]
+    fn ordered_index_evicts_exactly_what_the_scan_for_minimum_rule_would() {
+        let small = joined(4);
+        let join_bytes = |j: &JoinedSketch| {
+            j.resident_bytes() + std::mem::size_of::<JoinEntry>() + ENTRY_OVERHEAD
+        };
+        // Tight enough that both bounds bind at different moments: seven
+        // entries, or the bytes of three small joins and some estimates.
+        let config = StageCacheConfig {
+            max_entries: 7,
+            max_bytes: 3 * join_bytes(&small) + 3 * estimate_entry_bytes(),
+        };
+        let cache = QueryStageCache::new(config);
+        let mut model = ScanMinModel::default();
+
+        let mut state = 0x5eed_u64;
+        let mut below = |n: u64| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 33) % n
+        };
+        for step in 0..4000 {
+            let id = below(10);
+            let join_key = (1, 2, id);
+            let estimate_key = (1, 2, id, 3, 0);
+            match below(4) {
+                0 => {
+                    let hit = cache.get_join(join_key).is_some();
+                    assert_eq!(hit, model.touch(Slot::Join(join_key)), "step {step}");
+                }
+                1 => {
+                    let hit = cache.get_estimate(estimate_key).is_some();
+                    assert_eq!(
+                        hit,
+                        model.touch(Slot::Estimate(estimate_key)),
+                        "step {step}"
+                    );
+                }
+                2 => {
+                    let j = joined(4 + 4 * below(3) as usize);
+                    model.put(Slot::Join(join_key), join_bytes(&j), &config);
+                    cache.put_join(join_key, j);
+                }
+                _ => {
+                    let bytes = estimate_entry_bytes();
+                    model.put(Slot::Estimate(estimate_key), bytes, &config);
+                    cache.put_estimate(estimate_key, estimate(0.5));
+                }
+            }
+            let inner = cache.lock();
+            let mut resident: Vec<Slot> = (inner.joins.keys().copied().map(Slot::Join))
+                .chain(inner.estimates.keys().copied().map(Slot::Estimate))
+                .collect();
+            let mut expected: Vec<Slot> = model.resident.iter().map(|e| e.0).collect();
+            let order = |s: &Slot| match *s {
+                Slot::Join(k) => (0, k.2),
+                Slot::Estimate(k) => (1, k.2),
+            };
+            resident.sort_by_key(order);
+            expected.sort_by_key(order);
+            assert_eq!(resident, expected, "step {step}");
+            assert_eq!(inner.evictions, model.evictions, "step {step}");
+            assert_eq!(inner.by_tick.len(), resident.len(), "step {step}");
+        }
+        assert!(model.evictions > 500, "the bounds never bound");
     }
 
     #[test]

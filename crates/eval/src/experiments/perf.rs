@@ -145,7 +145,7 @@ pub fn run(cfg: &Config) -> Vec<Timing> {
             sketch_join.push(ms_since(t0));
 
             let t0 = Instant::now();
-            let _ = EstimatorMode::Mle.estimate(joined_sketch.xs(), joined_sketch.ys(), cfg.seed);
+            let _ = EstimatorMode::Mle.estimate_joined(&joined_sketch, cfg.seed);
             sketch_est.push(ms_since(t0));
         }
 

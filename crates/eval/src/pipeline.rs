@@ -5,9 +5,12 @@
 //! sketches with one strategy, join them, and estimate MI with one estimator.
 //! The full-join baseline applies the same estimator to all generated pairs.
 
+use std::borrow::Cow;
+use std::collections::HashMap;
+
 use joinmi_estimators::{
     dc_ksg_mi_with, discretize, mixed_ksg_mi_with, mle_mi, perturb_ties_with, EstimatorWorkspace,
-    DEFAULT_K,
+    Variable, DEFAULT_K,
 };
 use joinmi_sketch::{ColumnSketch, JoinedSketch, SketchConfig, SketchKind};
 use joinmi_synth::DecomposedPair;
@@ -67,23 +70,66 @@ impl EstimatorMode {
         ys: &[Value],
         seed: u64,
     ) -> Option<f64> {
-        if xs.len() != ys.len() || xs.len() < DEFAULT_K + 2 {
+        // The mode, not the column type, picks each side's representation.
+        let (x, y) = match self {
+            Self::Mle => (
+                Variable::Discrete(discretize(xs)),
+                Variable::Discrete(discretize(ys)),
+            ),
+            Self::MixedKsg => (
+                Variable::Continuous(to_f64(xs)?),
+                Variable::Continuous(to_f64(ys)?),
+            ),
+            Self::DcKsg => (
+                Variable::Discrete(discretize(xs)),
+                Variable::Continuous(to_f64(ys)?),
+            ),
+        };
+        self.estimate_typed(ws, &x, &y, seed)
+    }
+
+    /// Applies the estimator to the sample a sketch join recovered.
+    #[must_use]
+    pub fn estimate_joined(self, joined: &JoinedSketch, seed: u64) -> Option<f64> {
+        self.estimate_joined_in(&mut EstimatorWorkspace::new(), joined, seed)
+    }
+
+    /// [`estimate_joined`](Self::estimate_joined) against a caller-owned
+    /// [`EstimatorWorkspace`].
+    #[must_use]
+    pub fn estimate_joined_in(
+        self,
+        ws: &mut EstimatorWorkspace,
+        joined: &JoinedSketch,
+        seed: u64,
+    ) -> Option<f64> {
+        let (x, y) = joined.variables().ok()?;
+        self.estimate_typed(ws, x, y, seed)
+    }
+
+    /// The estimator over typed columns. A mode that needs categories groups
+    /// a numeric side by exact equality; a mode that needs coordinates
+    /// refuses a categorical side.
+    fn estimate_typed(
+        self,
+        ws: &mut EstimatorWorkspace,
+        x: &Variable,
+        y: &Variable,
+        seed: u64,
+    ) -> Option<f64> {
+        if x.len() != y.len() || x.len() < DEFAULT_K + 2 {
             return None;
         }
         match self {
-            Self::Mle => mle_mi(&discretize(xs), &discretize(ys)).ok(),
+            Self::Mle => mle_mi(&codes(x), &codes(y)).ok(),
             Self::MixedKsg => {
-                let xf = to_f64(xs)?;
-                let yf = to_f64(ys)?;
-                mixed_ksg_mi_with(ws, &xf, &yf, DEFAULT_K).ok()
+                mixed_ksg_mi_with(ws, coordinates(x)?, coordinates(y)?, DEFAULT_K).ok()
             }
             Self::DcKsg => {
-                let codes = discretize(xs);
-                let yf = to_f64(ys)?;
                 // Break ties so the "continuous" side satisfies the
                 // estimator's assumptions (Section V-A perturbation).
-                let yf = perturb_ties_with(ws, &yf, 1e-9, seed);
-                dc_ksg_mi_with(ws, &codes, &yf, DEFAULT_K).ok()
+                let yf = perturb_ties_with(ws, coordinates(y)?, 1e-9, seed);
+                dc_ksg_mi_with(ws, &codes(x), &yf, DEFAULT_K).ok()
             }
         }
     }
@@ -91,6 +137,33 @@ impl EstimatorMode {
 
 fn to_f64(values: &[Value]) -> Option<Vec<f64>> {
     values.iter().map(Value::as_f64).collect()
+}
+
+/// A column as categories: its codes, or its coordinates grouped by exact
+/// equality (codes in first-occurrence order, as `discretize` assigns them).
+fn codes(v: &Variable) -> Cow<'_, [u32]> {
+    match v {
+        Variable::Discrete(codes) => Cow::Borrowed(codes),
+        Variable::Continuous(coords) => {
+            let mut seen: HashMap<u64, u32> = HashMap::new();
+            Cow::Owned(
+                coords
+                    .iter()
+                    .map(|c| {
+                        let next = seen.len() as u32;
+                        *seen.entry(c.to_bits()).or_insert(next)
+                    })
+                    .collect(),
+            )
+        }
+    }
+}
+
+fn coordinates(v: &Variable) -> Option<&[f64]> {
+    match v {
+        Variable::Discrete(_) => None,
+        Variable::Continuous(coords) => Some(coords),
+    }
 }
 
 /// The outcome of estimating MI through a sketch join.
@@ -153,7 +226,7 @@ fn estimate_from_sketches(
     let joined: JoinedSketch = left.join(right);
     let estimate = trial
         .mode
-        .estimate_in(ws, joined.xs(), joined.ys(), trial.config.seed)?;
+        .estimate_joined_in(ws, &joined, trial.config.seed)?;
     Some(TrialOutcome {
         estimate,
         join_size: joined.len(),

@@ -1,7 +1,7 @@
 //! Micro-timing of the k-NN kernels and KSG estimator: the quick-bench
 //! `knn/chebyshev_n4096` and `estimators/ksg_n4096` targets, runnable alone,
 //! on the exact same workload ([`joinmi_bench::knn_correlated_pair`]) so the
-//! printed medians stay comparable to `BENCH_PR10.json` and the criterion
+//! printed medians stay comparable to `BENCH_PR17.json` and the criterion
 //! `knn` group.
 
 use std::time::Instant;
