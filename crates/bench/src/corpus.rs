@@ -1,4 +1,4 @@
-//! The deterministic 32×8 pipeline corpus shared by the quick benchmarks and
+//! The deterministic 32×8 pipeline corpus shared by the ratio ledger and
 //! the `ingest` / `query` CLI subcommands.
 //!
 //! Both halves of the offline/online split must be able to regenerate the
@@ -19,7 +19,7 @@ pub const FEATURES_PER_TABLE: usize = 8;
 /// Size of the shared join-key universe.
 pub const KEY_UNIVERSE: usize = 600;
 
-/// Rows per table for quick (CI) vs. full benchmark runs.
+/// Rows per table with (CI) and without `--quick`.
 #[must_use]
 pub fn rows_for(quick: bool) -> usize {
     if quick {
@@ -164,34 +164,26 @@ pub fn standard_query(rows: usize) -> RelationshipQuery {
 pub const SKEWED_KEYS: usize = 64;
 /// Strong candidate tables in the skewed uncertainty corpus.
 pub const SKEWED_STRONG: usize = 3;
+/// Weak-tail tables in the skewed uncertainty corpus.
+pub const SKEWED_WEAK: usize = 120;
 /// Shared keys per weak-tail table in the skewed uncertainty corpus.
 pub const SKEWED_WEAK_OVERLAP: usize = 8;
 
-/// Weak-tail tables for quick (CI) vs. full benchmark runs.
-#[must_use]
-pub fn skewed_weak_for(quick: bool) -> usize {
-    if quick {
-        120
-    } else {
-        300
-    }
-}
-
 /// The corpus of the uncertainty-ranking workload: a strong tie group —
 /// [`SKEWED_STRONG`] tables with full key overlap and one-to-one string
-/// features, every MI exactly `ln SKEWED_KEYS` — ahead of a long weak tail
-/// whose tables share only [`SKEWED_WEAK_OVERLAP`] keys each. The tail's
-/// cheap MI upper bound (`ln(overlap + 1) + γ` ≈ 2.77 nats) sits below the
+/// features, every MI exactly `ln SKEWED_KEYS` — ahead of a weak tail of
+/// [`SKEWED_WEAK`] tables that share only [`SKEWED_WEAK_OVERLAP`] keys
+/// each. The tail's cheap MI upper bound (`ln(overlap + 1) + γ` ≈ 2.77 nats) sits below the
 /// strong group's credible lower bound (≈ 3.7 nats), so an interval top-k
 /// query early-terminates the entire tail after the first screening chunk
 /// while an exhaustive query must join and estimate every table.
 #[must_use]
-pub fn skewed_tables(weak: usize) -> Vec<Table> {
+pub fn skewed_tables() -> Vec<Table> {
     fn strs(v: &[String]) -> Vec<&str> {
         v.iter().map(String::as_str).collect()
     }
     let keys: Vec<String> = (0..SKEWED_KEYS).map(|i| format!("key-{i:02}")).collect();
-    let mut tables = Vec::with_capacity(SKEWED_STRONG + weak);
+    let mut tables = Vec::with_capacity(SKEWED_STRONG + SKEWED_WEAK);
     for t in 0..SKEWED_STRONG {
         let feature: Vec<String> = (0..SKEWED_KEYS).map(|i| format!("f{t}-{i}")).collect();
         tables.push(
@@ -202,7 +194,7 @@ pub fn skewed_tables(weak: usize) -> Vec<Table> {
                 .expect("strong table"),
         );
     }
-    for t in 0..weak {
+    for t in 0..SKEWED_WEAK {
         let mut weak_keys: Vec<String> = (0..SKEWED_WEAK_OVERLAP)
             .map(|i| format!("key-{i:02}"))
             .collect();

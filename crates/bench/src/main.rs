@@ -1,24 +1,22 @@
-//! The `joinmi_bench` CLI: quick benchmarks plus the offline/online split.
+//! The `joinmi_bench` CLI: the offline/online split, the daemon and chaos
+//! checks, and the same-run ratio ledger.
 //!
 //! ```text
-//! joinmi_bench [--quick] [--json] [--out PATH]      # benchmark mode
+//! joinmi_bench [--out PATH]                          # the ratio ledger
 //! joinmi_bench ingest  --out repo.jmi [--quick]     # offline: build + save a repository
 //! joinmi_bench query   --repo repo.jmi [--verify-in-memory]
 //!                                                   # online: load + query (separate process)
 //! joinmi_bench compact --repo repo.jmi [--seal]     # fold the append log; --seal drops state
-//! joinmi_bench compare --baseline A.json --current B.json [--max-regression 0.25]
-//!                                                   # CI bench-regression gate
+//! joinmi_bench compare --baseline A.json --current B.json
+//!                                                   # CI gate on the ratio ledger
 //! joinmi_bench chaos   [--rows N] [--seed N] [--max-cases N]
 //!                                                   # fault-injection durability sweep
 //! ```
 //!
-//! Benchmark mode runs a compressed version of the six criterion bench
-//! targets, the parallel ingest-and-query pipeline workload, the repository
-//! save/load/compact workload, and the cross-query stage-cache workload, and
-//! emits a machine-readable JSON (bench name → median wall nanoseconds;
-//! default `BENCH_PR17.json`) that seeds the perf trajectory for future PRs. Unlike
-//! the criterion benches (minutes), quick mode finishes in seconds, so CI
-//! runs it on every push.
+//! With no subcommand the binary measures the four same-run ratios of the
+//! ledger (see [`RATIOS`]) and, with `--out`, writes them as JSON; the
+//! committed baseline is `BENCH_RATIOS.json`. Absolute timings are the
+//! benchmark's (`BENCHMARK.json`, `benchmark/README.md`), not this binary's.
 //!
 //! `ingest` and `query` are the real offline → online split: `ingest` builds
 //! the deterministic 32×8-table corpus ([`joinmi_bench::corpus`]), sketches
@@ -28,17 +26,13 @@
 //! scratch and asserts the persisted ranking is bit-for-bit identical — the
 //! check the `persistence-roundtrip` CI job gates on.
 
-use std::time::Instant;
+use std::rc::Rc;
+use std::time::{Duration, Instant};
 
 use joinmi_bench::corpus;
-use joinmi_bench::quickjson;
-use joinmi_bench::trinomial_workload;
+use joinmi_bench::ledger::{self, Ledger};
 use joinmi_discovery::{CandidateSource, TableRepository};
-use joinmi_eval::EstimatorMode;
 use joinmi_serve::json::Json;
-use joinmi_sketch::{SketchConfig, SketchKind};
-use joinmi_synth::{decompose, KeyDistribution};
-use joinmi_table::{augment, AugmentSpec, Value};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -54,35 +48,38 @@ fn main() {
         Some("compare") => cmd_compare(&args[1..]),
         Some("chaos") => cmd_chaos(&args[1..]),
         // A non-flag first argument that is not a known subcommand is a typo
-        // (e.g. `ingets`): error out instead of silently running the full
-        // benchmark suite and exiting 0 with the real work undone.
+        // (e.g. `ingets`): error out instead of silently running the ledger
+        // and exiting 0 with the real work undone.
         Some(other) if !other.starts_with('-') => {
             eprintln!("unknown subcommand `{other}`");
             print_usage();
             2
         }
-        _ => cmd_bench(&args),
+        _ => cmd_ratios(&args),
     };
     std::process::exit(exit);
 }
 
 fn print_usage() {
-    eprintln!("usage: joinmi_bench [--quick] [--json] [--out PATH]");
+    eprintln!("usage: joinmi_bench [--out PATH]");
     eprintln!("       joinmi_bench ingest  --out REPO [--quick] [--base | --append]");
     eprintln!("       joinmi_bench ingest  --out PREFIX --shards N [--quick]");
     eprintln!("       joinmi_bench query   --repo REPO [--verify-in-memory]");
     eprintln!("       joinmi_bench compact --repo REPO [--seal]");
     eprintln!("       joinmi_bench serve-check --url HOST:PORT [--quick]");
-    eprintln!("       joinmi_bench compare --baseline JSON --current JSON [--max-regression R]");
+    eprintln!("       joinmi_bench compare --baseline JSON --current JSON");
     eprintln!("       joinmi_bench chaos [--rows N] [--seed N] [--max-cases N]");
     eprintln!();
-    eprintln!("  --quick   small iteration counts / workloads (seconds, not minutes)");
-    eprintln!("  --json    write benchmark results to PATH (default BENCH_PR17.json)");
+    eprintln!("  --out     write the measured ratios to PATH (baseline: BENCH_RATIOS.json)");
+    eprintln!("  --quick   the small corpus CI uses (seconds, not minutes)");
     eprintln!("  --base    ingest the corpus minus its append tail (the daemon's day-0 state)");
     eprintln!("  --append  load REPO, append the corpus tail rows, extend the file in place");
     eprintln!("  --seal    also drop builder state; the compacted file rejects future appends");
     eprintln!("  --shards  split the corpus contiguously into PREFIX-shard-I.jmi files");
     eprintln!("  --url     address of a running joinmi_serve daemon to check against");
+    eprintln!(
+        "  compare   fail when a ratio drops below baseline/1.25 or the current run lacks one"
+    );
     eprintln!("  chaos     fault-injection sweep: fail/corrupt every IO site of append_to");
     eprintln!("            and compact, asserting recovery to a pre- or post-op ranking");
 }
@@ -644,7 +641,7 @@ fn cmd_serve_check(args: &[String]) -> i32 {
 }
 
 // ---------------------------------------------------------------------------
-// compare: the CI bench-regression gate.
+// compare: the CI gate on the ratio ledger.
 // ---------------------------------------------------------------------------
 
 fn cmd_compare(args: &[String]) -> i32 {
@@ -655,30 +652,18 @@ fn cmd_compare(args: &[String]) -> i32 {
         eprintln!("compare: --baseline PATH and --current PATH are required");
         return 2;
     };
-    let max_regression: f64 = match flag_value(args, "--max-regression")
-        .unwrap_or("0.25")
-        .parse()
-    {
-        Ok(v) => v,
-        Err(_) => {
-            eprintln!("compare: --max-regression must be a number (e.g. 0.25)");
-            return 2;
-        }
-    };
-
-    let read_entries = |path: &str| -> Result<Vec<(String, f64)>, String> {
+    let read = |path: &str| -> Result<Ledger, String> {
         let text = std::fs::read_to_string(path).map_err(|e| format!("read `{path}`: {e}"))?;
-        quickjson::parse(&text).map_err(|e| format!("parse `{path}`: {e}"))
+        ledger::parse(&text).map_err(|e| format!("parse `{path}`: {e}"))
     };
-    let (baseline, current) = match (read_entries(baseline_path), read_entries(current_path)) {
+    let (baseline, current) = match (read(baseline_path), read(current_path)) {
         (Ok(b), Ok(c)) => (b, c),
         (Err(e), _) | (_, Err(e)) => {
             eprintln!("compare: {e}");
             return 1;
         }
     };
-
-    let report = match quickjson::compare_quick_bench(&baseline, &current, max_regression) {
+    let report = match ledger::compare(&baseline, &current) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("compare: {e}");
@@ -687,30 +672,24 @@ fn cmd_compare(args: &[String]) -> i32 {
     };
 
     println!(
-        "compare: {baseline_path} (baseline) vs {current_path} (current), threshold +{:.0}%",
-        max_regression * 100.0
+        "compare: {baseline_path} (baseline) vs {current_path} (current), a ratio may fall \
+         to baseline / {}",
+        1.0 + ledger::MAX_REGRESSION
     );
-    for c in &report.checked {
+    for c in &report {
         println!(
-            "  {:<40} {:>12.0} -> {:>12.0} ns  x{:.3}  {}",
+            "  {:<32} {:>7.1} -> {:>7.1}  {}",
             c.name,
             c.baseline,
             c.current,
-            c.ratio,
             if c.regressed { "REGRESSED" } else { "ok" }
         );
     }
-    for s in &report.skipped {
-        println!("  skipped: {s}");
+    for name in current.keys().filter(|n| !baseline.contains_key(*n)) {
+        println!("  {name:<32} new (no baseline)");
     }
-    for n in &report.new_benches {
-        println!("  new (no baseline): {n}");
-    }
-    if report.has_regression() {
-        eprintln!(
-            "compare: bench regression beyond +{:.0}%",
-            max_regression * 100.0
-        );
+    if report.iter().any(|c| c.regressed) {
+        eprintln!("compare: ratio regression");
         return 1;
     }
     println!("compare: no regressions");
@@ -718,588 +697,120 @@ fn cmd_compare(args: &[String]) -> i32 {
 }
 
 // ---------------------------------------------------------------------------
-// Benchmark mode.
+// The ratio ledger (no subcommand).
 // ---------------------------------------------------------------------------
 
-fn cmd_bench(args: &[String]) -> i32 {
-    let quick = args.iter().any(|a| a == "--quick");
-    let json = args.iter().any(|a| a == "--json");
-    let out_path = flag_value(args, "--out").unwrap_or("BENCH_PR17.json");
+/// One timed side of a ratio. It reads the clock itself, so per-rep staging
+/// (cloning a repository an append will mutate) stays outside the timing.
+type Side = Box<dyn FnMut() -> Duration>;
 
-    // Quick mode: smaller tables and fewer repetitions; default mode uses the
-    // criterion-bench sizes for closer comparability.
-    let (rows, iters) = if quick { (5_000, 7) } else { (20_000, 15) };
-    let mut results: Vec<(String, f64)> = Vec::new();
+/// A side that times all of `f`.
+fn clocked<T>(mut f: impl FnMut() -> T + 'static) -> Side {
+    Box::new(move || {
+        let start = Instant::now();
+        std::hint::black_box(f());
+        start.elapsed()
+    })
+}
 
-    bench_targets(rows, iters, &mut results);
-    pipeline_workload(quick, &mut results);
-    store_workload(quick, &mut results);
-    cache_workload(quick, &mut results);
-    query_workload(quick, &mut results);
-    calibration_smoke(&mut results);
-    results.push((
-        quickjson::HOST_PARALLELISM_KEY.to_owned(),
-        std::thread::available_parallelism().map_or(1.0, |n| n.get() as f64),
-    ));
+/// One ledger row. `setup` builds the inputs, asserts what makes the ratio
+/// meaningful, and returns the two sides; the ratio is the median of the
+/// first over the median of the second, [`REPS`] alternated runs each.
+struct Ratio {
+    key: &'static str,
+    setup: fn() -> (Side, Side),
+}
 
-    let width = results.iter().map(|(n, _)| n.len()).max().unwrap_or(0);
-    for (name, value) in &results {
-        println!("{name:width$}  {value:>14.0}");
+/// Timed runs per side.
+const REPS: usize = 7;
+
+/// The ledger: same-run ratios that the benchmark does not cover.
+const RATIOS: [Ratio; 4] = [
+    Ratio {
+        key: "knn/blocked_speedup_vs_scalar",
+        setup: knn_scalar_and_blocked,
+    },
+    Ratio {
+        key: "query/early_term_speedup",
+        setup: exhaustive_and_early_term,
+    },
+    Ratio {
+        key: "store/append_vs_reingest",
+        setup: reingest_and_append,
+    },
+    Ratio {
+        key: "store/compacted_load_speedup",
+        setup: appended_and_compacted_load,
+    },
+];
+
+fn cmd_ratios(args: &[String]) -> i32 {
+    let median_ms = |mut samples: Vec<Duration>| {
+        samples.sort_unstable();
+        samples[REPS / 2].as_secs_f64() * 1e3
+    };
+    let mut ratios = Ledger::new();
+    for ratio in &RATIOS {
+        let (mut slow, mut fast) = (ratio.setup)();
+        // Alternate the sides, so a shift in host speed hits both alike.
+        let (slow_runs, fast_runs) = (0..REPS).map(|_| (slow(), fast())).unzip();
+        let (slow_ms, fast_ms) = (median_ms(slow_runs), median_ms(fast_runs));
+        // Kept to one decimal: the ledger gates on 25 %, not on noise.
+        let value = if fast_ms > 0.0 {
+            (slow_ms / fast_ms * 10.0).round() / 10.0
+        } else {
+            0.0
+        };
+        println!(
+            "{:<32} {value:>6.1}x  ({slow_ms:.2} ms / {fast_ms:.2} ms)",
+            ratio.key
+        );
+        ratios.insert(ratio.key.to_owned(), value);
     }
-
-    if json {
-        let rendered = quickjson::render(&results);
-        std::fs::write(out_path, rendered).expect("write bench JSON");
-        println!("\nwrote {out_path}");
+    if let Some(out) = flag_value(args, "--out") {
+        if let Err(e) = std::fs::write(out, ledger::render(&ratios)) {
+            eprintln!("cannot write `{out}`: {e}");
+            return 1;
+        }
+        println!("wrote {out}");
     }
     0
 }
 
-/// Median wall time of `iters` runs of `f`, in nanoseconds.
-fn median_ns<T>(iters: usize, mut f: impl FnMut() -> T) -> f64 {
-    let mut samples: Vec<u128> = (0..iters.max(1))
-        .map(|_| {
-            let start = Instant::now();
-            std::hint::black_box(f());
-            start.elapsed().as_nanos()
-        })
-        .collect();
-    samples.sort_unstable();
-    samples[samples.len() / 2] as f64
-}
+/// The blocked Chebyshev k-NN kernel against its scalar oracle, k = 3, on a
+/// correlated pair at n = 4096: `x ~ U[0, 1)` from a fixed LCG,
+/// `y = x + 0.25·u`. The correlation keeps the window expansion honest — on
+/// independent coordinates the x-prune ends after a handful of candidates
+/// and the kernel is all setup cost.
+fn knn_scalar_and_blocked() -> (Side, Side) {
+    use joinmi_estimators::knn::{kth_nn_distances_chebyshev, kth_nn_distances_chebyshev_scalar};
 
-/// Compressed versions of the six criterion bench targets.
-fn bench_targets(rows: usize, iters: usize, results: &mut Vec<(String, f64)>) {
-    let workload = trinomial_workload(rows, KeyDistribution::KeyInd, 7);
-    let pair = &workload.pair;
-    let cfg = SketchConfig::new(256, 7);
-
-    // sketch_build: left-side TUPSK construction.
-    results.push((
-        format!("sketch_build/tupsk_left_{rows}_rows"),
-        median_ns(iters, || {
-            SketchKind::Tupsk
-                .build_left(&pair.train, &pair.key_column, &pair.target_column, &cfg)
-                .expect("sketch build")
-                .len()
-        }),
-    ));
-
-    let left = SketchKind::Tupsk
-        .build_left(&pair.train, &pair.key_column, &pair.target_column, &cfg)
-        .expect("left sketch");
-    let right = SketchKind::Tupsk
-        .build_right(
-            &pair.cand,
-            &pair.key_column,
-            &pair.feature_column,
-            pair.aggregation,
-            &cfg,
-        )
-        .expect("right sketch");
-
-    // sketch_join: probe + pair recovery only.
-    results.push((
-        "sketch_join/tupsk_n256".to_owned(),
-        median_ns(iters * 4, || left.join(&right).len()),
-    ));
-
-    // estimators: MLE on the recovered sample.
-    let joined = left.join(&right);
-    results.push((
-        "estimators/mle_on_sketch_join".to_owned(),
-        median_ns(iters, || EstimatorMode::Mle.estimate_joined(&joined, 0)),
-    ));
-
-    // The same two rows with both columns as strings: the join gathers the
-    // sketches' interned codes instead of numeric coordinates.
-    let as_str = |values: &[Value]| -> Vec<Value> {
-        values
-            .iter()
-            .map(|v| Value::from(format!("v{v}")))
-            .collect()
+    let mut state = 0x9e37_79b9_u64;
+    let mut next = || {
+        state = state
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1);
+        ((state >> 33) as f64) / f64::from(u32::MAX)
     };
-    let str_pair = decompose(
-        &as_str(&workload.xs),
-        &as_str(&workload.ys),
-        KeyDistribution::KeyInd,
-    );
-    let str_left = SketchKind::Tupsk
-        .build_left(
-            &str_pair.train,
-            &str_pair.key_column,
-            &str_pair.target_column,
-            &cfg,
-        )
-        .expect("left sketch");
-    let str_right = SketchKind::Tupsk
-        .build_right(
-            &str_pair.cand,
-            &str_pair.key_column,
-            &str_pair.feature_column,
-            str_pair.aggregation,
-            &cfg,
-        )
-        .expect("right sketch");
-    results.push((
-        "sketch_join/tupsk_n256_str".to_owned(),
-        median_ns(iters * 4, || str_left.join(&str_right).len()),
-    ));
-    let str_joined = str_left.join(&str_right);
-    results.push((
-        "estimators/mle_on_sketch_join_str".to_owned(),
-        median_ns(iters, || EstimatorMode::Mle.estimate_joined(&str_joined, 0)),
-    ));
-
-    // full_vs_sketch: the §V-D head-to-head, both sides.
-    let spec = AugmentSpec::new(
-        pair.key_column.clone(),
-        pair.target_column.clone(),
-        pair.key_column.clone(),
-        pair.feature_column.clone(),
-        pair.aggregation,
-    );
-    results.push((
-        format!("full_vs_sketch/full_join_and_estimate_{rows}"),
-        median_ns(iters.min(5), || {
-            let joined = augment(&pair.train, &pair.cand, &spec).expect("full join");
-            let feature = spec.feature_column_name();
-            let xs: Vec<_> = (0..joined.table.num_rows())
-                .map(|i| joined.table.value(i, &feature).expect("column"))
-                .collect();
-            let ys: Vec<_> = (0..joined.table.num_rows())
-                .map(|i| joined.table.value(i, &pair.target_column).expect("column"))
-                .collect();
-            EstimatorMode::Mle.estimate(&xs, &ys, 0)
-        }),
-    ));
-    results.push((
-        format!("full_vs_sketch/sketch_join_and_estimate_{rows}"),
-        median_ns(iters, || {
-            let joined = left.join(&right);
-            EstimatorMode::Mle.estimate_joined(&joined, 0)
-        }),
-    ));
-
-    // table_ops: the materialized augmentation join alone.
-    results.push((
-        format!("table_ops/augment_{rows}"),
-        median_ns(iters.min(5), || {
-            augment(&pair.train, &pair.cand, &spec)
-                .expect("full join")
-                .matched_rows
-        }),
-    ));
-
-    // ablation: sketch size sweep (build + join + estimate at n = 1024).
-    let big_cfg = SketchConfig::new(1024, 7);
-    results.push((
-        "ablation/tupsk_n1024_build_join_estimate".to_owned(),
-        median_ns(iters.min(5), || {
-            let l = SketchKind::Tupsk
-                .build_left(&pair.train, &pair.key_column, &pair.target_column, &big_cfg)
-                .expect("left");
-            let r = SketchKind::Tupsk
-                .build_right(
-                    &pair.cand,
-                    &pair.key_column,
-                    &pair.feature_column,
-                    pair.aggregation,
-                    &big_cfg,
-                )
-                .expect("right");
-            let joined = l.join(&r);
-            EstimatorMode::Mle.estimate_joined(&joined, 0)
-        }),
-    ));
-
-    knn_kernel_targets(iters, results);
-}
-
-/// The PR 4 kernel-engine targets: the blocked Chebyshev k-NN kernel and the
-/// KSG estimator on a correlated pair at n = 4096 (the regime where the
-/// window expansion does real work), plus the pre-refactor scalar kernel so
-/// every bench run records the blocked-vs-scalar speedup on its own host.
-fn knn_kernel_targets(iters: usize, results: &mut Vec<(String, f64)>) {
-    let (xs, ys) = joinmi_bench::knn_correlated_pair(4096);
-
-    let scalar_ns = median_ns(iters, || {
-        joinmi_estimators::knn::kth_nn_distances_chebyshev_scalar(&xs, &ys, 3)
-    });
-    let blocked_ns = median_ns(iters, || {
-        joinmi_estimators::knn::kth_nn_distances_chebyshev(&xs, &ys, 3)
-    });
-    let ksg_ns = median_ns(iters, || {
-        joinmi_estimators::ksg_mi(&xs, &ys, 3).expect("ksg estimate")
-    });
-
-    results.push(("knn/chebyshev_n4096".to_owned(), blocked_ns));
-    results.push(("knn/chebyshev_n4096_scalar".to_owned(), scalar_ns));
-    results.push((
-        "knn/blocked_speedup_vs_scalar".to_owned(),
-        if blocked_ns > 0.0 {
-            scalar_ns / blocked_ns
-        } else {
-            0.0
-        },
-    ));
-    results.push(("estimators/ksg_n4096".to_owned(), ksg_ns));
-}
-
-/// The acceptance workload: ingest 32 tables × 8 feature columns, then run
-/// one ranked query — at 1 thread and at 4 — asserting identical results.
-fn pipeline_workload(quick: bool, results: &mut Vec<(String, f64)>) {
-    let reps = if quick { 3 } else { 5 };
-    let rows = corpus::rows_for(quick);
-    let tables = corpus::candidate_tables(rows);
-    let query = corpus::standard_query(rows);
-
-    let run_once = |tables: Vec<joinmi_table::Table>| {
-        let mut repo = TableRepository::new(corpus::repo_config());
-        let added = repo.add_tables(tables).expect("ingest");
-        let ranking = query.execute(&repo).expect("query");
-        (added, repo, ranking)
-    };
-    // Clone the input tables *outside* the timed region: the memcpy is the
-    // same at any thread count and would dilute the measured speedup.
-    let timed_median = |reps: usize| {
-        let mut samples: Vec<u128> = (0..reps.max(1))
-            .map(|_| {
-                let fresh = tables.clone();
-                let start = Instant::now();
-                std::hint::black_box(run_once(fresh));
-                start.elapsed().as_nanos()
-            })
-            .collect();
-        samples.sort_unstable();
-        samples[samples.len() / 2] as f64
-    };
-
-    let (added, repo_seq, ranking_seq) = joinmi_par::with_threads(1, || run_once(tables.clone()));
+    let xs: Vec<f64> = (0..4096).map(|_| next()).collect();
+    let ys: Vec<f64> = xs.iter().map(|&x| x + 0.25 * next()).collect();
     assert_eq!(
-        added,
-        corpus::NUM_TABLES * corpus::FEATURES_PER_TABLE,
-        "expected {} candidate pairs per table",
-        corpus::FEATURES_PER_TABLE
+        kth_nn_distances_chebyshev(&xs, &ys, 3),
+        kth_nn_distances_chebyshev_scalar(&xs, &ys, 3),
+        "the blocked kernel diverged from its scalar oracle"
     );
-    let t1_ns = joinmi_par::with_threads(1, || timed_median(reps));
-
-    let (_, repo_par, ranking_par) = joinmi_par::with_threads(4, || run_once(tables.clone()));
-    let t4_ns = joinmi_par::with_threads(4, || timed_median(reps));
-
-    // Bit-for-bit identity between the sequential and 4-thread pipelines.
-    let identical = repo_seq.candidates().len() == repo_par.candidates().len()
-        && repo_seq
-            .candidates()
-            .iter()
-            .zip(repo_par.candidates())
-            .all(|(a, b)| a.label() == b.label() && a.sketch.rows() == b.sketch.rows())
-        && corpus::ranking_fingerprint(&ranking_seq) == corpus::ranking_fingerprint(&ranking_par);
-    assert!(identical, "parallel pipeline diverged from sequential");
-
-    results.push(("pipeline/ingest32x8_query/threads=1".to_owned(), t1_ns));
-    results.push(("pipeline/ingest32x8_query/threads=4".to_owned(), t4_ns));
-    results.push((
-        "pipeline/speedup_t4_over_t1".to_owned(),
-        if t4_ns > 0.0 { t1_ns / t4_ns } else { 0.0 },
-    ));
-    results.push((
-        "pipeline/parallel_identical".to_owned(),
-        f64::from(u8::from(identical)),
-    ));
+    let (bxs, bys) = (xs.clone(), ys.clone());
+    (
+        clocked(move || kth_nn_distances_chebyshev_scalar(&xs, &ys, 3)),
+        clocked(move || kth_nn_distances_chebyshev(&bxs, &bys, 3)),
+    )
 }
 
-/// The persistence workload: save the 32×8 repository, load it back (eager
-/// and mmap-like), and compare loading against re-ingesting the same corpus.
-///
-/// `store/load_speedup_vs_ingest` is the headline number of the offline →
-/// online split: how much faster a restart answers its first query when the
-/// sketches come from disk instead of being rebuilt from raw tables.
-fn store_workload(quick: bool, results: &mut Vec<(String, f64)>) {
-    let reps = if quick { 3 } else { 5 };
-    let rows = corpus::rows_for(quick);
-    let tables = corpus::candidate_tables(rows);
-    let query = corpus::standard_query(rows);
-
-    // Re-ingest: sketch the whole corpus from raw tables (no query).
-    let reingest_ns = median_ns(reps, || {
-        let mut repo = TableRepository::new(corpus::repo_config());
-        repo.add_tables(tables.clone()).expect("ingest").to_string()
-    });
-
-    let mut repo = TableRepository::new(corpus::repo_config());
-    repo.add_tables(tables.clone()).expect("ingest");
-    let in_memory_fp = corpus::ranking_fingerprint(&query.execute(&repo).expect("query"));
-
-    let path = std::env::temp_dir().join(format!("joinmi-bench-{}.jmi", std::process::id()));
-    let save_ns = median_ns(reps, || repo.save(&path).expect("save repo"));
-    let file_bytes = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
-
-    let load_ns = median_ns(reps, || TableRepository::load(&path).expect("load repo"));
-    let open_ns = median_ns(reps, || {
-        TableRepository::load_mmap_like(&path)
-            .expect("open repo")
-            .candidate_count()
-    });
-
-    // Guard: the loaded repository must answer the standard query
-    // bit-identically to the in-memory build.
-    let loaded = TableRepository::load(&path).expect("load repo");
-    let loaded_fp = corpus::ranking_fingerprint(&query.execute(&loaded).expect("query"));
-    assert_eq!(in_memory_fp, loaded_fp, "persisted repository diverged");
-    let _ = std::fs::remove_file(&path);
-
-    // Incremental ingest: appending the 1% corpus tail to the base
-    // repository via the O(changed) builder path, versus re-sketching the
-    // whole corpus from raw tables. Each rep clones the pre-built base
-    // repository outside the timed region (append mutates it).
-    let tail = corpus::tail_tables(rows);
-    let mut base_repo = TableRepository::new(corpus::repo_config());
-    base_repo
-        .add_tables(corpus::base_tables(rows))
-        .expect("base ingest");
-    // The daemon flow appends to a repository loaded from disk (sketch-only,
-    // builder state restored), not to the in-memory original.
-    let base_path =
-        std::env::temp_dir().join(format!("joinmi-bench-base-{}.jmi", std::process::id()));
-    base_repo.save(&base_path).expect("save base repo");
-    let loaded_base = TableRepository::load(&base_path).expect("load base repo");
-    let _ = std::fs::remove_file(&base_path);
-    // Clone the loaded repository *outside* the timed region (append mutates
-    // it; the clone is setup cost, not part of the daemon's append work).
-    let append_ns = {
-        let mut samples: Vec<u128> = (0..reps.max(1))
-            .map(|_| {
-                let mut fresh = loaded_base.clone();
-                let start = Instant::now();
-                std::hint::black_box(fresh.append_tables(&tail).expect("append tail"));
-                start.elapsed().as_nanos()
-            })
-            .collect();
-        samples.sort_unstable();
-        samples[samples.len() / 2] as f64
-    };
-
-    // Guard: append-then-query must be bit-for-bit identical to the one-shot
-    // ingest of the full corpus.
-    let mut appended_repo = loaded_base.clone();
-    appended_repo.append_tables(&tail).expect("append tail");
-    let appended_fp = corpus::ranking_fingerprint(&query.execute(&appended_repo).expect("query"));
-    assert_eq!(
-        in_memory_fp, appended_fp,
-        "incremental append diverged from one-shot ingest"
-    );
-
-    // Compaction: an on-disk file carrying the corpus-tail append group,
-    // folded into a fresh flat base. `store/compacted_load_speedup` — the
-    // eager-load median of the appended file over that of its
-    // compacted+sealed rewrite — is the gated headline: what a restart gains
-    // when the append log was folded before reopening.
-    let appended_path =
-        std::env::temp_dir().join(format!("joinmi-bench-appended-{}.jmi", std::process::id()));
-    base_repo.save(&appended_path).expect("save base repo");
-    {
-        let mut extender = TableRepository::load(&appended_path).expect("load for append");
-        extender.append_tables(&tail).expect("append tail");
-        extender.append_to(&appended_path).expect("extend file");
-    }
-    let appended_file = std::fs::read(&appended_path).expect("read appended file");
-    let load_appended_ns = median_ns(reps, || {
-        TableRepository::load(&appended_path).expect("load appended repo")
-    });
-
-    // compact_repo: compaction mutates the file, so each rep stages a fresh
-    // copy outside the timed region.
-    let scratch_path =
-        std::env::temp_dir().join(format!("joinmi-bench-compact-{}.jmi", std::process::id()));
-    let compact_ns = {
-        let mut samples: Vec<u128> = (0..reps.max(1))
-            .map(|_| {
-                std::fs::write(&scratch_path, &appended_file).expect("stage scratch copy");
-                let start = Instant::now();
-                std::hint::black_box(
-                    TableRepository::compact(
-                        &scratch_path,
-                        joinmi_discovery::CompactMode::Preserve,
-                    )
-                    .expect("compact"),
-                );
-                start.elapsed().as_nanos()
-            })
-            .collect();
-        samples.sort_unstable();
-        samples[samples.len() / 2] as f64
-    };
-
-    // The sealed rewrite: the smallest on-disk form a repository can take.
-    std::fs::write(&scratch_path, &appended_file).expect("stage scratch copy");
-    let report = TableRepository::compact(&scratch_path, joinmi_discovery::CompactMode::Seal)
-        .expect("seal compact");
-    assert!(
-        report.sealed && report.groups_folded > 0,
-        "seal compaction must fold the staged append group"
-    );
-    let load_compacted_ns = median_ns(reps, || {
-        TableRepository::load(&scratch_path).expect("load compacted repo")
-    });
-
-    // Guard: the sealed, compacted artifact still ranks bit-for-bit
-    // identically to the in-memory build.
-    let compacted = TableRepository::load(&scratch_path).expect("load compacted repo");
-    let compacted_fp = corpus::ranking_fingerprint(&query.execute(&compacted).expect("query"));
-    assert_eq!(in_memory_fp, compacted_fp, "compaction changed the ranking");
-    let _ = std::fs::remove_file(&appended_path);
-    let _ = std::fs::remove_file(&scratch_path);
-
-    results.push(("store/save_repo".to_owned(), save_ns));
-    results.push(("store/load_repo".to_owned(), load_ns));
-    results.push(("store/open_mmap_like".to_owned(), open_ns));
-    results.push(("store/reingest32x8".to_owned(), reingest_ns));
-    results.push((
-        "store/load_speedup_vs_ingest".to_owned(),
-        if load_ns > 0.0 {
-            reingest_ns / load_ns
-        } else {
-            0.0
-        },
-    ));
-    results.push(("store/append_tail_1pct".to_owned(), append_ns));
-    results.push((
-        "store/append_vs_reingest".to_owned(),
-        if append_ns > 0.0 {
-            reingest_ns / append_ns
-        } else {
-            0.0
-        },
-    ));
-    results.push(("store/load_appended".to_owned(), load_appended_ns));
-    results.push(("store/compact_repo".to_owned(), compact_ns));
-    results.push(("store/load_compacted".to_owned(), load_compacted_ns));
-    results.push((
-        "store/compacted_load_speedup".to_owned(),
-        if load_compacted_ns > 0.0 {
-            load_appended_ns / load_compacted_ns
-        } else {
-            0.0
-        },
-    ));
-    results.push(("store/file_bytes".to_owned(), file_bytes as f64));
-}
-
-/// The PR 7 cross-query stage-cache workload: the standard ranked query cold
-/// (no cache), warm at the estimate level (every candidate served from the
-/// cached MI estimate, estimator never runs), and warm at the join level
-/// (estimates cleared outside the timed region each rep, so the run
-/// re-estimates from cached joined sketches).
-///
-/// `cache/estimate_hit_speedup` is the gated headline number
-/// (`cache/join_hit_speedup` is reported alongside it); every warm run is asserted bit-for-bit identical to the
-/// cold ranking, so a cache that got faster by getting *wrong* fails here
-/// before it ever reaches CI's identity gates.
-fn cache_workload(quick: bool, results: &mut Vec<(String, f64)>) {
-    let reps = if quick { 5 } else { 9 };
-    let rows = corpus::rows_for(quick);
-    let repo = corpus::build_repository(rows);
-    let query = corpus::standard_query(rows);
-    let mut ws = joinmi_estimators::EstimatorWorkspace::new();
-
-    let cold_fp = corpus::ranking_fingerprint(&query.execute_in(&repo, &mut ws).expect("query"));
-    let cold_ns = median_ns(reps, || {
-        query.execute_in(&repo, &mut ws).expect("query").len()
-    });
-
-    let cache =
-        joinmi_discovery::QueryStageCache::new(joinmi_discovery::StageCacheConfig::default());
-    let scope = cache.scope(0);
-    // Warm the cache once (populates both levels), checking identity.
-    let warm = query
-        .execute_in_cached(&repo, &mut ws, Some(&scope))
-        .expect("warming query");
-    assert_eq!(
-        cold_fp,
-        corpus::ranking_fingerprint(&warm),
-        "cached ranking diverged from cold"
-    );
-
-    // Estimate-level hits: the estimator and the sketch join are both skipped.
-    let estimate_hit_ns = median_ns(reps, || {
-        query
-            .execute_in_cached(&repo, &mut ws, Some(&scope))
-            .expect("warm query")
-            .len()
-    });
-    let warm_fp = corpus::ranking_fingerprint(
-        &query
-            .execute_in_cached(&repo, &mut ws, Some(&scope))
-            .expect("warm query"),
-    );
-    assert_eq!(cold_fp, warm_fp, "estimate-hit ranking diverged from cold");
-
-    // Join-level hits: clearing the estimate level *outside* the timed region
-    // forces each rep to re-run the estimator on cached joined sketches.
-    let join_hit_ns = {
-        let mut samples: Vec<u128> = (0..reps.max(1))
-            .map(|_| {
-                cache.clear_estimates();
-                let start = Instant::now();
-                std::hint::black_box(
-                    query
-                        .execute_in_cached(&repo, &mut ws, Some(&scope))
-                        .expect("join-warm query")
-                        .len(),
-                );
-                start.elapsed().as_nanos()
-            })
-            .collect();
-        samples.sort_unstable();
-        samples[samples.len() / 2] as f64
-    };
-    cache.clear_estimates();
-    let join_warm_fp = corpus::ranking_fingerprint(
-        &query
-            .execute_in_cached(&repo, &mut ws, Some(&scope))
-            .expect("join-warm query"),
-    );
-    assert_eq!(cold_fp, join_warm_fp, "join-hit ranking diverged from cold");
-    let stats = cache.stats();
-    assert!(
-        stats.estimate_hits > 0 && stats.join_hits > 0,
-        "cache workload never hit the cache (stats: {stats:?})"
-    );
-
-    results.push(("cache/cold_execute".to_owned(), cold_ns));
-    results.push(("cache/estimate_hit".to_owned(), estimate_hit_ns));
-    results.push(("cache/join_hit".to_owned(), join_hit_ns));
-    results.push((
-        "cache/estimate_hit_speedup".to_owned(),
-        if estimate_hit_ns > 0.0 {
-            cold_ns / estimate_hit_ns
-        } else {
-            0.0
-        },
-    ));
-    results.push((
-        "cache/join_hit_speedup".to_owned(),
-        if join_hit_ns > 0.0 {
-            cold_ns / join_hit_ns
-        } else {
-            0.0
-        },
-    ));
-}
-
-/// The PR 10 uncertainty-ranking workload: interval top-k with early
-/// termination vs. exhaustive interval scoring over the skewed corpus
-/// (strong tie group + long weak tail — see [`corpus::skewed_tables`]).
-/// Verifies before timing that the early-terminating top-k is bit-for-bit
-/// the truncated exhaustive ranking and that termination actually fired.
-fn query_workload(quick: bool, results: &mut Vec<(String, f64)>) {
-    let reps = if quick { 5 } else { 9 };
-    let weak = corpus::skewed_weak_for(quick);
+/// Exhaustive interval scoring against the interval top-3 with early
+/// termination, over the skewed corpus ([`corpus::skewed_tables`]).
+fn exhaustive_and_early_term() -> (Side, Side) {
     let mut repo = TableRepository::new(corpus::skewed_config());
-    repo.add_tables(corpus::skewed_tables(weak))
-        .expect("ingest");
-
+    repo.add_tables(corpus::skewed_tables()).expect("ingest");
     let exhaustive = corpus::skewed_query().with_top_k(0);
     let topk = corpus::skewed_query().with_top_k(3);
 
@@ -1320,58 +831,106 @@ fn query_workload(quick: bool, results: &mut Vec<(String, f64)>) {
         "early-terminated top-k diverged from the exhaustive ranking"
     );
 
-    let exhaustive_ns = median_ns(reps, || {
-        exhaustive.execute(&repo).expect("exhaustive").len()
-    });
-    let early_ns = median_ns(reps, || topk.execute(&repo).expect("top-k").len());
-
-    results.push(("query/exhaustive_interval".to_owned(), exhaustive_ns));
-    results.push(("query/early_term_topk".to_owned(), early_ns));
-    results.push((
-        "query/early_term_speedup".to_owned(),
-        if early_ns > 0.0 {
-            exhaustive_ns / early_ns
-        } else {
-            0.0
-        },
-    ));
+    let repo = Rc::new(repo);
+    let shared = Rc::clone(&repo);
+    (
+        clocked(move || exhaustive.execute(&*shared).expect("exhaustive").len()),
+        clocked(move || topk.execute(&*repo).expect("top-k").len()),
+    )
 }
 
-/// Calibration smoke: the credible intervals that drive early termination
-/// must stay calibrated. Runs a small sweep of the eval crate's calibration
-/// experiment and records the worst per-cell coverage (percent) in the JSON;
-/// fails loudly if any cell drops below half of nominal.
-fn calibration_smoke(results: &mut Vec<(String, f64)>) {
-    use joinmi_eval::experiments::calibration;
+/// A file removed when the side that reads it is dropped.
+struct TempFile(std::path::PathBuf);
 
-    let cfg = calibration::Config {
-        trials: 8,
-        corpus_rows: vec![1_000],
-        null_fractions: vec![0.0, 0.3],
-        reference_rows: 8_000,
-        level: 0.9,
-        seed: 42,
-    };
-    let series = calibration::run(&cfg);
-    let mut worst = 1.0f64;
-    for ((rows, nf), trials) in &series {
-        assert!(
-            !trials.is_empty(),
-            "calibration cell {rows}/{nf} produced no trials"
-        );
-        let coverage = trials.iter().filter(|t| t.covered()).count() as f64 / trials.len() as f64;
-        assert!(
-            coverage >= cfg.level / 2.0,
-            "calibration collapsed at {rows} rows / {nf}‰ NULLs: coverage {coverage:.2} \
-             under nominal {}",
-            cfg.level
-        );
-        worst = worst.min(coverage);
+impl TempFile {
+    fn new(name: &str) -> Self {
+        let file = format!("joinmi-bench-{name}-{}.jmi", std::process::id());
+        Self(std::env::temp_dir().join(file))
     }
-    results.push((
-        "calibration/worst_cell_coverage_pct".to_owned(),
-        worst * 100.0,
-    ));
+}
+
+impl Drop for TempFile {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_file(&self.0);
+    }
+}
+
+/// Saves the quick corpus's base repository to `path` and loads it back:
+/// the sketch-only state, builders restored, that the daemon appends to.
+fn saved_base_repository(rows: usize, path: &std::path::Path) -> TableRepository {
+    let mut base = TableRepository::new(corpus::repo_config());
+    base.add_tables(corpus::base_tables(rows))
+        .expect("base ingest");
+    base.save(path).expect("save base repo");
+    TableRepository::load(path).expect("load base repo")
+}
+
+/// Re-sketching the whole quick corpus against appending its 1 % tail to the
+/// loaded base through the `O(changed)` builder path.
+fn reingest_and_append() -> (Side, Side) {
+    let rows = corpus::rows_for(true);
+    let tables = corpus::candidate_tables(rows);
+    let tail = corpus::tail_tables(rows);
+    let base = saved_base_repository(rows, &TempFile::new("base").0);
+
+    let query = corpus::standard_query(rows);
+    let one_shot = corpus::build_repository(rows);
+    let mut appended = base.clone();
+    appended.append_tables(&tail).expect("append tail");
+    assert_eq!(
+        corpus::ranking_fingerprint(&query.execute(&appended).expect("query")),
+        corpus::ranking_fingerprint(&query.execute(&one_shot).expect("query")),
+        "incremental append diverged from one-shot ingest"
+    );
+
+    (
+        clocked(move || {
+            let mut repo = TableRepository::new(corpus::repo_config());
+            repo.add_tables(tables.clone()).expect("ingest")
+        }),
+        Box::new(move || {
+            let mut fresh = base.clone();
+            let start = Instant::now();
+            std::hint::black_box(fresh.append_tables(&tail).expect("append tail"));
+            start.elapsed()
+        }),
+    )
+}
+
+/// Eager-loading the quick corpus file with its append group against
+/// loading its compacted, sealed rewrite: what a restart gains when the
+/// append log was folded first.
+fn appended_and_compacted_load() -> (Side, Side) {
+    let rows = corpus::rows_for(true);
+    let (appended, compacted) = (TempFile::new("appended"), TempFile::new("compacted"));
+    let mut repo = saved_base_repository(rows, &appended.0);
+    repo.append_tables(&corpus::tail_tables(rows))
+        .expect("append tail");
+    repo.append_to(&appended.0).expect("extend file");
+    std::fs::copy(&appended.0, &compacted.0).expect("stage the compaction copy");
+    let report = TableRepository::compact(&compacted.0, joinmi_discovery::CompactMode::Seal)
+        .expect("seal compact");
+    assert!(
+        report.sealed && report.groups_folded > 0,
+        "seal compaction must fold the staged append group"
+    );
+
+    let query = corpus::standard_query(rows);
+    let sealed = TableRepository::load(&compacted.0).expect("load compacted repo");
+    assert_eq!(
+        corpus::ranking_fingerprint(&query.execute(&sealed).expect("query")),
+        corpus::ranking_fingerprint(
+            &query
+                .execute(&corpus::build_repository(rows))
+                .expect("query")
+        ),
+        "compaction changed the ranking"
+    );
+
+    (
+        clocked(move || TableRepository::load(&appended.0).expect("load appended repo")),
+        clocked(move || TableRepository::load(&compacted.0).expect("load compacted repo")),
+    )
 }
 
 // ---------------------------------------------------------------------------

@@ -265,7 +265,7 @@ impl TableRepository {
     /// in favour of "crash" and shed the tail.
     ///
     /// Safety properties beyond the structural scan in
-    /// [`joinmi_store::recover_truncated`]:
+    /// [`joinmi_store::scan_recoverable`]:
     ///
     /// * the recovered prefix is fully **opened as a repository snapshot**
     ///   before the file is touched — the boundary the truncation commits to
@@ -907,6 +907,15 @@ mod tests {
             // cuts, recover_truncated already re-opened it before shrinking).
             let repaired = std::fs::read(&path).unwrap();
             assert_eq!(repaired, &bytes[..expected], "cut at {cut}");
+
+            // Idempotent: once per boundary, a second pass over a repaired
+            // torn file is a no-op that leaves its bytes alone.
+            if cut == expected + 1 {
+                let again = TableRepository::recover_truncated(&path).unwrap();
+                assert!(!again.is_torn(), "cut at {cut}");
+                assert_eq!(again.recovered_len, expected as u64, "cut at {cut}");
+                assert_eq!(std::fs::read(&path).unwrap(), repaired, "cut at {cut}");
+            }
 
             // Once per reachable boundary, also pin that the repaired file
             // answers queries as that prefix of the append history.

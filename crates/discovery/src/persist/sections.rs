@@ -38,7 +38,7 @@ pub const SECTION_INDEX_DELTA: u8 = 0x17;
 pub const SECTION_FEATURE_DISTINCT: u8 = 0x18;
 
 /// Per-table, per-column distinct sketches, parallel to the profiles.
-pub(super) type Distincts = Vec<Vec<Option<DistinctSketch>>>;
+pub(super) type Distincts = Vec<Vec<DistinctSketch>>;
 
 // REPO_META
 
@@ -173,25 +173,20 @@ pub(super) fn read_profiles(payload: &[u8], expected_tables: usize) -> Result<Ve
 
 // FEATURE_DISTINCT (also the refreshed block inside APPEND_META)
 
-/// Each column carries a presence byte ahead of its sketch.
-fn encode_distincts(
-    p: &mut Writer<Vec<u8>>,
-    distincts: &[Vec<Option<DistinctSketch>>],
-) -> Result<()> {
+/// Presence byte ahead of every column's sketch: every profiled column has
+/// one, so the byte is always 1 and any other value is corrupt.
+const DISTINCT_PRESENT: u8 = 1;
+
+fn encode_distincts(p: &mut Writer<Vec<u8>>, distincts: &[Vec<DistinctSketch>]) -> Result<()> {
     p.write_len(distincts.len())?;
     for table in distincts {
         p.write_len(table.len())?;
         for sketch in table {
-            match sketch {
-                None => p.write_u8(0)?,
-                Some(sketch) => {
-                    p.write_u8(1)?;
-                    p.write_len(sketch.capacity())?;
-                    p.write_len(sketch.len())?;
-                    for digest in sketch.digests() {
-                        p.write_u64(digest)?;
-                    }
-                }
+            p.write_u8(DISTINCT_PRESENT)?;
+            p.write_len(sketch.capacity())?;
+            p.write_len(sketch.len())?;
+            for digest in sketch.digests() {
+                p.write_u64(digest)?;
             }
         }
     }
@@ -200,7 +195,7 @@ fn encode_distincts(
 
 pub(super) fn write_distincts<W: Write>(
     w: &mut Writer<W>,
-    distincts: &[Vec<Option<DistinctSketch>>],
+    distincts: &[Vec<DistinctSketch>],
 ) -> Result<()> {
     let mut section = SectionBuilder::new();
     encode_distincts(section.writer(), distincts)?;
@@ -231,39 +226,35 @@ fn decode_distincts(p: &mut SliceReader<'_>, profiles: &[TableProfile]) -> Resul
         }
         let mut table = Vec::with_capacity(column_count);
         for _ in 0..column_count {
-            match p.read_u8("distinct sketch presence flag")? {
-                0 => table.push(None),
-                1 => {
-                    let capacity = p.read_len("distinct sketch capacity")?;
-                    if capacity == 0 {
-                        return Err(StoreError::corrupt("distinct sketch capacity of zero"));
-                    }
-                    let count = p.read_len("distinct sketch digest count")?;
-                    if count > capacity {
-                        return Err(StoreError::corrupt(format!(
-                            "distinct sketch holds {count} digests over capacity {capacity}"
-                        )));
-                    }
-                    let mut digests = std::collections::BTreeSet::new();
-                    let mut previous: Option<u64> = None;
-                    for _ in 0..count {
-                        let digest = p.read_u64("distinct sketch digest")?;
-                        if previous.is_some_and(|prev| digest <= prev) {
-                            return Err(StoreError::corrupt(
-                                "distinct sketch digests are not strictly increasing",
-                            ));
-                        }
-                        previous = Some(digest);
-                        digests.insert(digest);
-                    }
-                    table.push(Some(DistinctSketch::from_parts(capacity, digests)));
-                }
-                other => {
-                    return Err(StoreError::corrupt(format!(
-                        "invalid distinct sketch presence flag {other}"
-                    )))
-                }
+            let flag = p.read_u8("distinct sketch presence flag")?;
+            if flag != DISTINCT_PRESENT {
+                return Err(StoreError::corrupt(format!(
+                    "invalid distinct sketch presence flag {flag}"
+                )));
             }
+            let capacity = p.read_len("distinct sketch capacity")?;
+            if capacity == 0 {
+                return Err(StoreError::corrupt("distinct sketch capacity of zero"));
+            }
+            let count = p.read_len("distinct sketch digest count")?;
+            if count > capacity {
+                return Err(StoreError::corrupt(format!(
+                    "distinct sketch holds {count} digests over capacity {capacity}"
+                )));
+            }
+            let mut digests = std::collections::BTreeSet::new();
+            let mut previous: Option<u64> = None;
+            for _ in 0..count {
+                let digest = p.read_u64("distinct sketch digest")?;
+                if previous.is_some_and(|prev| digest <= prev) {
+                    return Err(StoreError::corrupt(
+                        "distinct sketch digests are not strictly increasing",
+                    ));
+                }
+                previous = Some(digest);
+                digests.insert(digest);
+            }
+            table.push(DistinctSketch::from_parts(capacity, digests));
         }
         distincts.push(table);
     }
@@ -473,7 +464,7 @@ pub(super) fn write_append_meta<W: Write>(
     w: &mut Writer<W>,
     updated: usize,
     profiles: &[TableProfile],
-    distincts: &[Vec<Option<DistinctSketch>>],
+    distincts: &[Vec<DistinctSketch>],
 ) -> Result<()> {
     let mut section = SectionBuilder::new();
     {

@@ -141,9 +141,8 @@ pub struct TableRepository {
     builders: Vec<Option<RightSketchBuilder>>,
     /// One bounded distinct sketch per profiled column (`distincts[t][c]`
     /// parallels `profiles[t].columns[c]`), keeping feature-column distinct
-    /// counts fresh under appends. `None` only for columns persisted without
-    /// a sketch, whose counts stay at their last fully-profiled value.
-    distincts: Vec<Vec<Option<DistinctSketch>>>,
+    /// counts fresh under appends.
+    distincts: Vec<Vec<DistinctSketch>>,
     /// `true` once the repository was frozen by [`TableRepository::seal`]
     /// (directly or via a seal-mode compaction): all ingest is rejected with
     /// [`TableError::Sealed`] and builder state is dropped.
@@ -188,7 +187,7 @@ impl TableRepository {
         candidates: Vec<CandidateColumn>,
         index: JoinabilityIndex,
         mut builders: Vec<Option<RightSketchBuilder>>,
-        distincts: Vec<Vec<Option<DistinctSketch>>>,
+        distincts: Vec<Vec<DistinctSketch>>,
         sealed: bool,
     ) -> Self {
         // The persisted sketch is the canonical finished form of the
@@ -443,14 +442,13 @@ impl TableRepository {
                 column.rows += chunk.num_rows();
                 if let Ok(col) = chunk.column(&column.name) {
                     column.nulls += col.null_count();
-                    if let Some(sketch) = self.distincts[table_index][column_index].as_mut() {
-                        for value in col.iter() {
-                            if !value.is_null() {
-                                sketch.observe(value.key_hash(&hasher).raw());
-                            }
+                    let sketch = &mut self.distincts[table_index][column_index];
+                    for value in col.iter() {
+                        if !value.is_null() {
+                            sketch.observe(value.key_hash(&hasher).raw());
                         }
-                        column.distinct = sketch.estimate();
                     }
+                    column.distinct = sketch.estimate();
                 }
             }
             for (candidate_index, candidate) in self.candidates.iter().enumerate() {
@@ -507,7 +505,7 @@ impl TableRepository {
 
     /// Per-table, per-column bounded distinct sketches, parallel to
     /// [`Self::profiles`] (persistence internals).
-    pub(crate) fn distinct_sketches(&self) -> &[Vec<Option<DistinctSketch>>] {
+    pub(crate) fn distinct_sketches(&self) -> &[Vec<DistinctSketch>] {
         &self.distincts
     }
 
@@ -620,17 +618,14 @@ pub trait CandidateSource {
 pub(crate) fn key_distinct_bound_from(
     candidate: &CandidateColumn,
     profiles: &[TableProfile],
-    distincts: &[Vec<Option<DistinctSketch>>],
+    distincts: &[Vec<DistinctSketch>],
 ) -> Option<usize> {
     let profile = profiles.get(candidate.table_index)?;
     let position = profile
         .columns
         .iter()
         .position(|c| c.name == candidate.key_column)?;
-    let sketch = distincts
-        .get(candidate.table_index)?
-        .get(position)?
-        .as_ref()?;
+    let sketch = distincts.get(candidate.table_index)?.get(position)?;
     (!sketch.is_full()).then(|| sketch.estimate())
 }
 
@@ -661,7 +656,7 @@ fn profile_distinct_sketches(
     config: &RepositoryConfig,
     table: &Table,
     profile: &TableProfile,
-) -> Result<Vec<Option<DistinctSketch>>> {
+) -> Result<Vec<DistinctSketch>> {
     let hasher = config.sketch.key_hasher();
     let mut sketches = Vec::with_capacity(profile.columns.len());
     for column in &profile.columns {
@@ -672,7 +667,7 @@ fn profile_distinct_sketches(
                 sketch.observe(value.key_hash(&hasher).raw());
             }
         }
-        sketches.push(Some(sketch));
+        sketches.push(sketch);
     }
     Ok(sketches)
 }

@@ -9,7 +9,7 @@
 
 use joinmi_discovery::persist::{
     CompactMode, RepositorySnapshot, SECTION_CANDIDATE, SECTION_CANDIDATE_STATE,
-    SECTION_CANDIDATE_UPDATE,
+    SECTION_CANDIDATE_UPDATE, SECTION_FEATURE_DISTINCT,
 };
 use joinmi_discovery::{
     CandidateSource, RankedCandidate, RelationshipQuery, RepositoryConfig, TableRepository,
@@ -385,4 +385,43 @@ fn invalid_builder_state_serves_read_only_and_is_corrupt_to_load_and_compact() {
     ));
     assert_eq!(std::fs::read(&path).unwrap(), mutated);
     std::fs::remove_file(&path).unwrap();
+}
+
+#[test]
+fn distinct_sketch_presence_other_than_one_is_corrupt() {
+    let (flat, _, _) = corpus();
+    let mut artifact = Artifact::parse(&save_bytes(&flat));
+    let section = artifact
+        .sections
+        .iter()
+        .position(|(tag, _)| *tag == SECTION_FEATURE_DISTINCT)
+        .unwrap();
+    let flag_at = {
+        let mut p = SliceReader::new(&artifact.sections[section].1);
+        assert!(p.read_len("table count").unwrap() > 0);
+        assert!(p.read_len("column count").unwrap() > 0);
+        p.position()
+    };
+    assert_eq!(artifact.sections[section].1[flag_at], 1);
+
+    // Every writer emits 1; the absent form (0) and everything else is
+    // refused, typed, by both the snapshot open and the eager load.
+    for flag in [0u8, 2, 0xFF] {
+        artifact.sections[section].1[flag_at] = flag;
+        let bytes = artifact.encode();
+        assert!(
+            matches!(
+                RepositorySnapshot::from_bytes(bytes.clone()),
+                Err(StoreError::Corrupt(_))
+            ),
+            "flag {flag}"
+        );
+        assert!(
+            matches!(
+                TableRepository::load_from(bytes.as_slice()),
+                Err(StoreError::Corrupt(_))
+            ),
+            "flag {flag}"
+        );
+    }
 }

@@ -251,6 +251,36 @@ mod tests {
         assert!(!table.is_empty());
     }
 
+    /// The floor early termination leans on: no cell's coverage collapses
+    /// below half of nominal, even on a small sweep at level 0.9.
+    #[test]
+    fn no_cell_covers_less_than_half_of_nominal() {
+        let cfg = Config {
+            trials: 8,
+            corpus_rows: vec![1_000],
+            null_fractions: vec![0.0, 0.3],
+            reference_rows: 8_000,
+            level: 0.9,
+            seed: 42,
+        };
+        let series = run(&cfg);
+        assert_eq!(series.len(), 2);
+        for ((rows, nf), trials) in &series {
+            assert!(
+                !trials.is_empty(),
+                "calibration cell {rows}/{nf}‰ produced no trials"
+            );
+            let coverage =
+                trials.iter().filter(|t| t.covered()).count() as f64 / trials.len() as f64;
+            assert!(
+                coverage >= cfg.level / 2.0,
+                "calibration collapsed at {rows} rows / {nf}‰ NULLs: coverage {coverage:.2} \
+                 under nominal {}",
+                cfg.level
+            );
+        }
+    }
+
     #[test]
     fn runs_are_deterministic() {
         let cfg = Config::quick();

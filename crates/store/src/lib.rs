@@ -36,9 +36,9 @@
 //! byte-identical, and the torn tail surfaces at the next open as a typed
 //! [`StoreError`] — the strict read path is never silently tolerant, because
 //! it cannot distinguish a torn append from bit rot in the tail. The
-//! explicit repair step lives in [`repair`]: [`repair::recover_truncated`]
-//! drops an incomplete trailing group at a durable boundary and reports
-//! exactly what it dropped.
+//! explicit repair step's structural scan lives in [`repair`]:
+//! [`repair::scan_recoverable`] finds the durable boundary an incomplete
+//! trailing group can be dropped at and reports exactly what that drops.
 //!
 //! The concrete artifact encodings live next to the types they persist:
 //! sketch columns in `joinmi_sketch::persist`, repositories in
@@ -60,6 +60,6 @@ pub mod wire;
 pub use error::{Result, StoreError};
 pub use fault::{FaultAction, FaultKind, FaultPlan};
 pub use format::{read_header, write_header, ArtifactKind, FORMAT_VERSION, MAGIC};
-pub use repair::{recover_truncated, scan_recoverable, GroupGrammar, RecoveryReport};
+pub use repair::{scan_recoverable, GroupGrammar, RecoveryReport};
 pub use section::{checksum, scan_section, scan_section_any, write_section, SectionBuilder};
 pub use wire::{SliceReader, Writer};

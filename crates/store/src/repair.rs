@@ -7,15 +7,17 @@
 //! typed error — deliberately: open cannot distinguish "crash mid-append"
 //! from "bit rot somewhere in the tail", so it never silently drops bytes.
 //!
-//! This module is the explicit repair step the operator (or a serving
-//! daemon, at shard open) runs instead: [`scan_recoverable`] walks the
-//! section stream, finds the last **durable boundary** — the end of the base
-//! payload or the end of a complete append group — and reports exactly what
-//! a truncation to that boundary would drop. [`recover_truncated`] applies
-//! it, shrinking the file in place with `File::set_len` and returning the
-//! same [`RecoveryReport`]. Repair never rewrites surviving bytes and never
-//! invents data: the result is always a byte-prefix of the original file,
-//! representing a prefix of its append history.
+//! This module is the structural half of the explicit repair step the
+//! operator (or a serving daemon, at shard open) runs instead:
+//! [`scan_recoverable`] walks the section stream, finds the last **durable
+//! boundary** — the end of the base payload or the end of a complete append
+//! group — and reports exactly what a truncation to that boundary would
+//! drop. The caller that knows the artifact applies it
+//! (`joinmi_discovery`'s `TableRepository::recover_truncated`, which first
+//! proves the prefix opens), shrinking the file in place. Repair never
+//! rewrites surviving bytes and never invents data: the result is always a
+//! byte-prefix of the original file, representing a prefix of its append
+//! history.
 //!
 //! The walker is format-agnostic: it understands the header and the section
 //! framing (tag, length, checksum) and is told the group grammar — which tag
@@ -23,9 +25,6 @@
 //! layout (`joinmi_discovery::persist` for repositories). A damaged *base*
 //! payload is not recoverable and surfaces as the underlying scan error;
 //! only a tail after at least one durable boundary is ever dropped.
-
-use std::io::Read;
-use std::path::Path;
 
 use crate::error::{Result, StoreError};
 use crate::format::{read_header, ArtifactKind};
@@ -46,7 +45,7 @@ pub struct GroupGrammar {
     pub end_tag: u8,
 }
 
-/// What a repair scan found, and what [`recover_truncated`] did with it.
+/// What a repair scan found: the valid prefix and what lies past it.
 #[derive(Debug, Clone)]
 pub struct RecoveryReport {
     /// Total length of the scanned file, in bytes.
@@ -177,29 +176,6 @@ pub fn scan_recoverable(
     })
 }
 
-/// Repairs a torn append tail in place: scans the file with
-/// [`scan_recoverable`] and, when a torn tail is found, truncates the file
-/// to the last durable boundary with `File::set_len`.
-///
-/// A no-op (no write at all) when the file is already fully valid. Returns
-/// the [`RecoveryReport`] either way; unrecoverable damage (header or base
-/// payload) is a typed error and the file is left untouched.
-pub fn recover_truncated<P: AsRef<Path>>(
-    path: P,
-    expected: ArtifactKind,
-    grammar: GroupGrammar,
-) -> Result<RecoveryReport> {
-    let mut buf = Vec::new();
-    std::fs::File::open(&path)?.read_to_end(&mut buf)?;
-    let report = scan_recoverable(&buf, expected, grammar)?;
-    if report.is_torn() {
-        let file = std::fs::OpenOptions::new().write(true).open(&path)?;
-        file.set_len(report.recovered_len)?;
-        file.sync_all()?;
-    }
-    Ok(report)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -304,24 +280,6 @@ mod tests {
         assert_eq!(report.recovered_len, *boundaries.last().unwrap() as u64);
         assert_eq!(report.dropped_sections, 2);
         assert!(report.torn_error.is_none());
-    }
-
-    #[test]
-    fn recover_truncated_shrinks_the_file_in_place() {
-        let (buf, boundaries) = artifact(2);
-        let path = std::env::temp_dir().join(format!("joinmi-repair-{}.jmi", std::process::id()));
-        // Torn mid-second-group: keep base + group 1.
-        let cut = boundaries[1] + 5;
-        std::fs::write(&path, &buf[..cut]).unwrap();
-        let report = recover_truncated(&path, ArtifactKind::Repository, GRAMMAR).unwrap();
-        assert!(report.is_torn());
-        let repaired = std::fs::read(&path).unwrap();
-        assert_eq!(repaired, &buf[..boundaries[1]]);
-        // Idempotent: a second run is a no-op.
-        let again = recover_truncated(&path, ArtifactKind::Repository, GRAMMAR).unwrap();
-        assert!(!again.is_torn());
-        assert_eq!(std::fs::read(&path).unwrap(), &buf[..boundaries[1]]);
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
