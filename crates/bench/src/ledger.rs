@@ -92,7 +92,7 @@ mod tests {
     #[test]
     fn render_parse_round_trip() {
         let data = ledger(&[
-            ("knn/blocked_speedup_vs_scalar", 2.2),
+            ("knn/kernel_speedup_vs_scalar", 2.2),
             ("query/early_term_speedup", 2.0),
             ("store/append_vs_reingest", 25.7),
             ("store/compacted_load_speedup", 6.8),

@@ -727,8 +727,8 @@ const REPS: usize = 7;
 /// The ledger: same-run ratios that the benchmark does not cover.
 const RATIOS: [Ratio; 4] = [
     Ratio {
-        key: "knn/blocked_speedup_vs_scalar",
-        setup: knn_scalar_and_blocked,
+        key: "knn/kernel_speedup_vs_scalar",
+        setup: knn_scalar_and_kernel,
     },
     Ratio {
         key: "query/early_term_speedup",
@@ -777,12 +777,12 @@ fn cmd_ratios(args: &[String]) -> i32 {
     0
 }
 
-/// The blocked Chebyshev k-NN kernel against its scalar oracle, k = 3, on a
-/// correlated pair at n = 4096: `x ~ U[0, 1)` from a fixed LCG,
-/// `y = x + 0.25·u`. The correlation keeps the window expansion honest — on
-/// independent coordinates the x-prune ends after a handful of candidates
-/// and the kernel is all setup cost.
-fn knn_scalar_and_blocked() -> (Side, Side) {
+/// The Chebyshev k-NN kernel (the two-sided scan) against its scalar oracle,
+/// k = 3, on a correlated pair at n = 4096: `x ~ U[0, 1)` from a fixed LCG,
+/// `y = x + 0.25·u`. The correlation keeps the scan honest — on independent
+/// coordinates the prune along the sorted axis ends after a handful of
+/// candidates and the kernel is all setup cost.
+fn knn_scalar_and_kernel() -> (Side, Side) {
     use joinmi_estimators::knn::{kth_nn_distances_chebyshev, kth_nn_distances_chebyshev_scalar};
 
     let mut state = 0x9e37_79b9_u64;
@@ -797,12 +797,12 @@ fn knn_scalar_and_blocked() -> (Side, Side) {
     assert_eq!(
         kth_nn_distances_chebyshev(&xs, &ys, 3),
         kth_nn_distances_chebyshev_scalar(&xs, &ys, 3),
-        "the blocked kernel diverged from its scalar oracle"
+        "the k-NN kernel diverged from its scalar oracle"
     );
-    let (bxs, bys) = (xs.clone(), ys.clone());
+    let (kxs, kys) = (xs.clone(), ys.clone());
     (
         clocked(move || kth_nn_distances_chebyshev_scalar(&xs, &ys, 3)),
-        clocked(move || kth_nn_distances_chebyshev(&bxs, &bys, 3)),
+        clocked(move || kth_nn_distances_chebyshev(&kxs, &kys, 3)),
     )
 }
 

@@ -21,6 +21,7 @@
 use joinmi_hash::FixedHashMap;
 
 use crate::error::EstimatorError;
+use crate::knn::kth_1d_at;
 use crate::special::digamma;
 use crate::workspace::{EstimatorWorkspace, ACC_CHUNK};
 use crate::Result;
@@ -63,66 +64,38 @@ pub fn dc_ksg_mi_with(
         });
     }
 
-    // Group sample indices by discrete value. The fixed hasher makes group
-    // iteration order reproducible across runs (the scatter below is
-    // order-insensitive, but deterministic traversal keeps profiles stable).
-    let mut groups: FixedHashMap<u32, Vec<usize>> = FixedHashMap::default();
-    for (i, &c) in x_codes.iter().enumerate() {
-        groups.entry(c).or_default().push(i);
-    }
+    // Group the sample by discrete value, each group's y in sorted order,
+    // from the one sort of the full y column that the counts need anyway.
+    let n = y.len();
+    ws.y_marginal.prepare(y);
+    ws.groups.build(x_codes, ws.y_marginal.sorted_points());
+    ws.counts.grow_psi(n);
+    let (groups, y_marginal, counts) = (&ws.groups, &ws.y_marginal, &ws.counts);
 
-    // Per-sample radius and within-group neighbour count; samples in
-    // singleton groups are skipped. One workspace-owned gather buffer serves
-    // every group instead of a fresh Vec per discrete value, and the
-    // workspace's y marginal doubles as the per-group sorted view (it is
-    // re-prepared for the full column right after this loop, so borrowing it
-    // here costs nothing).
-    let mut radius = vec![f64::NAN; y.len()];
-    let mut k_used = vec![0usize; y.len()];
-    let mut group_size = vec![0usize; y.len()];
-    let mut group_y = std::mem::take(&mut ws.scratch);
-    for indices in groups.values() {
-        let count = indices.len();
-        for &i in indices {
-            group_size[i] = count;
-        }
-        if count < 2 {
-            continue;
-        }
-        let local_k = k.min(count - 1);
-        group_y.clear();
-        group_y.extend(indices.iter().map(|&i| y[i]));
-        ws.y_marginal.prepare(&group_y);
-        let dists = ws.y_marginal.kth_nn_distances(local_k);
-        for (pos, &i) in indices.iter().enumerate() {
-            // Shrink the radius infinitesimally (scikit-learn's nextafter
-            // trick) so the full-data count is strictly inside the k-th
-            // within-group neighbour.
-            let r = dists[pos];
-            radius[i] = if r > 0.0 { r * (1.0 - 1e-12) } else { 0.0 };
-            k_used[i] = local_k;
-        }
-    }
-    ws.scratch = group_y;
-
-    // Parallel deterministic accumulation over the full-data neighbour
-    // counts: fixed chunks, per-chunk partial sums, ordered reduction — and
-    // each count starts from the point's own rank in the sorted y marginal
-    // instead of two full-range binary searches.
-    ws.prepare_y_marginal(y);
-    let y_marginal = &ws.y_marginal;
-    let partials = joinmi_par::par_map_ranges(y.len(), ACC_CHUNK, |range| {
+    // Parallel deterministic accumulation: fixed chunks, per-chunk partial
+    // sums, ordered reduction. Samples in singleton groups are skipped. Each
+    // full-data count starts from the point's own rank in the sorted y
+    // marginal instead of two full-range binary searches.
+    let partials = joinmi_par::par_map_ranges(n, ACC_CHUNK, |range| {
         let mut used = 0usize;
         let (mut psi_k, mut psi_label, mut psi_m) = (0.0f64, 0.0f64, 0.0f64);
         for i in range {
-            if group_size[i] < 2 {
+            let (group_y, pos) = groups.of(i);
+            let group_size = group_y.len();
+            if group_size < 2 {
                 continue;
             }
             used += 1;
-            let m = y_marginal.count_within(i, radius[i]).max(1);
-            psi_k += digamma(k_used[i] as f64);
-            psi_label += digamma(group_size[i] as f64);
-            psi_m += digamma(m as f64);
+            let local_k = k.min(group_size - 1);
+            // Shrink the within-group k-th distance infinitesimally
+            // (scikit-learn's nextafter trick) so the full-data count is
+            // strictly inside the k-th within-group neighbour.
+            let r = kth_1d_at(group_y, pos, local_k);
+            let radius = if r > 0.0 { r * (1.0 - 1e-12) } else { 0.0 };
+            let m = y_marginal.count_within(i, radius).max(1);
+            psi_k += counts.psi(local_k);
+            psi_label += counts.psi(group_size);
+            psi_m += counts.psi(m);
         }
         (used, psi_k, psi_label, psi_m)
     });
@@ -147,6 +120,84 @@ pub fn dc_ksg_mi_with(
     let n_f = n_used as f64;
     let mi = digamma(n_f) + sum_psi_k / n_f - sum_psi_label / n_f - sum_psi_m / n_f;
     Ok(mi.max(0.0))
+}
+
+/// A sample grouped by discrete value: one offset array over one buffer of
+/// per-group sorted y, in place of a map of per-group index lists.
+///
+/// Codes below the sample size index the groups directly (the sketch join's
+/// first-occurrence codes always do); any other code set is first renumbered
+/// in first-occurrence order. Group numbering never reaches the estimate:
+/// the sums run in sample order.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct DenseGroups {
+    /// Each point's group.
+    group: Vec<u32>,
+    /// Renumbering of sparse codes.
+    renumber: FixedHashMap<u32, u32>,
+    /// Group `g`'s values occupy `sorted_y[start[g]..start[g + 1]]`.
+    start: Vec<u32>,
+    /// Next free slot per group while filling.
+    fill: Vec<u32>,
+    /// Each point's slot in `sorted_y`.
+    slot: Vec<u32>,
+    sorted_y: Vec<f64>,
+}
+
+impl DenseGroups {
+    /// Groups `codes`, filling each group's values in the order
+    /// `sorted_points` yields them (ascending, ties by point index — the
+    /// order sorting the group on its own would give).
+    pub(crate) fn build(
+        &mut self,
+        codes: &[u32],
+        sorted_points: impl Iterator<Item = (usize, f64)>,
+    ) {
+        let n = codes.len();
+        self.group.clear();
+        let max_code = codes.iter().copied().max().map_or(0, |c| c as usize);
+        let groups = if max_code < n {
+            self.group.extend_from_slice(codes);
+            max_code + 1
+        } else {
+            self.renumber.clear();
+            for &c in codes {
+                let next = self.renumber.len() as u32;
+                self.group.push(*self.renumber.entry(c).or_insert(next));
+            }
+            self.renumber.len()
+        };
+
+        // Counts shifted by one, then prefix sums: group offsets.
+        self.start.clear();
+        self.start.resize(groups + 1, 0);
+        for &g in &self.group {
+            self.start[g as usize + 1] += 1;
+        }
+        for g in 0..groups {
+            self.start[g + 1] += self.start[g];
+        }
+
+        self.fill.clear();
+        self.fill.extend_from_slice(&self.start[..groups]);
+        self.slot.resize(n, 0);
+        self.sorted_y.resize(n, 0.0);
+        for (i, v) in sorted_points {
+            let g = self.group[i] as usize;
+            let s = self.fill[g];
+            self.fill[g] += 1;
+            self.slot[i] = s;
+            self.sorted_y[s as usize] = v;
+        }
+    }
+
+    /// Point `i`'s group as sorted values, and `i`'s position among them.
+    #[inline]
+    pub(crate) fn of(&self, i: usize) -> (&[f64], usize) {
+        let g = self.group[i] as usize;
+        let (lo, hi) = (self.start[g] as usize, self.start[g + 1] as usize);
+        (&self.sorted_y[lo..hi], self.slot[i] as usize - lo)
+    }
 }
 
 #[cfg(test)]

@@ -1,243 +1,167 @@
-//! Block-batched window-expansion kernels.
+//! The neighbour-search kernels over sorted arrays.
 //!
-//! The scalar expansion pulls **one** candidate per iteration, with a branch
-//! deciding the side, a gather through the `order` permutation, and a heap
-//! offer — none of which a compiler can vectorize. The blocked kernels here
-//! restructure the inner loop:
+//! * **Joint (Chebyshev) search: a two-sided scan.** The sample is laid out
+//!   sorted by x, y gathered into the same order ([`super::SortedJoint`]).
+//!   For the point at sorted position `p`, the scan seeds its top-k with the
+//!   `k` nearest positions (a window of `k + 1` positions around `p`), then
+//!   walks left until the x-distance alone reaches the current k-th best,
+//!   then right under the same rule. Every step reads contiguous memory and
+//!   makes one predictable compare; there is no per-candidate choice of
+//!   side, and a candidate is offered only if its y-distance is below the
+//!   k-th best too.
+//! * **1-D search: a window scan.** In one dimension the k nearest neighbours
+//!   of a sorted sample form a contiguous window around the query, so the
+//!   k-th distance is a min-of-max over the `k + 1` windows that contain it —
+//!   branch-free and over contiguous memory.
 //!
-//! * coordinates are pre-gathered into x-sorted arrays once per call
-//!   ([`super::SortedJoint`]), so the window reads are contiguous;
-//! * candidates are pulled in blocks of [`BLOCK`] per side and their
-//!   Chebyshev distances are computed by [`block_dists`], a straight-line
-//!   composition of the 4-wide [`lanes`](super::lanes) helpers that LLVM
-//!   lowers to packed SIMD (`#[inline(never)]` keeps it a separate
-//!   optimization unit — inlined into the branchy expansion loop, the SLP
-//!   vectorizer gives up and emits scalar code);
-//! * a whole block is pruned against the current k-th-best threshold with a
-//!   single compare of its lane minimum; only surviving blocks fall back to
-//!   per-element [`KthAccumulator::offer`];
-//! * the production neighbour counts (`DEFAULT_K` = 3) keep their top-k in a
-//!   register-resident sorted array ([`SmallTopK`]) instead of a heap.
+//! Both kernels are exact. The k-th smallest element of a distance multiset
+//! is unique, and the scan only skips a candidate whose x-distance — a lower
+//! bound on its Chebyshev distance, and non-decreasing away from `p` — or
+//! whose y-distance is already at least the current k-th best, which never
+//! rises. So every candidate that could lower the k-th
+//! best is offered, whatever the order, and the results are **bit-for-bit
+//! identical** to the scalar oracles
+//! ([`super::kth_nn_distances_chebyshev_scalar`],
+//! [`super::kth_nn_distances_1d_scalar`]) and the brute-force reference,
+//! pinned by the tests in [`super`] and the `knn_*` proptests.
 //!
-//! Correctness does not depend on the visit order: the k-th smallest element
-//! of a distance multiset is unique, and a block is only skipped when every
-//! distance in it provably exceeds the current k-th best (x-distances grow
-//! monotonically away from the query position, and the Chebyshev distance is
-//! bounded below by the x-distance). The blocked kernels are therefore
-//! **bit-for-bit identical** to the scalar oracles — pinned by the tests in
-//! [`super`] and by the `knn_blocked_*` proptests.
+//! The production neighbour counts (`DEFAULT_K` = 3) keep their top-k in a
+//! register-resident sorted array ([`SmallTopK`]); larger `k` use the bounded
+//! max-heap. Above [`PAR_CUTOFF`] points the per-point loop is spread over
+//! [`joinmi_par`] workers, output in input order.
 
 use super::heap::{BoundedMaxHeap, KthAccumulator, SmallTopK, SMALL_TOP_K_MAX};
-use super::lanes;
-use super::lanes::LANES;
-
-/// Candidates pulled from one side per expansion step: two lane batches.
-const BLOCK: usize = 2 * LANES;
 
 /// Per-point loops shorter than this run sequentially — below it, the scoped
-/// spawn + chunk coordination of `joinmi_par` costs more than the work (the
-/// per-group 1-D searches inside DC-KSG are the common small case). The
+/// spawn + chunk coordination of `joinmi_par` costs more than the work. The
 /// per-item code is identical on both paths, so the cutoff never changes
 /// results.
 const PAR_CUTOFF: usize = 512;
 
-/// Maps `f` over `0..n` with a per-worker scratch, sequentially below
-/// [`PAR_CUTOFF`].
-fn map_index_with<S, U, I, F>(n: usize, init: I, f: F) -> Vec<U>
-where
+/// Maps `f(scratch, p)` over the sorted positions `p` in `0..n`, writing
+/// each result to `out[index_of(p)]`. Sequential below [`PAR_CUTOFF`], across
+/// workers above it. Walking positions in order keeps consecutive searches
+/// on overlapping, cache-resident windows.
+fn map_positions_into<S, I, F>(
+    n: usize,
+    index_of: impl Fn(usize) -> usize,
+    out: &mut Vec<f64>,
+    init: I,
+    f: F,
+) where
     S: Send,
-    U: Send,
     I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize) -> U + Sync,
+    F: Fn(&mut S, usize) -> f64 + Sync,
 {
+    out.clear();
+    out.resize(n, 0.0);
     if n < PAR_CUTOFF {
         let mut scratch = init();
-        (0..n).map(|i| f(&mut scratch, i)).collect()
+        for p in 0..n {
+            out[index_of(p)] = f(&mut scratch, p);
+        }
     } else {
-        joinmi_par::par_map_index_with(n, init, f)
-    }
-}
-
-/// Chebyshev distances of one block of candidates to the query `(xi, yi)`.
-///
-/// `#[inline(never)]` is load-bearing: as its own codegen unit this compiles
-/// to packed `subpd`/`andpd`/`maxpd`; inlined into the expansion loop's
-/// control flow, LLVM's SLP vectorizer emits unrolled scalar code instead
-/// (measured, not speculation).
-#[inline(never)]
-fn block_dists(x: &[f64; BLOCK], y: &[f64; BLOCK], xi: f64, yi: f64) -> [f64; BLOCK] {
-    let lo = lanes::chebyshev(
-        x[..LANES].try_into().expect("half block"),
-        y[..LANES].try_into().expect("half block"),
-        xi,
-        yi,
-    );
-    let hi = lanes::chebyshev(
-        x[LANES..].try_into().expect("half block"),
-        y[LANES..].try_into().expect("half block"),
-        xi,
-        yi,
-    );
-    let mut d = [0.0f64; BLOCK];
-    d[..LANES].copy_from_slice(&lo);
-    d[LANES..].copy_from_slice(&hi);
-    d
-}
-
-/// Horizontal minimum of a block (pairwise across the two lane halves).
-#[inline(always)]
-fn block_min(d: &[f64; BLOCK]) -> f64 {
-    let m = [
-        d[0].min(d[4]),
-        d[1].min(d[5]),
-        d[2].min(d[6]),
-        d[3].min(d[7]),
-    ];
-    lanes::min_lane(&m)
-}
-
-/// Offers one full block: one packed distance computation, one min-compare to
-/// prune the whole block, per-element offers only for surviving blocks.
-#[inline(always)]
-fn offer_block<A: KthAccumulator>(
-    x: &[f64; BLOCK],
-    y: &[f64; BLOCK],
-    xi: f64,
-    yi: f64,
-    acc: &mut A,
-) {
-    let d = block_dists(x, y, xi, yi);
-    // threshold() is +inf while the accumulator is filling, so nothing is
-    // skipped early; once full, only a distance below the k-th best matters.
-    if block_min(&d) < acc.threshold() {
-        for &dist in &d {
-            acc.offer(dist);
+        let by_position = joinmi_par::par_map_index_with(n, init, f);
+        for (p, d) in by_position.into_iter().enumerate() {
+            out[index_of(p)] = d;
         }
     }
 }
 
-/// Scalar tail for the (at most `BLOCK − 1`) candidates left at an array end.
-#[inline(always)]
-fn offer_tail<A: KthAccumulator>(xs: &[f64], ys: &[f64], xi: f64, yi: f64, acc: &mut A) {
-    for (&x, &y) in xs.iter().zip(ys) {
-        acc.offer((x - xi).abs().max((y - yi).abs()));
-    }
-}
-
-/// The Chebyshev k-th-NN distance of the point at sorted position `p`, over
-/// coordinates laid out in x-sorted order.
-///
-/// Expansion is **lockstep**: each round pulls one block from *every* side
-/// whose nearest unvisited x-distance is still within the threshold, instead
-/// of branching per candidate to pick the nearer side. The per-candidate
-/// side-selection branch of the scalar kernel is data-dependent and
-/// mispredicts constantly; the lockstep round structure replaces it with two
-/// predictable per-round checks. A side may overshoot the optimal window by
-/// at most one block, which the block prune rejects with a single compare —
-/// and since every candidate with a distance below the final k-th best is
-/// still visited, the result is exact.
+/// The Chebyshev k-th-NN distance of the point at sorted position `p`
+/// (`k < n`), over `xs` (ascending) and `ys` in the same order.
 fn chebyshev_kth_at<A: KthAccumulator>(
-    x_by_rank: &[f64],
-    y_by_rank: &[f64],
+    xs: &[f64],
+    ys: &[f64],
     p: usize,
+    k: usize,
     acc: &mut A,
 ) -> f64 {
-    let n = x_by_rank.len();
-    let (xi, yi) = (x_by_rank[p], y_by_rank[p]);
+    let n = xs.len();
+    let (xi, yi) = (xs[p], ys[p]);
     acc.reset();
 
-    // Unvisited candidates: [0, left) on the left, [right, n) on the right.
-    // While the accumulator is filling its threshold is +inf, so both sides
-    // stay alive until they are exhausted; afterwards a side dies as soon as
-    // its nearest unvisited x-distance (a lower bound for everything further
-    // out — the arrays are sorted) exceeds the current k-th best.
-    let mut left = p;
-    let mut right = p + 1;
-    loop {
-        let threshold = acc.threshold();
-        let left_alive = left > 0 && xi - x_by_rank[left - 1] <= threshold;
-        let right_alive = right < n && x_by_rank[right] - xi <= threshold;
-        if !left_alive && !right_alive {
+    // Seed with the window [lo, hi] of k + 1 positions around p, so the
+    // accumulator is full before the walks start.
+    let lo = p.saturating_sub(k.div_ceil(2)).min(n - 1 - k);
+    let hi = lo + k;
+    for j in (lo..p).chain(p + 1..=hi) {
+        acc.offer((xi - xs[j]).abs().max((yi - ys[j]).abs()));
+    }
+
+    // Everything further out on a side is at least as far in x as the first
+    // candidate pruned there, so one failed compare ends the side. A distance
+    // at or above the full accumulator's k-th best cannot change it, so only
+    // a candidate that is also nearer in y is offered.
+    let mut kth = acc.threshold();
+    let left = xs[..lo].iter().zip(&ys[..lo]).rev();
+    for (&xj, &yj) in left {
+        let dx = xi - xj;
+        if dx >= kth {
             break;
         }
-
-        if left_alive {
-            if left >= BLOCK {
-                let lo = left - BLOCK;
-                offer_block(
-                    x_by_rank[lo..left].try_into().expect("full block"),
-                    y_by_rank[lo..left].try_into().expect("full block"),
-                    xi,
-                    yi,
-                    acc,
-                );
-                left = lo;
-            } else {
-                offer_tail(&x_by_rank[..left], &y_by_rank[..left], xi, yi, acc);
-                left = 0;
-            }
-        }
-        if right_alive {
-            // The left pull may have tightened the threshold; re-check before
-            // spending a block on the right side.
-            let threshold = acc.threshold();
-            if x_by_rank[right] - xi <= threshold {
-                if n - right >= BLOCK {
-                    let hi = right + BLOCK;
-                    offer_block(
-                        x_by_rank[right..hi].try_into().expect("full block"),
-                        y_by_rank[right..hi].try_into().expect("full block"),
-                        xi,
-                        yi,
-                        acc,
-                    );
-                    right = hi;
-                } else {
-                    offer_tail(&x_by_rank[right..], &y_by_rank[right..], xi, yi, acc);
-                    right = n;
-                }
-            }
+        let dy = (yi - yj).abs();
+        if dy < kth {
+            acc.offer(dx.abs().max(dy));
+            kth = acc.threshold();
         }
     }
-    acc.result()
+    let right = xs[hi + 1..].iter().zip(&ys[hi + 1..]);
+    for (&xj, &yj) in right {
+        let dx = xj - xi;
+        if dx >= kth {
+            break;
+        }
+        let dy = (yi - yj).abs();
+        if dy < kth {
+            acc.offer(dx.abs().max(dy));
+            kth = acc.threshold();
+        }
+    }
+    kth
 }
 
-/// Chebyshev k-th-NN distances for every point, returned in **original index
-/// order** (`pos[i]` is point `i`'s rank in the x-sorted layout).
+/// Chebyshev k-th-NN distances for every point into `out`, in **original
+/// index order**. `xs` is the x column in ascending order, `ys` the y column
+/// in the same order, and `order[p].1` the index of the point at sorted
+/// position `p`.
 ///
 /// Small `k` (every production call: `DEFAULT_K` = 3) uses the register
 /// top-k accumulator; larger `k` the bounded max-heap. Both keep the k
 /// smallest offered distances, so the choice never changes the result.
 pub(crate) fn chebyshev_kth_all(
-    x_by_rank: &[f64],
-    y_by_rank: &[f64],
-    pos: &[usize],
+    xs: &[f64],
+    ys: &[f64],
+    order: &[(u64, u32)],
     k: usize,
-) -> Vec<f64> {
+    out: &mut Vec<f64>,
+) {
+    let n = order.len();
+    let index_of = |p: usize| order[p].1 as usize;
     if k <= SMALL_TOP_K_MAX {
-        map_index_with(
-            pos.len(),
+        map_positions_into(
+            n,
+            index_of,
+            out,
             || SmallTopK::new(k),
-            |acc, i| chebyshev_kth_at(x_by_rank, y_by_rank, pos[i], acc),
-        )
+            |acc, p| chebyshev_kth_at(xs, ys, p, k, acc),
+        );
     } else {
-        map_index_with(
-            pos.len(),
+        map_positions_into(
+            n,
+            index_of,
+            out,
             || BoundedMaxHeap::new(k),
-            |acc, i| chebyshev_kth_at(x_by_rank, y_by_rank, pos[i], acc),
-        )
+            |acc, p| chebyshev_kth_at(xs, ys, p, k, acc),
+        );
     }
 }
 
-/// The 1-D k-th-NN distance of the value at sorted position `p`.
-///
-/// In one dimension the k nearest neighbours of a sorted sample always form a
-/// contiguous window around the query, so instead of expanding greedily one
-/// element at a time the kernel evaluates **all** candidate windows
-/// `[s, s + k]` containing `p` in a single straight-line min-of-max loop over
-/// contiguous memory — branch-free and autovectorizable.
+/// The 1-D k-th-NN distance of the value at sorted position `p` (`k < n`):
+/// the smallest, over the windows `[s, s + k]` containing `p`, of the
+/// farther window end's distance.
 #[inline]
-fn kth_1d_at(sorted: &[f64], p: usize, k: usize) -> f64 {
+pub(crate) fn kth_1d_at(sorted: &[f64], p: usize, k: usize) -> f64 {
     let n = sorted.len();
     let v = sorted[p];
     let lo = p.saturating_sub(k);
@@ -250,48 +174,22 @@ fn kth_1d_at(sorted: &[f64], p: usize, k: usize) -> f64 {
     best
 }
 
-/// 1-D k-th-NN distances for every sorted position (scatter back to original
-/// index order is the caller's cheap O(n) pass).
-pub(crate) fn kth_1d_by_position(sorted: &[f64], k: usize) -> Vec<f64> {
-    let n = sorted.len();
-    if n < PAR_CUTOFF {
-        (0..n).map(|p| kth_1d_at(sorted, p, k)).collect()
-    } else {
-        joinmi_par::par_map_index(n, |p| kth_1d_at(sorted, p, k))
-    }
+/// 1-D k-th-NN distances for every value into `out`, in **original index
+/// order**: `sorted` holds the values ascending and `order[p].1` the index of
+/// the value at sorted position `p`.
+pub(crate) fn kth_1d_all(sorted: &[f64], order: &[(u64, u32)], k: usize, out: &mut Vec<f64>) {
+    map_positions_into(
+        sorted.len(),
+        |p| order[p].1 as usize,
+        out,
+        || (),
+        |(), p| kth_1d_at(sorted, p, k),
+    );
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn block_prune_never_drops_a_winner() {
-        // A block whose minimum beats the threshold must be offered fully:
-        // craft a block where only the last element improves the heap.
-        let mut heap = BoundedMaxHeap::new(1);
-        KthAccumulator::offer(&mut heap, 1.0);
-        let xs = [5.0, 5.0, 5.0, 5.0, 5.0, 5.0, 5.0, 0.1];
-        let ys = [5.0, 5.0, 5.0, 5.0, 5.0, 5.0, 5.0, 0.1];
-        offer_block(&xs, &ys, 0.0, 0.0, &mut heap);
-        assert_eq!(heap.max(), 0.1);
-    }
-
-    #[test]
-    fn block_dists_matches_scalar_formula_bitwise() {
-        let xs = [1.0, -2.0, 0.5, 10.0, -0.25, 3.5, 7.0, -9.0];
-        let ys = [0.0, 3.0, -0.5, -10.0, 2.5, -1.5, 4.0, 8.0];
-        let (xi, yi) = (0.25, -0.75);
-        let d = block_dists(&xs, &ys, xi, yi);
-        for j in 0..BLOCK {
-            let want = (xs[j] - xi).abs().max((ys[j] - yi).abs());
-            assert_eq!(d[j].to_bits(), want.to_bits(), "lane {j}");
-        }
-        assert_eq!(
-            block_min(&d),
-            d.iter().copied().fold(f64::INFINITY, f64::min)
-        );
-    }
 
     #[test]
     fn small_k_and_heap_accumulators_agree_through_the_kernel() {
@@ -309,11 +207,24 @@ mod tests {
         for k in 1..=SMALL_TOP_K_MAX {
             let mut small = SmallTopK::new(k);
             let mut heap = BoundedMaxHeap::new(k);
-            for p in (0..n).step_by(13) {
-                let a = chebyshev_kth_at(&xs, &ys, p, &mut small);
-                let b = chebyshev_kth_at(&xs, &ys, p, &mut heap);
+            for p in (0..n).step_by(13).chain([n - 1]) {
+                let a = chebyshev_kth_at(&xs, &ys, p, k, &mut small);
+                let b = chebyshev_kth_at(&xs, &ys, p, k, &mut heap);
                 assert_eq!(a.to_bits(), b.to_bits(), "k={k}, p={p}");
             }
+        }
+    }
+
+    #[test]
+    fn seed_window_stays_inside_the_array() {
+        // k = n − 1: the seed window is the whole array for every p, and
+        // neither walk has anything left to visit.
+        let xs = [0.0, 1.0, 3.0, 7.0];
+        let ys = [0.0, 5.0, 0.0, 0.0];
+        let mut heap = BoundedMaxHeap::new(3);
+        let want = [7.0, 6.0, 5.0, 7.0];
+        for (p, &w) in want.iter().enumerate() {
+            assert_eq!(chebyshev_kth_at(&xs, &ys, p, 3, &mut heap), w, "p={p}");
         }
     }
 

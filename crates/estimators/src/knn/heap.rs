@@ -10,7 +10,7 @@
 //!
 //! Both keep the k smallest distances offered, and the k-th smallest value
 //! of a multiset is unique, so the two produce bit-identical results for any
-//! offer order — the property the blocked kernel's batch visits rely on.
+//! offer order — the property the neighbour scan relies on.
 
 /// Keeps the k smallest distances offered and exposes the current k-th best
 /// as a pruning threshold. Implementations are reused across query points via
@@ -22,8 +22,6 @@ pub(crate) trait KthAccumulator {
     fn threshold(&self) -> f64;
     /// Offers a candidate distance, keeping only the k smallest.
     fn offer(&mut self, dist: f64);
-    /// The final answer: the largest of the k kept distances.
-    fn result(&self) -> f64;
 }
 
 /// Largest `k` served by [`SmallTopK`].
@@ -85,8 +83,11 @@ impl KthAccumulator for SmallTopK {
             self.top[i] = dist;
         }
     }
+}
 
-    #[inline]
+#[cfg(test)]
+impl SmallTopK {
+    /// The largest distance held: the k-th best once full.
     fn result(&self) -> f64 {
         if self.filled == 0 {
             f64::INFINITY
@@ -104,7 +105,7 @@ impl KthAccumulator for SmallTopK {
 /// distance (the pruning threshold). The k-th smallest value of a multiset is
 /// unique, so results are identical to the `BinaryHeap` implementation — and
 /// independent of the order in which candidates are offered, which is what
-/// lets the blocked kernel visit candidates in batches.
+/// lets the neighbour scan visit candidates in any order.
 #[derive(Debug, Clone)]
 pub(crate) struct BoundedMaxHeap {
     k: usize,
@@ -206,11 +207,6 @@ impl KthAccumulator for BoundedMaxHeap {
     #[inline]
     fn offer(&mut self, dist: f64) {
         BoundedMaxHeap::offer(self, dist);
-    }
-
-    #[inline]
-    fn result(&self) -> f64 {
-        self.max()
     }
 }
 

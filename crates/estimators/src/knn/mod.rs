@@ -8,27 +8,27 @@
 //! 2. for every point `i`, the number of points whose marginal coordinate
 //!    lies within a given radius ([`MarginalCounter`]).
 //!
-//! The joint search sorts points by their x coordinate and expands a window
-//! outwards from each query point, pruning as soon as the x-distance alone
-//! exceeds the current k-th best — the classic trick that makes the search
+//! The joint search sorts points by their x coordinate and scans outwards
+//! from each query point, stopping on a side as soon as the x-distance alone
+//! reaches the current k-th best — the classic trick that makes the search
 //! near-linear for well-spread data while remaining exactly correct in the
 //! worst case.
 //!
-//! The module is organised as a small kernel engine (PR 4):
+//! The module is organised in three parts:
 //!
 //! * `SortedJoint` / `RankedMarginal` are **sort-once views**: the index
 //!   order, per-point ranks, and value-sorted copies that every kernel and
 //!   every marginal count shares. [`crate::workspace::EstimatorWorkspace`]
 //!   owns one of each and reuses their buffers across estimator calls, so an
 //!   estimate sorts each column exactly once (the free functions here build a
-//!   throwaway view per call for compatibility).
-//! * the `blocked` submodule holds the block-batched window-expansion
-//!   kernels: candidates are pulled in blocks of 8 from contiguous x-sorted
-//!   arrays, distances for a whole block are computed by the autovectorizable
-//!   `lanes` helpers, and blocks are pruned against the current k-th-best
-//!   threshold with one compare. Results are bit-for-bit identical to the scalar expansion
-//!   (kept as [`kth_nn_distances_chebyshev_scalar`] /
-//!   [`kth_nn_distances_1d_scalar`] oracles), because the k-th smallest
+//!   throwaway view per call).
+//! * the `blocked` submodule holds the search kernels over those sorted
+//!   arrays: a two-sided scan for the joint space (seed the top-k from the
+//!   k x-nearest positions, walk left, then right, each side ending at its
+//!   first x-distance at or beyond the k-th best) and a window scan in one
+//!   dimension. Results are bit-for-bit identical to the greedy expansion
+//!   kept as the [`kth_nn_distances_chebyshev_scalar`] /
+//!   [`kth_nn_distances_1d_scalar`] oracles, because the k-th smallest
 //!   distance of a multiset does not depend on visit order.
 //! * Marginal counts carry each point's already-known rank into the search
 //!   (`RankedMarginal::count_strictly_within` and friends), replacing two
@@ -36,12 +36,14 @@
 //!
 //! Every point's search is independent, so the distance kernels chunk the
 //! per-point loop across [`joinmi_par`] workers (above a small-input cutoff),
-//! one reusable bounded max-heap per worker, and results are written back in
-//! input order — parallel output is bit-for-bit equal to the sequential one.
+//! one reusable top-k accumulator per worker, and results are written back
+//! in input order — parallel output is bit-for-bit equal to the sequential
+//! one.
 
 mod blocked;
 mod heap;
-mod lanes;
+
+pub(crate) use blocked::kth_1d_at;
 
 use heap::BoundedMaxHeap;
 
@@ -186,7 +188,7 @@ impl MarginalCounter {
 
 /// X-sorted view of a joint `(x, y)` sample: the index order, each point's
 /// rank, and both coordinate columns gathered into x-sorted layout so the
-/// window expansion reads contiguous memory. All buffers are reused across
+/// neighbour scan reads contiguous memory. All buffers are reused across
 /// [`prepare`](Self::prepare) calls.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct SortedJoint {
@@ -218,18 +220,19 @@ impl SortedJoint {
         }
     }
 
-    /// Chebyshev k-th-NN distances in original index order (blocked kernel).
+    /// Chebyshev k-th-NN distances into `out`, in original index order
+    /// (the two-sided scan over the x-sorted arrays).
     ///
     /// # Panics
     /// Panics if `k == 0` or `k >= n`.
-    pub(crate) fn kth_nn_distances(&self, k: usize) -> Vec<f64> {
+    pub(crate) fn kth_nn_distances_into(&self, k: usize, out: &mut Vec<f64>) {
         let n = self.pos.len();
         assert!(k >= 1, "k must be at least 1");
         assert!(
             k < n,
             "k ({k}) must be smaller than the number of points ({n})"
         );
-        blocked::chebyshev_kth_all(&self.x_by_rank, &self.y_by_rank, &self.pos, k)
+        blocked::chebyshev_kth_all(&self.x_by_rank, &self.y_by_rank, &self.keys, k, out);
     }
 
     /// Strict-radius count on the **x marginal** for point `i` (the x-sorted
@@ -289,8 +292,16 @@ impl RankedMarginal {
         count_equal_at(&self.sorted, rank, self.sorted[rank])
     }
 
-    /// 1-D k-th-NN distances in original index order (blocked window-scan
-    /// kernel over the sorted copy, scattered back through the order).
+    /// Point indices in ascending value order, each with its value.
+    pub(crate) fn sorted_points(&self) -> impl Iterator<Item = (usize, f64)> + '_ {
+        self.keys
+            .iter()
+            .zip(&self.sorted)
+            .map(|(&(_, i), &v)| (i as usize, v))
+    }
+
+    /// 1-D k-th-NN distances in original index order (window-scan kernel
+    /// over the sorted copy).
     ///
     /// # Panics
     /// Panics if `k == 0` or `k >= n`.
@@ -301,14 +312,9 @@ impl RankedMarginal {
             k < n,
             "k ({k}) must be smaller than the number of points ({n})"
         );
-        let by_position = blocked::kth_1d_by_position(&self.sorted, k);
-        // The rank array is the inverse of the sort order: sequential writes,
-        // gathered reads.
-        let mut result = vec![0.0f64; n];
-        for (i, slot) in result.iter_mut().enumerate() {
-            *slot = by_position[self.rank[i]];
-        }
-        result
+        let mut out = Vec::new();
+        blocked::kth_1d_all(&self.sorted, &self.keys, k, &mut out);
+        out
     }
 }
 
@@ -328,7 +334,9 @@ impl RankedMarginal {
 pub fn kth_nn_distances_chebyshev(xs: &[f64], ys: &[f64], k: usize) -> Vec<f64> {
     let mut joint = SortedJoint::default();
     joint.prepare(xs, ys);
-    joint.kth_nn_distances(k)
+    let mut out = Vec::new();
+    joint.kth_nn_distances_into(k, &mut out);
+    out
 }
 
 /// For each value, the distance to its `k`-th nearest neighbour among the
@@ -361,9 +369,10 @@ pub fn kth_nn_distances_chebyshev_bruteforce(xs: &[f64], ys: &[f64], k: usize) -
         .collect()
 }
 
-/// The pre-refactor scalar Chebyshev expansion (one candidate per iteration,
-/// gathering through the index order), kept as a **bit-for-bit oracle** for
-/// the blocked kernel in tests and verification experiments.
+/// The greedy scalar Chebyshev expansion (one candidate per iteration, the
+/// nearer side first, gathering through the index order), kept as a
+/// **bit-for-bit oracle** for the two-sided scan in tests and verification
+/// experiments.
 #[must_use]
 pub fn kth_nn_distances_chebyshev_scalar(xs: &[f64], ys: &[f64], k: usize) -> Vec<f64> {
     assert_eq!(
@@ -431,8 +440,8 @@ pub fn kth_nn_distances_chebyshev_scalar(xs: &[f64], ys: &[f64], k: usize) -> Ve
     )
 }
 
-/// The pre-refactor scalar 1-D expansion (greedy one-neighbour-at-a-time),
-/// kept as a **bit-for-bit oracle** for the blocked window-scan kernel.
+/// The greedy scalar 1-D expansion (one neighbour at a time), kept as a
+/// **bit-for-bit oracle** for the window-scan kernel.
 #[must_use]
 pub fn kth_nn_distances_1d_scalar(values: &[f64], k: usize) -> Vec<f64> {
     let n = values.len();
@@ -558,11 +567,10 @@ mod tests {
     fn knn_1d_matches_scalar_oracle_bitwise() {
         let (values, _) = lcg_points(0xfeed, 900, 1.0);
         for k in [1usize, 2, 5, 16] {
-            let blocked = kth_nn_distances_1d(&values, k);
+            let scan = kth_nn_distances_1d(&values, k);
             let scalar = kth_nn_distances_1d_scalar(&values, k);
             assert!(
-                blocked
-                    .iter()
+                scan.iter()
                     .zip(&scalar)
                     .all(|(a, b)| a.to_bits() == b.to_bits()),
                 "k={k}"
@@ -587,11 +595,10 @@ mod tests {
     fn chebyshev_matches_scalar_oracle_bitwise() {
         let (xs, ys) = lcg_points(0x5eed, 700, 3.0);
         for k in [1usize, 3, 7, 20] {
-            let blocked = kth_nn_distances_chebyshev(&xs, &ys, k);
+            let scan = kth_nn_distances_chebyshev(&xs, &ys, k);
             let scalar = kth_nn_distances_chebyshev_scalar(&xs, &ys, k);
             assert!(
-                blocked
-                    .iter()
+                scan.iter()
                     .zip(&scalar)
                     .all(|(a, b)| a.to_bits() == b.to_bits()),
                 "k={k}"
@@ -607,16 +614,15 @@ mod tests {
         let xs: Vec<f64> = us.iter().map(|u| (u * 6.0).floor()).collect();
         let ys: Vec<f64> = vs.iter().map(|v| (v * 4.0).floor()).collect();
         for k in [1usize, 3, 8] {
-            let blocked = kth_nn_distances_chebyshev(&xs, &ys, k);
+            let scan = kth_nn_distances_chebyshev(&xs, &ys, k);
             let scalar = kth_nn_distances_chebyshev_scalar(&xs, &ys, k);
             assert!(
-                blocked
-                    .iter()
+                scan.iter()
                     .zip(&scalar)
                     .all(|(a, b)| a.to_bits() == b.to_bits()),
                 "k={k}"
             );
-            assert!(blocked.contains(&0.0), "ties must collapse ρ");
+            assert!(scan.contains(&0.0), "ties must collapse ρ");
         }
     }
 
@@ -651,17 +657,16 @@ mod tests {
         let mut joint = SortedJoint::default();
         let mut marginal = RankedMarginal::default();
         let (xs_a, ys_a) = lcg_points(1, 120, 2.0);
+        let mut dists = Vec::new();
         joint.prepare(&xs_a, &ys_a);
         marginal.prepare(&ys_a);
-        let _ = joint.kth_nn_distances(3);
+        joint.kth_nn_distances_into(3, &mut dists);
 
         let (xs_b, ys_b) = lcg_points(2, 40, 1.0);
         joint.prepare(&xs_b, &ys_b);
         marginal.prepare(&ys_b);
-        assert_eq!(
-            joint.kth_nn_distances(2),
-            kth_nn_distances_chebyshev(&xs_b, &ys_b, 2)
-        );
+        joint.kth_nn_distances_into(2, &mut dists);
+        assert_eq!(dists, kth_nn_distances_chebyshev(&xs_b, &ys_b, 2));
         assert_eq!(marginal.kth_nn_distances(2), kth_nn_distances_1d(&ys_b, 2));
         let counter = MarginalCounter::new(&ys_b);
         for (i, &v) in ys_b.iter().enumerate() {

@@ -34,9 +34,9 @@ pub fn ksg_mi_with(ws: &mut EstimatorWorkspace, x: &[f64], y: &[f64], k: usize) 
     let n_f = n as f64;
 
     ws.prepare_joint(x, y);
-    let eps = ws.joint.kth_nn_distances(k);
-    let joint = &ws.joint;
-    let y_marginal = &ws.y_marginal;
+    ws.joint.kth_nn_distances_into(k, &mut ws.dists);
+    ws.counts.grow_psi(n);
+    let (joint, y_marginal, eps, counts) = (&ws.joint, &ws.y_marginal, &ws.dists, &ws.counts);
 
     // Parallel deterministic accumulation: fixed-size chunks, one partial sum
     // per chunk, reduced in chunk order — identical bits at any thread count.
@@ -55,7 +55,7 @@ pub fn ksg_mi_with(ws: &mut EstimatorWorkspace, x: &[f64], y: &[f64], k: usize) 
                 // Degenerate neighbourhood: count exact ties instead.
                 (joint.x_count_equal(i), y_marginal.count_equal(i))
             };
-            acc += digamma(nx.max(1) as f64) + digamma(ny.max(1) as f64);
+            acc += counts.psi(nx.max(1)) + counts.psi(ny.max(1));
         }
         acc
     });

@@ -50,7 +50,8 @@ pub use posterior::{
     MiPosterior,
 };
 pub use select::{
-    estimate_mi, estimate_mi_with_workspace, select_estimator, EstimatorKind, MiEstimate,
+    estimate_mi, estimate_mi_with_workspace, force_codes, select_estimator, EstimatorKind,
+    MiEstimate,
 };
 pub use variable::{discretize, to_continuous, Variable};
 pub use workspace::EstimatorWorkspace;

@@ -20,8 +20,6 @@
 //! (counts include the point itself, matching the authors' reference
 //! implementation).
 
-use joinmi_hash::FixedHashMap;
-
 use crate::error::EstimatorError;
 use crate::special::digamma;
 use crate::workspace::{EstimatorWorkspace, ACC_CHUNK};
@@ -46,45 +44,49 @@ pub fn mixed_ksg_mi_with(
     let n_f = n as f64;
 
     ws.prepare_joint(x, y);
-    let rho = ws.joint.kth_nn_distances(k);
-    let joint = &ws.joint;
-    let y_marginal = &ws.y_marginal;
+    ws.joint.kth_nn_distances_into(k, &mut ws.dists);
+    let rho = &ws.dists;
 
-    // Joint tie counting needs exact-pair counts; build a counter keyed on
-    // both coordinate bit patterns only if some radius is zero. The fixed
-    // (deterministic, single-multiply) hasher matches every other bits-keyed
-    // hot map in the pipeline — SipHash buys nothing for trusted float bits.
-    let needs_tie_counts = rho.contains(&0.0);
-    let joint_ties: Option<FixedHashMap<(u64, u64), usize>> = needs_tie_counts.then(|| {
-        let mut map = FixedHashMap::default();
-        for i in 0..n {
-            *map.entry((x[i].to_bits(), y[i].to_bits())).or_insert(0) += 1;
+    // Joint tie counting needs exact-pair counts; count them, keyed on both
+    // coordinate bit patterns, only if some radius is zero.
+    ws.joint_ties.clear();
+    if rho.contains(&0.0) {
+        for (a, b) in x.iter().zip(y) {
+            *ws.joint_ties.entry((a.to_bits(), b.to_bits())).or_insert(0) += 1;
         }
-        map
-    });
+        ws.counts.grow_psi(n);
+    }
+    ws.counts.grow_ln(n);
+    let (joint, y_marginal, joint_ties, counts) =
+        (&ws.joint, &ws.y_marginal, &ws.joint_ties, &ws.counts);
+
+    // `ψ(k̃) + ln N` for every point with a positive radius, hoisted; each
+    // term below still evaluates as `((ψ(k̃) + ln N) − ln n_x) − ln n_y`.
+    let ln_n = n_f.ln();
+    let psi_k_ln_n = digamma(k as f64) + ln_n;
 
     // Parallel deterministic accumulation (fixed chunks, ordered reduction).
     let partials = joinmi_par::par_map_ranges(n, ACC_CHUNK, |range| {
         let mut acc = 0.0;
         for i in range {
-            let (k_tilde, nx, ny) = if rho[i] == 0.0 {
+            let (c, nx, ny) = if rho[i] == 0.0 {
                 let ties = joint_ties
-                    .as_ref()
-                    .and_then(|m| m.get(&(x[i].to_bits(), y[i].to_bits())).copied())
+                    .get(&(x[i].to_bits(), y[i].to_bits()))
+                    .copied()
                     .unwrap_or(1);
                 (
-                    ties as f64,
+                    counts.psi(ties) + ln_n,
                     joint.x_count_equal(i),
                     y_marginal.count_equal(i),
                 )
             } else {
                 (
-                    k as f64,
+                    psi_k_ln_n,
                     joint.x_count_strictly_within(i, rho[i]),
                     y_marginal.count_strictly_within(i, rho[i]),
                 )
             };
-            acc += digamma(k_tilde) + n_f.ln() - (nx.max(1) as f64).ln() - (ny.max(1) as f64).ln();
+            acc += c - counts.ln(nx.max(1)) - counts.ln(ny.max(1));
         }
         acc
     });

@@ -13,7 +13,10 @@
 //! sample size — everything the discovery layer needs to rank candidates and
 //! everything the evaluation harness needs to reproduce the paper's figures.
 
+use std::borrow::Cow;
 use std::fmt;
+
+use joinmi_hash::DigestHashMap;
 
 use crate::dc_ksg::dc_ksg_mi_with;
 use crate::error::EstimatorError;
@@ -160,19 +163,26 @@ pub fn estimate_mi_default(x: &Variable, y: &Variable) -> Result<MiEstimate> {
     estimate_mi(x, y, DEFAULT_K)
 }
 
-pub(crate) fn force_codes(v: &Variable) -> Vec<u32> {
+/// A variable as categories: its codes, borrowed, or its coordinates grouped
+/// by exact equality into codes in first-occurrence order (as [`discretize`]
+/// assigns them, so the codes do not depend on the hasher).
+///
+/// [`discretize`]: crate::variable::discretize
+#[must_use]
+pub fn force_codes(v: &Variable) -> Cow<'_, [u32]> {
     match v {
-        Variable::Discrete(codes) => codes.clone(),
+        Variable::Discrete(codes) => Cow::Borrowed(codes),
         Variable::Continuous(values) => {
-            // Group exactly equal numeric values into categories.
-            let mut map = std::collections::HashMap::new();
-            values
-                .iter()
-                .map(|x| {
-                    let next = map.len() as u32;
-                    *map.entry(x.to_bits()).or_insert(next)
-                })
-                .collect()
+            let mut seen: DigestHashMap<u32> = DigestHashMap::default();
+            Cow::Owned(
+                values
+                    .iter()
+                    .map(|x| {
+                        let next = seen.len() as u32;
+                        *seen.entry(x.to_bits()).or_insert(next)
+                    })
+                    .collect(),
+            )
         }
     }
 }
@@ -228,6 +238,15 @@ mod tests {
         let plain = estimate_mi_with(&x, &x, EstimatorKind::Mle, DEFAULT_K).unwrap();
         let smooth = estimate_mi_with(&x, &x, EstimatorKind::SmoothedMle, DEFAULT_K).unwrap();
         assert!(smooth.mi <= plain.mi);
+    }
+
+    #[test]
+    fn force_codes_borrows_codes_and_groups_coordinates() {
+        let d = Variable::Discrete(vec![4, 1, 4]);
+        assert!(matches!(force_codes(&d), Cow::Borrowed(&[4, 1, 4])));
+        let c = Variable::Continuous(vec![2.5, -0.0, 2.5, 0.0, 7.0]);
+        // Grouped by bits, so the two zeros stay apart; first-occurrence order.
+        assert_eq!(*force_codes(&c), [0, 1, 0, 2, 3]);
     }
 
     #[test]

@@ -6,6 +6,7 @@
 //! its representation and provides conversions from generic
 //! [`Value`] slices.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 use joinmi_table::{DataType, Value};
@@ -66,11 +67,12 @@ impl Variable {
     /// Returns the continuous coordinates, converting discrete codes to
     /// floats when necessary (ordered discrete data can legitimately be fed
     /// to KSG-type estimators; see Section V-A of the paper).
+    /// A continuous sample is borrowed, not copied.
     #[must_use]
-    pub fn as_continuous(&self) -> Vec<f64> {
+    pub fn as_continuous(&self) -> Cow<'_, [f64]> {
         match self {
-            Self::Discrete(v) => v.iter().map(|&c| f64::from(c)).collect(),
-            Self::Continuous(v) => v.clone(),
+            Self::Discrete(v) => Cow::Owned(v.iter().map(|&c| f64::from(c)).collect()),
+            Self::Continuous(v) => Cow::Borrowed(v),
         }
     }
 
@@ -183,6 +185,8 @@ mod tests {
     fn as_continuous_widens_codes() {
         let v = Variable::Discrete(vec![0, 2, 1]);
         assert_eq!(v.as_continuous(), vec![0.0, 2.0, 1.0]);
+        let c = Variable::Continuous(vec![0.5, 1.5]);
+        assert!(matches!(c.as_continuous(), Cow::Borrowed(&[0.5, 1.5])));
     }
 
     #[test]

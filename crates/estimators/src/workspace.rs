@@ -1,30 +1,43 @@
 //! The shared sort-once workspace for the KSG-family estimators.
 //!
-//! Before PR 4, one `ksg_mi` call sorted its input columns up to three times:
-//! the joint k-NN search sorted an index order by x, and each
-//! [`MarginalCounter`](crate::knn::MarginalCounter) re-sorted a fresh copy of
-//! x and y. [`EstimatorWorkspace`] hoists all of that into two prepared
-//! views — an x-sorted [`SortedJoint`](crate::knn) whose sorted-x copy
-//! doubles as the x marginal, and a [`RankedMarginal`](crate::knn) for y —
-//! so every column is sorted **exactly once per estimate**, every marginal
-//! count starts from the point's already-known rank, and all buffers
-//! (index orders, ranks, sorted copies, scratch) are **reused across
-//! estimates** instead of reallocated.
+//! An estimate needs each column sorted once, per-point k-NN distances,
+//! `ψ` and `ln` of integer counts, and (for DC-KSG) the sample grouped by
+//! discrete value. [`EstimatorWorkspace`] owns all of it and is reused
+//! across estimates, so a batch of estimates pays for allocations and table
+//! entries once, not once per call:
+//!
+//! * **Sorted views.** An x-sorted [`SortedJoint`](crate::knn) whose
+//!   sorted-x copy doubles as the x marginal, and a
+//!   [`RankedMarginal`](crate::knn) for y. Every column is sorted **exactly
+//!   once per estimate**, and every marginal count starts from the point's
+//!   already-known rank.
+//! * **Distances.** The per-point k-th-neighbour distances (KSG's `ε`,
+//!   MixedKSG's `ρ`) land in one reused buffer.
+//! * **Count tables.** `ψ(c)` and `ln(c)` for `c = 1..=n`, grown on demand by
+//!   the same [`digamma`] and [`f64::ln`] calls the sums would otherwise make
+//!   per point, so a lookup returns the identical value. Counts are bounded
+//!   by the sample size, and the tables only grow.
+//! * **Tie counts and groups.** MixedKSG's exact-pair counter and DC-KSG's
+//!   dense group layout keep their allocations between calls.
 //!
 //! The `*_mi_with` estimator variants ([`crate::ksg::ksg_mi_with`],
 //! [`crate::mixed_ksg::mixed_ksg_mi_with`],
 //! [`crate::dc_ksg::dc_ksg_mi_with`]) take a `&mut EstimatorWorkspace`;
 //! the classic free functions wrap them with a throwaway workspace. Batch
-//! callers — candidate scoring in discovery, the evaluation grids — keep one
-//! workspace per [`joinmi_par`] worker (`par_map_with`), so a query scoring
-//! hundreds of candidates pays the allocation cost once per worker, not once
-//! per candidate.
+//! callers — candidate scoring in discovery, a daemon worker, the evaluation
+//! grids — keep one workspace per [`joinmi_par`] worker (`par_map_with`).
 //!
-//! A workspace carries no results, only layout: re-`prepare`-ing it for a new
-//! sample fully overwrites the previous state, so reuse can never change an
-//! estimate (pinned by tests here and in `tests/parallel_determinism.rs`).
+//! A workspace carries no results, only layout and pure functions of
+//! integers: re-`prepare`-ing it for a new sample fully overwrites the
+//! previous state, so reuse can never change an estimate (pinned by tests
+//! here and in `tests/parallel_determinism.rs` and
+//! `tests/estimator_golden_bits.rs`).
 
+use joinmi_hash::FixedHashMap;
+
+use crate::dc_ksg::DenseGroups;
 use crate::knn::{RankedMarginal, SortedJoint};
+use crate::special::digamma;
 
 /// Fixed chunk length for the estimators' parallel accumulation loops.
 ///
@@ -34,7 +47,7 @@ use crate::knn::{RankedMarginal, SortedJoint};
 /// [`joinmi_par::par_map_ranges`]).
 pub(crate) const ACC_CHUNK: usize = 1024;
 
-/// Reusable sort-once state shared by the KSG-family estimators.
+/// Reusable state shared by the KSG-family estimators.
 ///
 /// See the [module docs](self) for the full story. Construct once (cheap:
 /// empty buffers), then pass to any number of `*_mi_with` calls.
@@ -44,7 +57,15 @@ pub struct EstimatorWorkspace {
     pub(crate) joint: SortedJoint,
     /// Value-sorted y marginal with per-point ranks.
     pub(crate) y_marginal: RankedMarginal,
-    /// Generic f64 scratch (DC-KSG group gather, perturbation sort buffer).
+    /// Per-point k-th-neighbour distances in the joint space.
+    pub(crate) dists: Vec<f64>,
+    /// `ψ` and `ln` of integer counts.
+    pub(crate) counts: CountTables,
+    /// MixedKSG's exact `(x, y)` copy counts, keyed on the coordinate bits.
+    pub(crate) joint_ties: FixedHashMap<(u64, u64), usize>,
+    /// DC-KSG's sample grouped by discrete value.
+    pub(crate) groups: DenseGroups,
+    /// Generic f64 scratch (perturbation sort buffer).
     pub(crate) scratch: Vec<f64>,
 }
 
@@ -60,10 +81,47 @@ impl EstimatorWorkspace {
         self.joint.prepare(x, y);
         self.y_marginal.prepare(y);
     }
+}
 
-    /// Prepares only the y marginal (DC-KSG has a discrete x side).
-    pub(crate) fn prepare_y_marginal(&mut self, y: &[f64]) {
-        self.y_marginal.prepare(y);
+/// `ψ(c)` and `ln(c)` of the counts `c = 1..=n` an estimate sums over, each
+/// computed once by the same call a per-point evaluation would make. Index 0
+/// holds NaN; callers clamp counts to at least 1, as the formulas do.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct CountTables {
+    psi: Vec<f64>,
+    ln: Vec<f64>,
+}
+
+impl CountTables {
+    /// Makes `ψ(c)` available for every `c <= n`.
+    pub(crate) fn grow_psi(&mut self, n: usize) {
+        grow(&mut self.psi, n, digamma);
+    }
+
+    /// Makes `ln(c)` available for every `c <= n`.
+    pub(crate) fn grow_ln(&mut self, n: usize) {
+        grow(&mut self.ln, n, f64::ln);
+    }
+
+    /// `ψ(c)`, for `1 <= c <=` the last [`grow_psi`](Self::grow_psi) bound.
+    #[inline]
+    pub(crate) fn psi(&self, c: usize) -> f64 {
+        self.psi[c]
+    }
+
+    /// `ln(c)`, for `1 <= c <=` the last [`grow_ln`](Self::grow_ln) bound.
+    #[inline]
+    pub(crate) fn ln(&self, c: usize) -> f64 {
+        self.ln[c]
+    }
+}
+
+fn grow(table: &mut Vec<f64>, n: usize, f: fn(f64) -> f64) {
+    if table.is_empty() {
+        table.push(f64::NAN);
+    }
+    for c in table.len()..=n {
+        table.push(f(c as f64));
     }
 }
 
@@ -107,6 +165,26 @@ mod tests {
             let codes: Vec<u32> = x.iter().map(|v| (v.abs() as u32) % 4).collect();
             let reused = dc_ksg_mi_with(&mut ws, &codes, y, 3).unwrap();
             assert_eq!(reused.to_bits(), dc_ksg_mi(&codes, y, 3).unwrap().to_bits());
+        }
+    }
+
+    #[test]
+    fn count_tables_hold_the_per_point_values() {
+        let mut tables = CountTables::default();
+        tables.grow_psi(40);
+        tables.grow_ln(7);
+        // Growing to a smaller bound keeps what is there.
+        tables.grow_psi(3);
+        tables.grow_ln(300);
+        for c in 1..=40usize {
+            assert_eq!(
+                tables.psi(c).to_bits(),
+                digamma(c as f64).to_bits(),
+                "ψ({c})"
+            );
+        }
+        for c in 1..=300usize {
+            assert_eq!(tables.ln(c).to_bits(), (c as f64).ln().to_bits(), "ln({c})");
         }
     }
 }

@@ -5,12 +5,9 @@
 //! sketches with one strategy, join them, and estimate MI with one estimator.
 //! The full-join baseline applies the same estimator to all generated pairs.
 
-use std::borrow::Cow;
-use std::collections::HashMap;
-
 use joinmi_estimators::{
-    dc_ksg_mi_with, discretize, mixed_ksg_mi_with, mle_mi, perturb_ties_with, EstimatorWorkspace,
-    Variable, DEFAULT_K,
+    dc_ksg_mi_with, discretize, force_codes, mixed_ksg_mi_with, mle_mi, perturb_ties_with,
+    EstimatorWorkspace, Variable, DEFAULT_K,
 };
 use joinmi_sketch::{ColumnSketch, JoinedSketch, SketchConfig, SketchKind};
 use joinmi_synth::DecomposedPair;
@@ -121,7 +118,7 @@ impl EstimatorMode {
             return None;
         }
         match self {
-            Self::Mle => mle_mi(&codes(x), &codes(y)).ok(),
+            Self::Mle => mle_mi(&force_codes(x), &force_codes(y)).ok(),
             Self::MixedKsg => {
                 mixed_ksg_mi_with(ws, coordinates(x)?, coordinates(y)?, DEFAULT_K).ok()
             }
@@ -129,7 +126,7 @@ impl EstimatorMode {
                 // Break ties so the "continuous" side satisfies the
                 // estimator's assumptions (Section V-A perturbation).
                 let yf = perturb_ties_with(ws, coordinates(y)?, 1e-9, seed);
-                dc_ksg_mi_with(ws, &codes(x), &yf, DEFAULT_K).ok()
+                dc_ksg_mi_with(ws, &force_codes(x), &yf, DEFAULT_K).ok()
             }
         }
     }
@@ -137,26 +134,6 @@ impl EstimatorMode {
 
 fn to_f64(values: &[Value]) -> Option<Vec<f64>> {
     values.iter().map(Value::as_f64).collect()
-}
-
-/// A column as categories: its codes, or its coordinates grouped by exact
-/// equality (codes in first-occurrence order, as `discretize` assigns them).
-fn codes(v: &Variable) -> Cow<'_, [u32]> {
-    match v {
-        Variable::Discrete(codes) => Cow::Borrowed(codes),
-        Variable::Continuous(coords) => {
-            let mut seen: HashMap<u64, u32> = HashMap::new();
-            Cow::Owned(
-                coords
-                    .iter()
-                    .map(|c| {
-                        let next = seen.len() as u32;
-                        *seen.entry(c.to_bits()).or_insert(next)
-                    })
-                    .collect(),
-            )
-        }
-    }
 }
 
 fn coordinates(v: &Variable) -> Option<&[f64]> {

@@ -54,6 +54,12 @@ thread_local! {
     static IN_PARALLEL_REGION: Cell<bool> = const { Cell::new(false) };
 }
 
+#[cfg(test)]
+thread_local! {
+    /// `JOINMI_THREADS` look-ups [`num_threads`] made on this thread.
+    static ENV_LOOKUPS: Cell<usize> = const { Cell::new(0) };
+}
+
 /// Parses a `JOINMI_THREADS`-style value. Returns `None` for anything that is
 /// not a positive integer.
 #[must_use]
@@ -77,7 +83,11 @@ pub fn num_threads() -> usize {
     resolve_threads(
         IN_PARALLEL_REGION.with(Cell::get),
         THREAD_OVERRIDE.with(Cell::get),
-        || std::env::var(THREADS_ENV_VAR).ok(),
+        || {
+            #[cfg(test)]
+            ENV_LOOKUPS.with(|n| n.set(n.get() + 1));
+            std::env::var(THREADS_ENV_VAR).ok()
+        },
         || {
             *AVAILABLE.get_or_init(|| {
                 std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
@@ -121,6 +131,17 @@ pub fn with_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
     let previous = THREAD_OVERRIDE.with(|cell| cell.replace(Some(threads.max(1))));
     let _restore = Restore(previous);
     f()
+}
+
+/// The worker count for a map of at most `max_chunks` chunks: a map that
+/// cannot split runs on the calling thread, so it resolves nothing — outside
+/// a region and without an override, [`num_threads`] reads the environment.
+fn threads_for(max_chunks: usize) -> usize {
+    if max_chunks > 1 {
+        num_threads()
+    } else {
+        1
+    }
 }
 
 /// Chunk size heuristic: enough chunks per worker for load balancing without
@@ -224,7 +245,7 @@ where
     I: Fn() -> S + Sync,
     F: Fn(&mut S, &T) -> U + Sync,
 {
-    let threads = num_threads();
+    let threads = threads_for(items.len());
     let chunk_size = default_chunk_size(items.len(), threads);
     let chunks = run_chunks_with(
         items.len().div_ceil(chunk_size.max(1)),
@@ -258,10 +279,10 @@ where
     F: Fn(usize, &[T]) -> Vec<U> + Sync,
 {
     let chunk_size = chunk_size.max(1);
-    let threads = num_threads();
+    let num_chunks = items.len().div_ceil(chunk_size);
     let chunks = run_chunks_with(
-        items.len().div_ceil(chunk_size),
-        threads,
+        num_chunks,
+        threads_for(num_chunks),
         || (),
         |(), c| {
             let start = c * chunk_size;
@@ -292,9 +313,10 @@ where
     F: Fn(std::ops::Range<usize>) -> U + Sync,
 {
     let chunk_size = chunk_size.max(1);
+    let num_chunks = len.div_ceil(chunk_size);
     let chunks = run_chunks_with(
-        len.div_ceil(chunk_size),
-        num_threads(),
+        num_chunks,
+        threads_for(num_chunks),
         || (),
         |(), c| {
             let start = c * chunk_size;
@@ -322,7 +344,7 @@ where
     I: Fn() -> S + Sync,
     F: Fn(&mut S, usize) -> U + Sync,
 {
-    let threads = num_threads();
+    let threads = threads_for(n);
     let chunk_size = default_chunk_size(n, threads);
     let chunks = run_chunks_with(
         n.div_ceil(chunk_size.max(1)),
@@ -498,6 +520,25 @@ mod tests {
             );
             assert_eq!((threads, env_lookups.get(), os_lookups.get()), expected);
         }
+    }
+
+    #[test]
+    fn a_single_chunk_map_resolves_no_thread_count() {
+        // This test thread has no override and is in no region, so every
+        // thread-count resolution here reads `JOINMI_THREADS`.
+        let lookups = || ENV_LOOKUPS.with(Cell::get);
+        let before = lookups();
+        let items: Vec<u32> = (0..5).collect();
+        assert_eq!(par_map_ranges(1_000, 1_024, |r| r.len()), vec![1_000]);
+        assert!(par_map_ranges(0, 1_024, |r| r.len()).is_empty());
+        assert_eq!(par_map_index(1, |i| i), vec![0]);
+        assert_eq!(par_map(&items[..1], |&x| x), vec![0]);
+        assert_eq!(par_map_chunked(&items, 8, |_, c| c.to_vec()), items);
+        assert_eq!(lookups(), before, "a one-chunk map resolved a thread count");
+
+        // A map that can split still resolves, once.
+        assert_eq!(par_map_ranges(2_000, 1_024, |r| r.len()), vec![1_024, 976]);
+        assert_eq!(lookups(), before + 1);
     }
 
     #[test]

@@ -147,9 +147,9 @@ fn ksg_family_estimators_are_bitwise_identical_across_thread_counts() {
 
 #[test]
 fn blocked_kernels_match_scalar_oracles_bitwise() {
-    // The blocked, lane-widened window expansion must agree with the
-    // pre-refactor scalar expansion to the last bit, including under heavy
-    // ties, at every thread count.
+    // The kernels of the `knn::blocked` module (the two-sided Chebyshev scan
+    // and the 1-D window scan) must agree with the greedy scalar expansion to
+    // the last bit, including under heavy ties, at every thread count.
     use joinmi::estimators::knn::{kth_nn_distances_1d_scalar, kth_nn_distances_chebyshev_scalar};
     let mut state = 0xb10c_u64;
     let mut next = || {
@@ -163,7 +163,7 @@ fn blocked_kernels_match_scalar_oracles_bitwise() {
     let ys: Vec<f64> = (0..n).map(|_| next() * 3.0).collect();
     for threads in [1usize, 4] {
         for k in [1usize, 3, 6] {
-            let (blocked_2d, scalar_2d, blocked_1d, scalar_1d) = with_threads(threads, || {
+            let (scan_2d, scalar_2d, scan_1d, scalar_1d) = with_threads(threads, || {
                 (
                     kth_nn_distances_chebyshev(&xs, &ys, k),
                     kth_nn_distances_chebyshev_scalar(&xs, &ys, k),
@@ -172,14 +172,14 @@ fn blocked_kernels_match_scalar_oracles_bitwise() {
                 )
             });
             assert!(
-                blocked_2d
+                scan_2d
                     .iter()
                     .zip(&scalar_2d)
                     .all(|(a, b)| a.to_bits() == b.to_bits()),
                 "2d threads={threads} k={k}"
             );
             assert!(
-                blocked_1d
+                scan_1d
                     .iter()
                     .zip(&scalar_1d)
                     .all(|(a, b)| a.to_bits() == b.to_bits()),

@@ -97,37 +97,37 @@ proptest! {
         prop_assert!(smoothed >= 0.0);
     }
 
-    // --- k-NN kernel engine (PR 4) --------------------------------------
+    // --- k-NN kernels ----------------------------------------------------
 
-    /// The blocked Chebyshev kernel is bit-for-bit equal to both the
-    /// pre-refactor scalar expansion and the brute-force reference, for
-    /// arbitrary heavy-tie mixture inputs (the `ρ_i = 0` regime of
-    /// non-unique joins) and every k up to the sample size.
+    /// The two-sided Chebyshev scan is bit-for-bit equal to both the greedy
+    /// scalar expansion and the brute-force reference, for arbitrary
+    /// heavy-tie mixture inputs (the `ρ_i = 0` regime of non-unique joins)
+    /// and every k up to the sample size.
     #[test]
-    fn knn_blocked_chebyshev_matches_oracles_on_heavy_ties((xs, ys) in heavy_tie_points(), k in 1usize..6) {
+    fn knn_scan_chebyshev_matches_oracles_on_heavy_ties((xs, ys) in heavy_tie_points(), k in 1usize..6) {
         // Strategy invariant: len >= 8 > k, so k is always valid.
-        let blocked = kth_nn_distances_chebyshev(&xs, &ys, k);
+        let scan = kth_nn_distances_chebyshev(&xs, &ys, k);
         let scalar = kth_nn_distances_chebyshev_scalar(&xs, &ys, k);
         let brute = kth_nn_distances_chebyshev_bruteforce(&xs, &ys, k);
         for i in 0..xs.len() {
-            prop_assert_eq!(blocked[i].to_bits(), scalar[i].to_bits(), "scalar i={}", i);
-            prop_assert_eq!(blocked[i].to_bits(), brute[i].to_bits(), "brute i={}", i);
+            prop_assert_eq!(scan[i].to_bits(), scalar[i].to_bits(), "scalar i={}", i);
+            prop_assert_eq!(scan[i].to_bits(), brute[i].to_bits(), "brute i={}", i);
         }
     }
 
     /// Same for the 1-D window-scan kernel against its greedy scalar oracle.
     #[test]
-    fn knn_blocked_1d_matches_scalar_oracle((xs, _ys) in heavy_tie_points(), k in 1usize..6) {
+    fn knn_window_1d_matches_scalar_oracle((xs, _ys) in heavy_tie_points(), k in 1usize..6) {
         // Strategy invariant: len >= 8 > k, so k is always valid.
-        let blocked = kth_nn_distances_1d(&xs, k);
+        let window = kth_nn_distances_1d(&xs, k);
         let scalar = kth_nn_distances_1d_scalar(&xs, k);
         for i in 0..xs.len() {
-            prop_assert_eq!(blocked[i].to_bits(), scalar[i].to_bits(), "i={}", i);
+            prop_assert_eq!(window[i].to_bits(), scalar[i].to_bits(), "i={}", i);
         }
     }
 
     /// MixedKSG on heavy-tie mixtures (exercising the tie fallback through
-    /// the blocked kernel and the parallel accumulation) stays finite,
+    /// the neighbour scan and the parallel accumulation) stays finite,
     /// non-negative, and bit-identical across thread counts.
     #[test]
     fn mixed_ksg_on_heavy_ties_is_finite_and_thread_invariant((xs, ys) in heavy_tie_points()) {
