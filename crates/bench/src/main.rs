@@ -610,6 +610,16 @@ fn cmd_serve_check(args: &[String]) -> i32 {
             rows.len()
         );
 
+        // The shards serve TUPSK only: the same query sketched with a
+        // baseline kind is refused, never answered.
+        let baseline_body = body.replace(r#""sketch_kind": "TUPSK""#, r#""sketch_kind": "LV2SK""#);
+        let (status, _) = joinmi_serve::client_request(url, "POST", "/v1/query", &baseline_body)
+            .map_err(|e| format!("LV2SK variant: request failed: {e}"))?;
+        if status != 400 {
+            return Err(format!("LV2SK variant: expected status 400, got {status}"));
+        }
+        println!("serve-check: LV2SK variant refused with 400");
+
         // The early-termination / pruning counters must be surfaced.
         let (status, text) = joinmi_serve::client_request(url, "GET", "/v1/shards", "")
             .map_err(|e| format!("GET /v1/shards failed: {e}"))?;

@@ -14,22 +14,14 @@
 //!
 //! That is the `O(changed)` append path: work proportional to the appended
 //! rows, never to the table already ingested. The pinned invariant — tested
-//! per sketch kind below and property-tested over arbitrary row splits — is
-//! that *append-then-finalize is bit-for-bit identical to from-scratch
-//! sketching of the concatenated table*.
+//! below and property-tested over arbitrary row splits — is that
+//! *append-then-finalize is bit-for-bit identical to from-scratch sketching
+//! of the concatenated table*.
 //!
-//! Per-kind notes:
-//!
-//! * **TUPSK / LV2SK / PRISK / CSK** (right side): all four select whole
-//!   aggregated keys by a digest derived only from the key, so the scheme
-//!   above applies directly. They differ only in the selection digest
-//!   (TUPSK samples on `h_u(⟨k, 1⟩)`, the others on `h_u(k)`) and in the
-//!   featurization (CSK always keeps the first value per key).
-//! * **INDSK** keeps each aggregated key with probability `n / m`, where `m`
-//!   is the *final* distinct-key count — there is no threshold, so the
-//!   builder retains aggregation state for every key and replays the
-//!   Bernoulli stream at [`RightSketchBuilder::finish`]. Appends are still
-//!   `O(changed)`, but finalization is `O(m)`: the price of no coordination.
+//! The builder produces TUPSK sketches only — the paper's proposed method
+//! and the one kind a repository serves. On the aggregated right side every
+//! key is unique, so TUPSK selects a key by `h_u(⟨k, 1⟩)`. The four baselines
+//! keep their one-shot [`SketchKind::build_right`] for the evaluation.
 //!
 //! Left-side sketches have no incremental builder: they are query-side
 //! artifacts, rebuilt from the (small) query table at query time, while
@@ -53,12 +45,8 @@
 
 use std::collections::HashMap;
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-
 use joinmi_hash::{
     digest_map_with_capacity, digest_set_with_capacity, DigestHashMap, DigestHashSet, KeyHash,
-    SplitMix64, UnitHasher,
 };
 use joinmi_store::{Result as StoreResult, SliceReader, StoreError};
 use joinmi_table::{Aggregation, DataType, Table, TableError, Value};
@@ -67,8 +55,8 @@ use crate::config::{Side, SketchConfig};
 use crate::kind::SketchKind;
 use crate::kmv::{BoundedMinSet, Offer};
 use crate::persist::{
-    aggregation_from_tag, aggregation_tag, dtype_from_tag, dtype_tag, read_value,
-    sketch_kind_from_tag, sketch_kind_tag, write_value,
+    aggregation_from_tag, aggregation_tag, dtype_from_tag, dtype_tag, read_served_kind, read_value,
+    sketch_kind_tag, write_value,
 };
 use crate::row::{ColumnSketch, SketchRow};
 use crate::Result;
@@ -269,31 +257,6 @@ impl AggState {
 // The appendable right-side sketch builder.
 // ---------------------------------------------------------------------------
 
-/// Per-kind selection state of a [`RightSketchBuilder`].
-#[derive(Debug, Clone)]
-enum SelectionState {
-    /// Coordinated KMV selection over distinct key digests (TUPSK, LV2SK,
-    /// PRISK, CSK right sides).
-    Kmv {
-        /// Every distinct key digest ever seen (exact distinct-key count and
-        /// the double-offer guard).
-        seen: DigestHashSet,
-        /// The `n` keys with the smallest selection digests; payload is the
-        /// raw key digest.
-        set: BoundedMinSet<u64>,
-        /// Aggregation state for exactly the keys currently in `set`.
-        states: DigestHashMap<AggState>,
-    },
-    /// Uncoordinated Bernoulli selection (INDSK): every key's state is
-    /// retained and the stream is replayed at finish time.
-    Independent {
-        /// Key digests in first-appearance order (the replay order).
-        order: Vec<u64>,
-        /// Aggregation state for every key.
-        states: DigestHashMap<AggState>,
-    },
-}
-
 /// What one [`RightSketchBuilder::append_table_diff`] call changed about the
 /// builder's *selection membership* — the inputs an index maintainer needs to
 /// patch postings in `O(changed)` instead of re-diffing whole sketches.
@@ -305,22 +268,14 @@ pub struct AppendDiff {
     pub added: Vec<u64>,
     /// Key digests that were evicted from the selection during this append.
     pub removed: Vec<u64>,
-    /// `true` when `added`/`removed` describe the membership change exactly
-    /// (all KMV kinds). `false` for INDSK, whose Bernoulli selection is only
-    /// determined at finish time — callers must diff the finished sketches.
-    pub exact_membership: bool,
 }
 
-/// Incrementally builds a right-side (aggregated candidate) sketch that can
-/// absorb appended rows in `O(changed)` and finalize — repeatedly — to a
-/// [`ColumnSketch`] bit-for-bit identical to
-/// [`SketchKind::build_right`] over everything appended so far.
+/// Incrementally builds a right-side (aggregated candidate) TUPSK sketch that
+/// can absorb appended rows in `O(changed)` and finalize — repeatedly — to a
+/// [`ColumnSketch`] bit-for-bit identical to [`SketchKind::build_right`] of
+/// [`SketchKind::Tupsk`] over everything appended so far.
 #[derive(Debug, Clone)]
 pub struct RightSketchBuilder {
-    kind: SketchKind,
-    /// The aggregation as requested by the caller (recorded, persisted).
-    requested_agg: Aggregation,
-    /// The effective aggregation (CSK always uses `FIRST`).
     agg: Aggregation,
     cfg: SketchConfig,
     key_column: String,
@@ -329,9 +284,16 @@ pub struct RightSketchBuilder {
     input_dtype: DataType,
     value_dtype: DataType,
     source_rows: usize,
-    state: SelectionState,
-    /// Finished-row cache for [`Self::finish_cached`] (KMV kinds only;
-    /// derived state — never persisted, rebuilt on demand).
+    /// Every distinct key digest ever seen (exact distinct-key count and the
+    /// double-offer guard).
+    seen: DigestHashSet,
+    /// The coordinated KMV selection: the `n` keys with the smallest
+    /// selection digests; payload is the raw key digest.
+    selection: BoundedMinSet<u64>,
+    /// Aggregation state for exactly the keys currently in `selection`.
+    states: DigestHashMap<AggState>,
+    /// Finished-row cache for [`Self::finish_cached`] (derived state — never
+    /// persisted, rebuilt on demand).
     cache: Option<RowCache>,
     /// Selected keys whose aggregation state changed since the cache was
     /// built.
@@ -353,7 +315,6 @@ impl RightSketchBuilder {
     /// given physical types. Fails like [`SketchKind::build_right`] would if
     /// the aggregation is incompatible with the value type.
     pub fn new(
-        kind: SketchKind,
         key_column: &str,
         key_dtype: DataType,
         value_column: &str,
@@ -361,33 +322,12 @@ impl RightSketchBuilder {
         agg: Aggregation,
         cfg: &SketchConfig,
     ) -> Result<Self> {
-        // CSK keeps the first value seen per key by construction; the
-        // requested aggregation is recorded but not applied.
-        let effective = if kind == SketchKind::Csk {
-            Aggregation::First
-        } else {
-            agg
-        };
-        let value_dtype = effective.output_dtype(input_dtype)?;
+        let value_dtype = agg.output_dtype(input_dtype)?;
         // Every table starts empty and grows with the keys that arrive; none
         // is sized for `cfg.size`, which most candidates of a wide lake (a
         // few dozen keys each) never come near.
-        let state = if kind == SketchKind::Indsk {
-            SelectionState::Independent {
-                order: Vec::new(),
-                states: DigestHashMap::default(),
-            }
-        } else {
-            SelectionState::Kmv {
-                seen: DigestHashSet::default(),
-                set: BoundedMinSet::new(cfg.size),
-                states: DigestHashMap::default(),
-            }
-        };
         Ok(Self {
-            kind,
-            requested_agg: agg,
-            agg: effective,
+            agg,
             cfg: *cfg,
             key_column: key_column.to_owned(),
             value_column: value_column.to_owned(),
@@ -395,7 +335,9 @@ impl RightSketchBuilder {
             input_dtype,
             value_dtype,
             source_rows: 0,
-            state,
+            seen: DigestHashSet::default(),
+            selection: BoundedMinSet::new(cfg.size),
+            states: DigestHashMap::default(),
             cache: None,
             dirty_values: DigestHashSet::default(),
             membership_dirty: false,
@@ -405,7 +347,6 @@ impl RightSketchBuilder {
     /// Creates a builder from a table's column pair and ingests the whole
     /// table — the bulk-ingest entry point.
     pub fn start(
-        kind: SketchKind,
         table: &Table,
         key: &str,
         value: &str,
@@ -414,7 +355,7 @@ impl RightSketchBuilder {
     ) -> Result<Self> {
         let key_dtype = table.column(key)?.dtype();
         let input_dtype = table.column(value)?.dtype();
-        let mut builder = Self::new(kind, key, key_dtype, value, input_dtype, agg, cfg)?;
+        let mut builder = Self::new(key, key_dtype, value, input_dtype, agg, cfg)?;
         builder.append_table(table)?;
         Ok(builder)
     }
@@ -450,10 +391,7 @@ impl RightSketchBuilder {
 
         let hasher = self.cfg.key_hasher();
         let unit = self.cfg.unit_hasher();
-        let mut diff = AppendDiff {
-            exact_membership: !matches!(self.state, SelectionState::Independent { .. }),
-            ..AppendDiff::default()
-        };
+        let mut diff = AppendDiff::default();
         // Net membership change of this call: a key both added and evicted
         // within the chunk must not surface in either list.
         let mut added: DigestHashSet = DigestHashSet::default();
@@ -466,52 +404,41 @@ impl RightSketchBuilder {
             diff.rows += 1;
             let digest = k.key_hash(&hasher).raw();
             let value = value_col.value(i);
-            match &mut self.state {
-                SelectionState::Kmv { seen, set, states } => {
-                    if let Some(state) = states.get_mut(&digest) {
-                        // Key currently selected: fold the value in.
-                        state.update(&value);
-                        self.dirty_values.insert(digest);
-                    } else if seen.insert(digest) {
-                        // New distinct key: offer its selection digest. The
-                        // threshold comparison inside `offer_evicting` is the
-                        // O(changed) fast path — a non-qualifying key costs
-                        // exactly one compare.
-                        let sel = selection_digest(self.kind, &unit, digest);
-                        match set.offer_evicting(sel, digest) {
-                            Offer::Kept(evicted) => {
-                                added.insert(digest);
-                                self.membership_dirty = true;
-                                if let Some((_, old_key)) = evicted {
-                                    states.remove(&old_key);
-                                    // An eviction of a key added earlier in
-                                    // this same chunk nets out to nothing.
-                                    if !added.remove(&old_key) {
-                                        removed.insert(old_key);
-                                    }
-                                }
-                                let mut state = AggState::new(self.agg);
-                                state.update(&value);
-                                states.insert(digest, state);
+            if let Some(state) = self.states.get_mut(&digest) {
+                // Key currently selected: fold the value in.
+                state.update(&value);
+                self.dirty_values.insert(digest);
+            } else if self.seen.insert(digest) {
+                // New distinct key: offer its TUPSK selection digest
+                // `h_u(⟨k, 1⟩)` — on the aggregated side every key is
+                // unique. The threshold comparison inside `offer_evicting` is
+                // the O(changed) fast path — a non-qualifying key costs
+                // exactly one compare.
+                match self
+                    .selection
+                    .offer_evicting(unit.pair_digest(digest, 1), digest)
+                {
+                    Offer::Kept(evicted) => {
+                        added.insert(digest);
+                        self.membership_dirty = true;
+                        if let Some((_, old_key)) = evicted {
+                            self.states.remove(&old_key);
+                            // An eviction of a key added earlier in this same
+                            // chunk nets out to nothing.
+                            if !added.remove(&old_key) {
+                                removed.insert(old_key);
                             }
-                            Offer::Rejected => {}
                         }
-                    }
-                    // else: seen before but not selected — it can never enter
-                    // the selection (the threshold only decreases), so the
-                    // row is skipped entirely.
-                }
-                SelectionState::Independent { order, states } => {
-                    if let Some(state) = states.get_mut(&digest) {
-                        state.update(&value);
-                    } else {
-                        order.push(digest);
                         let mut state = AggState::new(self.agg);
                         state.update(&value);
-                        states.insert(digest, state);
+                        self.states.insert(digest, state);
                     }
+                    Offer::Rejected => {}
                 }
             }
+            // else: seen before but not selected — it can never enter the
+            // selection (the threshold only decreases), so the row is skipped
+            // entirely.
         }
         self.source_rows += diff.rows;
         diff.added = added.into_iter().collect();
@@ -521,65 +448,46 @@ impl RightSketchBuilder {
         Ok(diff)
     }
 
-    /// Number of keys currently in the selection — for KMV kinds, exactly the
-    /// distinct key digests the finished sketch will hold.
+    /// Number of keys currently in the selection — exactly the distinct key
+    /// digests the finished sketch will hold.
     #[must_use]
     pub fn selection_len(&self) -> usize {
-        match &self.state {
-            SelectionState::Kmv { set, .. } => set.len(),
-            SelectionState::Independent { order, .. } => order.len(),
-        }
+        self.selection.len()
     }
 
     /// Finalizes the current state into a [`ColumnSketch`] — callable any
     /// number of times; the builder keeps accepting appends afterwards.
     ///
-    /// Bit-for-bit identical to [`SketchKind::build_right`] over the
-    /// concatenation of everything appended so far.
+    /// Bit-for-bit identical to [`SketchKind::build_right`] of
+    /// [`SketchKind::Tupsk`] over the concatenation of everything appended
+    /// so far.
     #[must_use]
     pub fn finish(&self) -> ColumnSketch {
-        let (rows, distinct) = match &self.state {
-            SelectionState::Kmv { seen, set, states } => {
-                let rows: Vec<SketchRow> = set
-                    .sorted()
-                    .into_iter()
-                    .map(|(_, &digest)| {
-                        let value = states
-                            .get(&digest)
-                            .expect("selected key has aggregation state")
-                            .finalize();
-                        SketchRow::new(KeyHash(digest), value)
-                    })
-                    .collect();
-                (rows, seen.len())
-            }
-            SelectionState::Independent { order, states } => {
-                let p = crate::indsk::sampling_probability(self.cfg.size, order.len());
-                let mut rng = StdRng::seed_from_u64(SplitMix64::derive_seed(
-                    self.cfg.seed,
-                    crate::indsk::RIGHT_STREAM_INDEX,
-                ));
-                let rows: Vec<SketchRow> = order
-                    .iter()
-                    .filter(|_| rng.gen::<f64>() < p)
-                    .map(|&digest| {
-                        let value = states
-                            .get(&digest)
-                            .expect("every INDSK key has aggregation state")
-                            .finalize();
-                        SketchRow::new(KeyHash(digest), value)
-                    })
-                    .collect();
-                (rows, order.len())
-            }
-        };
+        let rows: Vec<SketchRow> = self
+            .selection
+            .sorted()
+            .into_iter()
+            .map(|(_, &digest)| {
+                let value = self
+                    .states
+                    .get(&digest)
+                    .expect("selected key has aggregation state")
+                    .finalize();
+                SketchRow::new(KeyHash(digest), value)
+            })
+            .collect();
+        self.sketch(rows)
+    }
+
+    /// Wraps finished rows in this builder's TUPSK right-side sketch.
+    fn sketch(&self, rows: Vec<SketchRow>) -> ColumnSketch {
         ColumnSketch::new(
-            self.kind,
+            SketchKind::Tupsk,
             Side::Right,
             rows,
             self.value_dtype,
             self.source_rows,
-            distinct,
+            self.distinct_keys(),
             self.cfg,
         )
     }
@@ -594,10 +502,6 @@ impl RightSketchBuilder {
     /// appended rows end to end: for a small append the full rebuild's
     /// sort-and-refinalize over all `n` selected keys is the dominant cost.
     pub fn finish_cached(&mut self) -> ColumnSketch {
-        let SelectionState::Kmv { states, .. } = &self.state else {
-            // INDSK has no incremental representation of its selection.
-            return self.finish();
-        };
         // Rebuild when there is no cache, membership changed, or — defense
         // in depth — a dirty key is somehow absent from the cached rows (a
         // correctly primed or built cache always covers the selection).
@@ -624,22 +528,15 @@ impl RightSketchBuilder {
         let cache = self.cache.as_mut().expect("checked above");
         for &digest in &self.dirty_values {
             let row = &mut cache.rows[cache.position[&digest]];
-            row.value = states
+            row.value = self
+                .states
                 .get(&digest)
                 .expect("dirty key has aggregation state")
                 .finalize();
         }
         self.dirty_values.clear();
         let rows = cache.rows.clone();
-        ColumnSketch::new(
-            self.kind,
-            Side::Right,
-            rows,
-            self.value_dtype,
-            self.source_rows,
-            self.distinct_keys(),
-            self.cfg,
-        )
+        self.sketch(rows)
     }
 
     /// Primes the [`Self::finish_cached`] row cache from an already-finished
@@ -649,10 +546,7 @@ impl RightSketchBuilder {
     /// rebuild. A sketch that does not match the current selection is
     /// ignored; the cache is then simply rebuilt on the next finish.
     pub fn prime_cache(&mut self, sketch: &ColumnSketch) {
-        let SelectionState::Kmv { states, .. } = &self.state else {
-            return;
-        };
-        if sketch.kind() != self.kind
+        if sketch.kind() != SketchKind::Tupsk
             || sketch.config() != &self.cfg
             || sketch.source_rows() != self.source_rows
             || sketch.len() != self.selection_len()
@@ -665,7 +559,7 @@ impl RightSketchBuilder {
         if !sketch
             .rows()
             .iter()
-            .all(|r| states.contains_key(&r.key.raw()))
+            .all(|r| self.states.contains_key(&r.key.raw()))
         {
             return;
         }
@@ -679,16 +573,10 @@ impl RightSketchBuilder {
         self.dirty_values.clear();
     }
 
-    /// The sketching strategy being built.
-    #[must_use]
-    pub fn kind(&self) -> SketchKind {
-        self.kind
-    }
-
-    /// The aggregation as requested (CSK records it but applies `FIRST`).
+    /// The featurization applied to each key group.
     #[must_use]
     pub fn aggregation(&self) -> Aggregation {
-        self.requested_agg
+        self.agg
     }
 
     /// Join-key column name.
@@ -712,21 +600,7 @@ impl RightSketchBuilder {
     /// Number of distinct key digests seen so far.
     #[must_use]
     pub fn distinct_keys(&self) -> usize {
-        match &self.state {
-            SelectionState::Kmv { seen, .. } => seen.len(),
-            SelectionState::Independent { order, .. } => order.len(),
-        }
-    }
-}
-
-/// The digest a right-side key is selected by, per kind. TUPSK samples rows
-/// on `h_u(⟨k, j⟩)` — on the aggregated side all keys are unique, so `j = 1`;
-/// the two-level and CSK baselines sample keys on `h_u(k)`.
-fn selection_digest(kind: SketchKind, unit: &UnitHasher, key_digest: u64) -> u64 {
-    match kind {
-        SketchKind::Tupsk => unit.pair_digest(key_digest, 1),
-        SketchKind::Lv2sk | SketchKind::Prisk | SketchKind::Csk => unit.digest(key_digest),
-        SketchKind::Indsk => unreachable!("INDSK has no selection digest"),
+        self.seen.len()
     }
 }
 
@@ -734,9 +608,8 @@ fn selection_digest(kind: SketchKind, unit: &UnitHasher, key_digest: u64) -> u64
 // Builder-state persistence (used by the repository's appendable format).
 // ---------------------------------------------------------------------------
 
-/// Encoding tags of the two selection-state variants.
+/// Encoding tag of the KMV selection state, the only variant.
 const STATE_KMV: u8 = 1;
-const STATE_INDEPENDENT: u8 = 2;
 
 fn write_agg_state<W: std::io::Write>(
     w: &mut joinmi_store::Writer<W>,
@@ -816,15 +689,15 @@ fn write_opt_value<W: std::io::Write>(
 }
 
 /// Reads one aggregation state, which must be the variant of the builder's
-/// (effective) aggregation: the two share their on-disk tag numbering.
-fn read_agg_state(r: &mut SliceReader<'_>, effective: Aggregation) -> StoreResult<AggState> {
+/// aggregation: the two share their on-disk tag numbering.
+fn read_agg_state(r: &mut SliceReader<'_>, agg: Aggregation) -> StoreResult<AggState> {
     let tag = r.read_u8("agg state tag")?;
-    if tag != aggregation_tag(effective) {
+    if tag != aggregation_tag(agg) {
         return Err(StoreError::corrupt(format!(
             "aggregation state tag {tag} does not match the declared aggregation"
         )));
     }
-    Ok(match effective {
+    Ok(match agg {
         Aggregation::Avg => AggState::Avg {
             sum: r.read_f64("avg sum")?,
             count: r.read_u64("avg count")?,
@@ -891,8 +764,8 @@ impl RightSketchBuilder {
         &self,
         w: &mut joinmi_store::Writer<W>,
     ) -> StoreResult<()> {
-        w.write_u8(sketch_kind_tag(self.kind))?;
-        w.write_u8(aggregation_tag(self.requested_agg))?;
+        w.write_u8(sketch_kind_tag(SketchKind::Tupsk))?;
+        w.write_u8(aggregation_tag(self.agg))?;
         w.write_u8(dtype_tag(self.key_dtype))?;
         w.write_u8(dtype_tag(self.input_dtype))?;
         w.write_len(self.cfg.size)?;
@@ -900,58 +773,40 @@ impl RightSketchBuilder {
         w.write_str(&self.key_column)?;
         w.write_str(&self.value_column)?;
         w.write_len(self.source_rows)?;
-        match &self.state {
-            SelectionState::Kmv { seen, set, states } => {
-                w.write_u8(STATE_KMV)?;
-                let mut digests: Vec<u64> = seen.iter().copied().collect();
-                digests.sort_unstable();
-                w.write_len(digests.len())?;
-                for d in digests {
-                    w.write_u64(d)?;
-                }
-                let entries = set.entries();
-                w.write_len(entries.len())?;
-                for (sel, seq, &key_digest) in entries {
-                    w.write_u64(sel)?;
-                    w.write_u64(seq)?;
-                    w.write_u64(key_digest)?;
-                    write_agg_state(
-                        w,
-                        states
-                            .get(&key_digest)
-                            .expect("selected key has aggregation state"),
-                    )?;
-                }
-                Ok(())
-            }
-            SelectionState::Independent { order, states } => {
-                w.write_u8(STATE_INDEPENDENT)?;
-                w.write_len(order.len())?;
-                for &digest in order {
-                    w.write_u64(digest)?;
-                    write_agg_state(
-                        w,
-                        states
-                            .get(&digest)
-                            .expect("every INDSK key has aggregation state"),
-                    )?;
-                }
-                Ok(())
-            }
+        w.write_u8(STATE_KMV)?;
+        let mut digests: Vec<u64> = self.seen.iter().copied().collect();
+        digests.sort_unstable();
+        w.write_len(digests.len())?;
+        for d in digests {
+            w.write_u64(d)?;
         }
+        let entries = self.selection.entries();
+        w.write_len(entries.len())?;
+        for (sel, seq, &key_digest) in entries {
+            w.write_u64(sel)?;
+            w.write_u64(seq)?;
+            w.write_u64(key_digest)?;
+            write_agg_state(
+                w,
+                self.states
+                    .get(&key_digest)
+                    .expect("selected key has aggregation state"),
+            )?;
+        }
+        Ok(())
     }
 
     /// Deserializes a builder state written by [`Self::write_state`] — the
     /// state's only decoder and validator. Beyond the byte layout it checks
-    /// everything a later append relies on: aggregation/dtype compatibility,
-    /// variant-kind agreement, a sorted seen set, seq ordering,
-    /// selection ⊆ seen, no duplicate keys, and state variants matching the
-    /// declared aggregation. A repository snapshot only checksums these
-    /// bytes at open; they are first interpreted here, by the eager
-    /// `load`/`compact` path.
+    /// everything a later append relies on: the TUPSK kind and KMV variant
+    /// bytes, aggregation/dtype compatibility, a sorted seen set, seq
+    /// ordering, selection ⊆ seen, no duplicate keys, and state variants
+    /// matching the declared aggregation. A repository snapshot only
+    /// checksums these bytes at open; they are first interpreted here, by the
+    /// eager `load`/`compact` path.
     pub fn read_state(r: &mut SliceReader<'_>) -> StoreResult<Self> {
-        let kind = sketch_kind_from_tag(r.read_u8("builder kind")?)?;
-        let requested_agg = aggregation_from_tag(r.read_u8("builder aggregation")?)?;
+        read_served_kind(r, "builder kind")?;
+        let agg = aggregation_from_tag(r.read_u8("builder aggregation")?)?;
         let key_dtype = dtype_from_tag(r.read_u8("builder key dtype")?)?;
         let input_dtype = dtype_from_tag(r.read_u8("builder input dtype")?)?;
         let size = r.read_len("builder sketch size")?;
@@ -961,112 +816,75 @@ impl RightSketchBuilder {
         let source_rows = r.read_len("builder source rows")?;
         // `size` is untrusted here; `new` allocates nothing for it.
         let mut builder = Self::new(
-            kind,
             key_column,
             key_dtype,
             value_column,
             input_dtype,
-            requested_agg,
+            agg,
             &SketchConfig::new(size, seed),
         )
         .map_err(|e| StoreError::corrupt(format!("invalid builder state: {e}")))?;
         builder.source_rows = source_rows;
 
-        match r.read_u8("builder selection variant")? {
-            STATE_KMV => {
-                if kind == SketchKind::Indsk {
-                    return Err(StoreError::corrupt(
-                        "coordinated selection state on INDSK builder",
-                    ));
-                }
-                let seen_count = r.read_len("builder seen-key count")?;
-                let mut seen = digest_set_with_capacity(seen_count.min(1 << 20));
-                let mut prev: Option<u64> = None;
-                for _ in 0..seen_count {
-                    let digest = r.read_u64("builder seen key digest")?;
-                    // The canonical encoding sorts the seen set; requiring it
-                    // keeps encode(decode(x)) == x and rules out duplicates.
-                    if prev.is_some_and(|p| p >= digest) {
-                        return Err(StoreError::corrupt(
-                            "seen key digests must be strictly increasing",
-                        ));
-                    }
-                    prev = Some(digest);
-                    seen.insert(digest);
-                }
-                let entry_count = r.read_len("builder selection entry count")?;
-                if entry_count > size {
-                    return Err(StoreError::corrupt(format!(
-                        "selection holds {entry_count} entries, capacity is {size}"
-                    )));
-                }
-                let mut entries = Vec::with_capacity(entry_count.min(1 << 20));
-                let mut states: DigestHashMap<AggState> =
-                    digest_map_with_capacity(entry_count.min(1 << 20));
-                let mut prev_seq: Option<u64> = None;
-                for _ in 0..entry_count {
-                    let sel = r.read_u64("builder selection digest")?;
-                    let seq = r.read_u64("builder selection seq")?;
-                    let key_digest = r.read_u64("builder selection key digest")?;
-                    let state = read_agg_state(r, builder.agg)?;
-                    // `u64::MAX` is excluded too: the set resumes numbering
-                    // at the largest seq plus one.
-                    if prev_seq.is_some_and(|p| p >= seq) || seq == u64::MAX {
-                        return Err(StoreError::corrupt(
-                            "selection entries must be in strictly increasing seq order",
-                        ));
-                    }
-                    prev_seq = Some(seq);
-                    if !seen.contains(&key_digest) {
-                        return Err(StoreError::corrupt(
-                            "selected key digest missing from the seen set",
-                        ));
-                    }
-                    if states.insert(key_digest, state).is_some() {
-                        return Err(StoreError::corrupt(
-                            "duplicate key digest in selection entries",
-                        ));
-                    }
-                    entries.push((sel, seq, key_digest));
-                }
-                builder.state = SelectionState::Kmv {
-                    seen,
-                    set: BoundedMinSet::from_entries(size, entries),
-                    states,
-                };
-            }
-            STATE_INDEPENDENT => {
-                if kind != SketchKind::Indsk {
-                    return Err(StoreError::corrupt(
-                        "independent selection state on a coordinated sketch kind",
-                    ));
-                }
-                let count = r.read_len("builder key count")?;
-                let mut order = Vec::with_capacity(count.min(1 << 20));
-                let mut states: DigestHashMap<AggState> =
-                    digest_map_with_capacity(count.min(1 << 20));
-                for _ in 0..count {
-                    let digest = r.read_u64("builder key digest")?;
-                    let state = read_agg_state(r, builder.agg)?;
-                    if states.insert(digest, state).is_some() {
-                        return Err(StoreError::corrupt("duplicate key digest in INDSK state"));
-                    }
-                    order.push(digest);
-                }
-                builder.state = SelectionState::Independent { order, states };
-            }
-            other => {
-                return Err(StoreError::corrupt(format!(
-                    "unknown builder selection variant {other}"
-                )))
-            }
+        let variant = r.read_u8("builder selection variant")?;
+        if variant != STATE_KMV {
+            return Err(StoreError::corrupt(format!(
+                "unknown builder selection variant {variant}"
+            )));
         }
-        if kind == SketchKind::Indsk && !matches!(builder.state, SelectionState::Independent { .. })
-        {
-            return Err(StoreError::corrupt(
-                "coordinated selection state on INDSK builder",
-            ));
+        let seen_count = r.read_len("builder seen-key count")?;
+        let mut seen = digest_set_with_capacity(seen_count.min(1 << 20));
+        let mut prev: Option<u64> = None;
+        for _ in 0..seen_count {
+            let digest = r.read_u64("builder seen key digest")?;
+            // The canonical encoding sorts the seen set; requiring it keeps
+            // encode(decode(x)) == x and rules out duplicates.
+            if prev.is_some_and(|p| p >= digest) {
+                return Err(StoreError::corrupt(
+                    "seen key digests must be strictly increasing",
+                ));
+            }
+            prev = Some(digest);
+            seen.insert(digest);
         }
+        let entry_count = r.read_len("builder selection entry count")?;
+        if entry_count > size {
+            return Err(StoreError::corrupt(format!(
+                "selection holds {entry_count} entries, capacity is {size}"
+            )));
+        }
+        let mut entries = Vec::with_capacity(entry_count.min(1 << 20));
+        let mut states: DigestHashMap<AggState> =
+            digest_map_with_capacity(entry_count.min(1 << 20));
+        let mut prev_seq: Option<u64> = None;
+        for _ in 0..entry_count {
+            let sel = r.read_u64("builder selection digest")?;
+            let seq = r.read_u64("builder selection seq")?;
+            let key_digest = r.read_u64("builder selection key digest")?;
+            let state = read_agg_state(r, agg)?;
+            // `u64::MAX` is excluded too: the set resumes numbering at the
+            // largest seq plus one.
+            if prev_seq.is_some_and(|p| p >= seq) || seq == u64::MAX {
+                return Err(StoreError::corrupt(
+                    "selection entries must be in strictly increasing seq order",
+                ));
+            }
+            prev_seq = Some(seq);
+            if !seen.contains(&key_digest) {
+                return Err(StoreError::corrupt(
+                    "selected key digest missing from the seen set",
+                ));
+            }
+            if states.insert(key_digest, state).is_some() {
+                return Err(StoreError::corrupt(
+                    "duplicate key digest in selection entries",
+                ));
+            }
+            entries.push((sel, seq, key_digest));
+        }
+        builder.seen = seen;
+        builder.selection = BoundedMinSet::from_entries(size, entries);
+        builder.states = states;
         Ok(builder)
     }
 }
@@ -1151,58 +969,56 @@ mod tests {
         }
     }
 
+    /// The one kind the builder builds, in test names "every kind".
+    const KIND: SketchKind = SketchKind::Tupsk;
+
     #[test]
     fn one_shot_builder_matches_build_right_for_every_kind_and_agg() {
         let cfg = SketchConfig::new(16, 5);
-        for kind in SketchKind::ALL {
-            for (agg, dtype) in [
-                (Aggregation::Avg, DataType::Float),
-                (Aggregation::Avg, DataType::Int),
-                (Aggregation::Sum, DataType::Int),
-                (Aggregation::Count, DataType::Str),
-                (Aggregation::CountDistinct, DataType::Str),
-                (Aggregation::Min, DataType::Int),
-                (Aggregation::Max, DataType::Float),
-                (Aggregation::Mode, DataType::Str),
-                (Aggregation::Mode, DataType::Int),
-                (Aggregation::Median, DataType::Float),
-                (Aggregation::First, DataType::Str),
-            ] {
-                let table = table_slice("t", 0..230, dtype);
-                let direct = kind.build_right(&table, "k", "z", agg, &cfg).unwrap();
-                let built = RightSketchBuilder::start(kind, &table, "k", "z", agg, &cfg)
-                    .unwrap()
-                    .finish();
-                assert_sketch_bits_equal(&direct, &built, &format!("{kind}/{agg}"));
-            }
+        for (agg, dtype) in [
+            (Aggregation::Avg, DataType::Float),
+            (Aggregation::Avg, DataType::Int),
+            (Aggregation::Sum, DataType::Int),
+            (Aggregation::Count, DataType::Str),
+            (Aggregation::CountDistinct, DataType::Str),
+            (Aggregation::Min, DataType::Int),
+            (Aggregation::Max, DataType::Float),
+            (Aggregation::Mode, DataType::Str),
+            (Aggregation::Mode, DataType::Int),
+            (Aggregation::Median, DataType::Float),
+            (Aggregation::First, DataType::Str),
+        ] {
+            let table = table_slice("t", 0..230, dtype);
+            let direct = KIND.build_right(&table, "k", "z", agg, &cfg).unwrap();
+            let built = RightSketchBuilder::start(&table, "k", "z", agg, &cfg)
+                .unwrap()
+                .finish();
+            assert_sketch_bits_equal(&direct, &built, &format!("{agg}"));
         }
     }
 
     #[test]
     fn append_then_finalize_equals_from_scratch_for_every_kind() {
         let cfg = SketchConfig::new(12, 9);
-        for kind in SketchKind::ALL {
-            let full = table_slice("t", 0..300, DataType::Float);
-            let direct = kind
-                .build_right(&full, "k", "z", Aggregation::Avg, &cfg)
-                .unwrap();
-            // Split 0..300 into uneven chunks, including an empty one.
-            let mut builder = RightSketchBuilder::start(
-                kind,
-                &table_slice("t", 0..57, DataType::Float),
-                "k",
-                "z",
-                Aggregation::Avg,
-                &cfg,
-            )
+        let full = table_slice("t", 0..300, DataType::Float);
+        let direct = KIND
+            .build_right(&full, "k", "z", Aggregation::Avg, &cfg)
             .unwrap();
-            for chunk in [57..57, 57..110, 110..111, 111..299, 299..300] {
-                builder
-                    .append_table(&table_slice("t", chunk, DataType::Float))
-                    .unwrap();
-            }
-            assert_sketch_bits_equal(&direct, &builder.finish(), &format!("{kind} append"));
+        // Split 0..300 into uneven chunks, including an empty one.
+        let mut builder = RightSketchBuilder::start(
+            &table_slice("t", 0..57, DataType::Float),
+            "k",
+            "z",
+            Aggregation::Avg,
+            &cfg,
+        )
+        .unwrap();
+        for chunk in [57..57, 57..110, 110..111, 111..299, 299..300] {
+            builder
+                .append_table(&table_slice("t", chunk, DataType::Float))
+                .unwrap();
         }
+        assert_sketch_bits_equal(&direct, &builder.finish(), "append");
     }
 
     #[test]
@@ -1216,36 +1032,29 @@ mod tests {
             .build()
             .unwrap();
         let cfg = SketchConfig::new(1024, 3);
-        for kind in SketchKind::ALL {
-            let builder =
-                RightSketchBuilder::start(kind, &table, "k", "z", Aggregation::Avg, &cfg).unwrap();
-            assert_eq!(builder.distinct_keys(), 36);
-            let allocated = match &builder.state {
-                SelectionState::Kmv { seen, set, states } => {
-                    vec![seen.capacity(), set.allocated(), states.capacity()]
-                }
-                SelectionState::Independent { order, states } => {
-                    vec![order.capacity(), states.capacity()]
-                }
-            };
-            assert!(
-                allocated
-                    .iter()
-                    .all(|&slots| (36..=4 * 36).contains(&slots)),
-                "{kind}: {allocated:?} slots allocated for 36 keys"
-            );
-            let direct = kind
-                .build_right(&table, "k", "z", Aggregation::Avg, &cfg)
-                .unwrap();
-            assert_sketch_bits_equal(&direct, &builder.finish(), &format!("{kind} small"));
-        }
+        let builder = RightSketchBuilder::start(&table, "k", "z", Aggregation::Avg, &cfg).unwrap();
+        assert_eq!(builder.distinct_keys(), 36);
+        let allocated = [
+            builder.seen.capacity(),
+            builder.selection.allocated(),
+            builder.states.capacity(),
+        ];
+        assert!(
+            allocated
+                .iter()
+                .all(|&slots| (36..=4 * 36).contains(&slots)),
+            "{allocated:?} slots allocated for 36 keys"
+        );
+        let direct = KIND
+            .build_right(&table, "k", "z", Aggregation::Avg, &cfg)
+            .unwrap();
+        assert_sketch_bits_equal(&direct, &builder.finish(), "small");
     }
 
     #[test]
     fn finish_is_repeatable_and_does_not_consume() {
         let cfg = SketchConfig::new(8, 2);
         let mut builder = RightSketchBuilder::start(
-            SketchKind::Tupsk,
             &table_slice("t", 0..100, DataType::Int),
             "k",
             "z",
@@ -1259,7 +1068,7 @@ mod tests {
         builder
             .append_table(&table_slice("t", 100..150, DataType::Int))
             .unwrap();
-        let direct = SketchKind::Tupsk
+        let direct = KIND
             .build_right(
                 &table_slice("t", 0..150, DataType::Int),
                 "k",
@@ -1277,30 +1086,23 @@ mod tests {
         // value-only appends, exercising both the patch path and the
         // rebuild path of the cache.
         let cfg = SketchConfig::new(6, 3);
-        for kind in SketchKind::ALL {
-            let mut builder = RightSketchBuilder::start(
-                kind,
-                &table_slice("t", 0..40, DataType::Float),
-                "k",
-                "z",
-                Aggregation::Avg,
-                &cfg,
-            )
-            .unwrap();
-            for chunk in [40..80, 80..81, 81..140, 140..230] {
-                builder
-                    .append_table(&table_slice("t", chunk, DataType::Float))
-                    .unwrap();
-                let reference = builder.finish();
-                let cached = builder.finish_cached();
-                assert_sketch_bits_equal(&reference, &cached, &format!("{kind} cached"));
-                // A second cached finish with nothing dirty is stable too.
-                assert_sketch_bits_equal(
-                    &reference,
-                    &builder.finish_cached(),
-                    &format!("{kind} cached repeat"),
-                );
-            }
+        let mut builder = RightSketchBuilder::start(
+            &table_slice("t", 0..40, DataType::Float),
+            "k",
+            "z",
+            Aggregation::Avg,
+            &cfg,
+        )
+        .unwrap();
+        for chunk in [40..80, 80..81, 81..140, 140..230] {
+            builder
+                .append_table(&table_slice("t", chunk, DataType::Float))
+                .unwrap();
+            let reference = builder.finish();
+            let cached = builder.finish_cached();
+            assert_sketch_bits_equal(&reference, &cached, "cached");
+            // A second cached finish with nothing dirty is stable too.
+            assert_sketch_bits_equal(&reference, &builder.finish_cached(), "cached repeat");
         }
     }
 
@@ -1308,7 +1110,6 @@ mod tests {
     fn primed_cache_serves_patched_rows_bit_identically() {
         let cfg = SketchConfig::new(10, 7);
         let mut builder = RightSketchBuilder::start(
-            SketchKind::Tupsk,
             &table_slice("t", 0..150, DataType::Float),
             "k",
             "z",
@@ -1330,7 +1131,6 @@ mod tests {
         assert_sketch_bits_equal(&builder.finish(), &restored.finish_cached(), "primed patch");
         // Priming with a mismatched sketch is ignored, not trusted.
         let mut fresh = RightSketchBuilder::start(
-            SketchKind::Tupsk,
             &table_slice("t", 0..30, DataType::Float),
             "k",
             "z",
@@ -1345,57 +1145,49 @@ mod tests {
     #[test]
     fn state_round_trips_and_appends_identically_after_reload() {
         let cfg = SketchConfig::new(10, 4);
-        for kind in SketchKind::ALL {
-            let mut original = RightSketchBuilder::start(
-                kind,
-                &table_slice("t", 0..120, DataType::Float),
+        let mut original = RightSketchBuilder::start(
+            &table_slice("t", 0..120, DataType::Float),
+            "k",
+            "z",
+            Aggregation::Avg,
+            &cfg,
+        )
+        .unwrap();
+
+        let mut bytes = Writer::new(Vec::new());
+        original.write_state(&mut bytes).unwrap();
+        let bytes = bytes.into_inner();
+        let mut restored = read_state(&bytes).unwrap();
+
+        // Canonical bytes: encode(decode(x)) == x.
+        let mut again = Writer::new(Vec::new());
+        restored.write_state(&mut again).unwrap();
+        assert_eq!(again.into_inner(), bytes, "canonical state bytes");
+
+        // Appending after reload behaves exactly like appending to the
+        // original builder.
+        let tail = table_slice("t", 120..260, DataType::Float);
+        original.append_table(&tail).unwrap();
+        restored.append_table(&tail).unwrap();
+        assert_sketch_bits_equal(&original.finish(), &restored.finish(), "reload append");
+
+        // And both equal a from-scratch build of the concatenation.
+        let direct = KIND
+            .build_right(
+                &table_slice("t", 0..260, DataType::Float),
                 "k",
                 "z",
                 Aggregation::Avg,
                 &cfg,
             )
             .unwrap();
-
-            let mut bytes = Writer::new(Vec::new());
-            original.write_state(&mut bytes).unwrap();
-            let bytes = bytes.into_inner();
-            let mut restored = read_state(&bytes).unwrap();
-
-            // Canonical bytes: encode(decode(x)) == x.
-            let mut again = Writer::new(Vec::new());
-            restored.write_state(&mut again).unwrap();
-            assert_eq!(again.into_inner(), bytes, "{kind}: canonical state bytes");
-
-            // Appending after reload behaves exactly like appending to the
-            // original builder.
-            let tail = table_slice("t", 120..260, DataType::Float);
-            original.append_table(&tail).unwrap();
-            restored.append_table(&tail).unwrap();
-            assert_sketch_bits_equal(
-                &original.finish(),
-                &restored.finish(),
-                &format!("{kind}: reload append"),
-            );
-
-            // And both equal a from-scratch build of the concatenation.
-            let direct = kind
-                .build_right(
-                    &table_slice("t", 0..260, DataType::Float),
-                    "k",
-                    "z",
-                    Aggregation::Avg,
-                    &cfg,
-                )
-                .unwrap();
-            assert_sketch_bits_equal(&direct, &restored.finish(), &format!("{kind}: vs direct"));
-        }
+        assert_sketch_bits_equal(&direct, &restored.finish(), "vs direct");
     }
 
     #[test]
     fn corrupt_state_bytes_are_typed_errors() {
         let cfg = SketchConfig::new(4, 1);
         let builder = RightSketchBuilder::start(
-            SketchKind::Lv2sk,
             &table_slice("t", 0..50, DataType::Int),
             "k",
             "z",
@@ -1428,7 +1220,6 @@ mod tests {
         // error, never a builder that misbehaves on the next append.
         let cfg = SketchConfig::new(8, 2);
         let builder = RightSketchBuilder::start(
-            SketchKind::Lv2sk,
             &table_slice("t", 0..90, DataType::Float),
             "k",
             "z",
@@ -1453,11 +1244,13 @@ mod tests {
         bad_dtype[3] = 3; // Str
         assert_rejected(bad_dtype, "AVG over a Str value column");
 
-        // Coordinated (KMV) selection state on an INDSK builder.
-        let mut bad_kind = bytes.clone();
-        assert_eq!(bad_kind[0], 2, "kind tag offset (Lv2sk)");
-        bad_kind[0] = 4; // Indsk
-        assert_rejected(bad_kind, "KMV state on INDSK");
+        // Every valid kind tag but TUPSK's.
+        for tag in 2..=5 {
+            let mut bad_kind = bytes.clone();
+            assert_eq!(bad_kind[0], 1, "kind tag offset (Tupsk)");
+            bad_kind[0] = tag;
+            assert_rejected(bad_kind, "a baseline kind tag");
+        }
 
         // Locate the seen list: header fields are fixed-width up to the two
         // column-name strings.
@@ -1470,7 +1263,15 @@ mod tests {
         p.read_str("key col").unwrap();
         p.read_str("value col").unwrap();
         p.read_u64("source rows").unwrap();
-        p.read_u8("variant").unwrap();
+        let variant_at = p.position();
+        assert_eq!(p.read_u8("variant").unwrap(), STATE_KMV);
+        // Any selection variant but KMV, including the Bernoulli-replay
+        // variant (2) INDSK builders once wrote.
+        for variant in [0, 2, 3] {
+            let mut bad_variant = bytes.clone();
+            bad_variant[variant_at] = variant;
+            assert_rejected(bad_variant, "a selection variant other than KMV");
+        }
         let seen_count = p.read_len("seen count").unwrap();
         assert!(seen_count >= 2, "test table must have several keys");
         let seen_start = p.position();
@@ -1511,7 +1312,6 @@ mod tests {
     fn schema_mismatch_on_append_is_rejected() {
         let cfg = SketchConfig::new(8, 0);
         let mut builder = RightSketchBuilder::start(
-            SketchKind::Tupsk,
             &table_slice("t", 0..30, DataType::Float),
             "k",
             "z",
@@ -1532,7 +1332,7 @@ mod tests {
             .unwrap();
         assert!(builder.append_table(&missing).is_err());
         // The failed appends must not have corrupted the builder.
-        let direct = SketchKind::Tupsk
+        let direct = KIND
             .build_right(
                 &table_slice("t", 0..30, DataType::Float),
                 "k",

@@ -75,6 +75,19 @@ pub fn sketch_kind_from_tag(tag: u8) -> Result<SketchKind> {
     }
 }
 
+/// Reads a sketch-kind byte inside a repository, which serves TUPSK only:
+/// any other tag — a valid baseline kind included — is
+/// [`StoreError::Corrupt`].
+pub fn read_served_kind(r: &mut SliceReader<'_>, what: &'static str) -> Result<()> {
+    let tag = r.read_u8(what)?;
+    if tag != sketch_kind_tag(SketchKind::Tupsk) {
+        return Err(StoreError::corrupt(format!(
+            "{what} tag {tag}: a repository holds TUPSK (1) sketches only"
+        )));
+    }
+    Ok(())
+}
+
 /// On-disk tag of a [`Side`].
 #[must_use]
 pub fn side_tag(side: Side) -> u8 {
@@ -315,6 +328,18 @@ impl<'a> SketchView<'a> {
             digests,
             values,
         })
+    }
+
+    /// The sketching strategy recorded in META.
+    #[must_use]
+    pub fn kind(&self) -> SketchKind {
+        self.kind
+    }
+
+    /// Which side of the join the sketch was built for.
+    #[must_use]
+    pub fn side(&self) -> Side {
+        self.side
     }
 
     /// Materializes the owned sketch.

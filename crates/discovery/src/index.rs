@@ -23,12 +23,12 @@ pub type CanonicalSizes = Vec<(usize, usize)>;
 /// The net postings change of one candidate update, in canonical order
 /// (`removed`/`added` sorted by `(digest, id)`, `sizes` by id).
 ///
-/// Produced by [`JoinabilityIndex::update`] when an appended chunk changes a
-/// candidate's sampled key set, accumulated by the repository, and persisted
-/// as the INDEX delta of an on-disk append group. Deltas are ordered: each
-/// one captures the difference between consecutive states of a candidate, so
-/// they must be applied (via [`JoinabilityIndex::apply_delta`]) in the order
-/// they were produced.
+/// Produced by [`JoinabilityIndex::apply_membership_update`] when an appended
+/// chunk changes a candidate's sampled key set, accumulated by the
+/// repository, and persisted as the INDEX delta of an on-disk append group.
+/// Deltas are ordered: each one captures the difference between consecutive
+/// states of a candidate, so they must be applied (via
+/// [`JoinabilityIndex::apply_delta`]) in the order they were produced.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct IndexDelta {
     /// `(digest, candidate id)` postings to remove (keys evicted from the
@@ -81,39 +81,6 @@ impl JoinabilityIndex {
         }
     }
 
-    /// Replaces one candidate's postings with the digests of its updated
-    /// sketch, returning the net [`IndexDelta`] for the append log.
-    ///
-    /// `old` is the sketch the candidate was indexed under. Work is
-    /// proportional to the two sketches' sizes (bounded by the sketch
-    /// budget), not to the index.
-    pub fn update(&mut self, id: usize, old: &ColumnSketch, new: &ColumnSketch) -> IndexDelta {
-        let mut old_digests = digest_set_with_capacity(old.len());
-        old_digests.extend(old.rows().iter().map(|r| r.key.raw()));
-        let mut new_digests = digest_set_with_capacity(new.len());
-        new_digests.extend(new.rows().iter().map(|r| r.key.raw()));
-
-        let mut removed: Vec<(u64, usize)> = old_digests
-            .iter()
-            .filter(|d| !new_digests.contains(d))
-            .map(|&d| (d, id))
-            .collect();
-        let mut added: Vec<(u64, usize)> = new_digests
-            .iter()
-            .filter(|d| !old_digests.contains(d))
-            .map(|&d| (d, id))
-            .collect();
-        removed.sort_unstable();
-        added.sort_unstable();
-        let delta = IndexDelta {
-            removed,
-            added,
-            sizes: vec![(id, new_digests.len())],
-        };
-        self.apply_delta(&delta);
-        delta
-    }
-
     /// Patches one candidate's postings from an exact membership diff (the
     /// `added`/`removed` key digests reported by
     /// `RightSketchBuilder::append_table_diff`) — `O(changed)`, no sketch
@@ -140,8 +107,8 @@ impl JoinabilityIndex {
         delta
     }
 
-    /// Applies one delta (see [`Self::update`]); the loader replays persisted
-    /// deltas through this in order.
+    /// Applies one delta (see [`Self::apply_membership_update`]); the loader
+    /// replays persisted deltas through this in order.
     pub fn apply_delta(&mut self, delta: &IndexDelta) {
         for &(digest, id) in &delta.removed {
             if let Some(ids) = self.postings.get_mut(&digest) {
@@ -346,8 +313,21 @@ mod tests {
 
         // Candidate 0's key set changes: "c" leaves, "x"/"y" arrive.
         let a_new = build(vec!["a", "b", "x", "y"], "a");
-        let delta = index.update(0, &a_old, &a_new);
-        assert!(!delta.is_empty());
+        let digests =
+            |s: &ColumnSketch| -> Vec<u64> { s.rows().iter().map(|r| r.key.raw()).collect() };
+        let (old_keys, new_keys) = (digests(&a_old), digests(&a_new));
+        let removed: Vec<u64> = old_keys
+            .iter()
+            .copied()
+            .filter(|d| !new_keys.contains(d))
+            .collect();
+        let added: Vec<u64> = new_keys
+            .iter()
+            .copied()
+            .filter(|d| !old_keys.contains(d))
+            .collect();
+        let delta = index.apply_membership_update(0, &removed, &added, 4);
+        assert_eq!((delta.removed.len(), delta.added.len()), (1, 2));
         assert_eq!(delta.sizes, vec![(0, 4)]);
 
         let rebuilt = JoinabilityIndex::build(&[&a_new, &b]);

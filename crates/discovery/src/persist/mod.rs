@@ -186,7 +186,6 @@ impl TableRepository {
             if meta.num_tables != self.num_tables()
                 || meta.num_candidates != self.candidates().len()
                 || meta.config.sketch != config.sketch
-                || meta.config.sketch_kind != config.sketch_kind
             {
                 return Err(StoreError::corrupt(
                     "append target does not match this repository (table/candidate counts or \
@@ -514,7 +513,6 @@ mod tests {
             assert_eq!(a.sketch, b.sketch);
         }
         let cfg = loaded.config();
-        assert_eq!(cfg.sketch_kind, repo.config().sketch_kind);
         assert_eq!(cfg.sketch, repo.config().sketch);
         assert_eq!(cfg.max_pairs_per_table, repo.config().max_pairs_per_table);
     }

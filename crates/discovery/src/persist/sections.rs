@@ -8,10 +8,12 @@ use std::io::Write;
 use std::ops::Range;
 
 use joinmi_sketch::persist::{
-    aggregation_from_tag, aggregation_tag, dtype_from_tag, dtype_tag, sketch_kind_from_tag,
+    aggregation_from_tag, aggregation_tag, dtype_from_tag, dtype_tag, read_served_kind,
     sketch_kind_tag, SketchView,
 };
-use joinmi_sketch::{Aggregation, DistinctSketch, RightSketchBuilder, SketchConfig};
+use joinmi_sketch::{
+    Aggregation, DistinctSketch, RightSketchBuilder, Side, SketchConfig, SketchKind,
+};
 use joinmi_store::{Result, SectionBuilder, SliceReader, StoreError, Writer};
 
 use crate::index::{IndexDelta, JoinabilityIndex};
@@ -67,7 +69,7 @@ pub(super) fn write_repo_meta<W: Write>(
     let mut meta = SectionBuilder::new();
     {
         let m = meta.writer();
-        m.write_u8(sketch_kind_tag(config.sketch_kind))?;
+        m.write_u8(sketch_kind_tag(SketchKind::Tupsk))?;
         m.write_len(config.sketch.size)?;
         m.write_u64(config.sketch.seed)?;
         m.write_len(config.max_pairs_per_table)?;
@@ -81,7 +83,7 @@ pub(super) fn write_repo_meta<W: Write>(
 
 pub(super) fn read_repo_meta(payload: &[u8]) -> Result<RepoMeta> {
     let mut m = SliceReader::new(payload);
-    let sketch_kind = sketch_kind_from_tag(m.read_u8("repo sketch kind")?)?;
+    read_served_kind(&mut m, "repo sketch kind")?;
     let size = m.read_len("repo sketch size")?;
     let seed = m.read_u64("repo sketch seed")?;
     let max_pairs_per_table = m.read_len("repo max pairs per table")?;
@@ -97,7 +99,6 @@ pub(super) fn read_repo_meta(payload: &[u8]) -> Result<RepoMeta> {
     m.expect_consumed("REPO_META section")?;
     Ok(RepoMeta {
         config: RepositoryConfig {
-            sketch_kind,
             sketch: SketchConfig::new(size, seed),
             max_pairs_per_table,
             distinct_sketch_size,
@@ -396,6 +397,15 @@ impl<'a> CandidateView<'a> {
             sketch: SketchView::parse(&mut p)?,
         };
         p.expect_consumed("CANDIDATE section")?;
+        // Standalone sketch files carry any of the five kinds; a repository
+        // serves right-side TUPSK sketches only.
+        if view.sketch.kind() != SketchKind::Tupsk || view.sketch.side() != Side::Right {
+            return Err(StoreError::corrupt(format!(
+                "candidate sketch is {} {:?}; a repository holds right-side TUPSK sketches only",
+                view.sketch.kind(),
+                view.sketch.side()
+            )));
+        }
         Ok(view)
     }
 

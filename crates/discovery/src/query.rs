@@ -160,7 +160,8 @@ pub struct RelationshipQuery {
     /// Minimum key overlap (in sampled keys) required by the joinability
     /// pre-filter.
     pub min_key_overlap: usize,
-    /// Sketching strategy for the query table (should match the repository's).
+    /// Sketching strategy for the query table. Repositories serve TUPSK
+    /// only, so any other kind fails the query.
     pub sketch_kind: SketchKind,
     /// Sketch configuration for the query table (should match the repository's).
     pub sketch: SketchConfig,
@@ -211,7 +212,8 @@ impl RelationshipQuery {
         self
     }
 
-    /// Sets the sketch strategy and configuration.
+    /// Sets the sketch strategy and configuration. Only
+    /// [`SketchKind::Tupsk`] can query a repository.
     #[must_use]
     pub fn with_sketch(mut self, kind: SketchKind, cfg: SketchConfig) -> Self {
         self.sketch_kind = kind;
@@ -269,10 +271,19 @@ impl RelationshipQuery {
     /// pre-filter order. The later stages (join, estimate) consume this;
     /// exposing it separately lets callers inspect or cache the candidate
     /// set without scoring it.
+    ///
+    /// A query sketched with any kind but TUPSK fails here, before any work:
+    /// it would join against TUPSK candidates and rank meaningless results.
     pub fn probe<S: CandidateSource>(
         &self,
         repository: &S,
     ) -> Result<(ColumnSketch, Vec<(usize, usize)>)> {
+        if self.sketch_kind != SketchKind::Tupsk {
+            return Err(TableError::Unsupported(format!(
+                "repositories serve TUPSK sketches only; the query asks for {}",
+                self.sketch_kind
+            )));
+        }
         let query_sketch = self.build_query_sketch()?;
         let hits = repository
             .joinability()
@@ -860,6 +871,29 @@ mod tests {
             .with_sketch(SketchKind::Tupsk, SketchConfig::new(256, 5))
             .with_min_join_size(3);
         (repo, query)
+    }
+
+    #[test]
+    fn a_query_of_another_sketch_kind_fails_instead_of_ranking() {
+        let (repo, query) = repo_and_query();
+        for kind in SketchKind::ALL {
+            let asked = query.clone().with_sketch(kind, query.sketch);
+            let (parallel, sequential) = (
+                asked.execute(&repo),
+                asked.execute_in(&repo, &mut EstimatorWorkspace::new()),
+            );
+            if kind == SketchKind::Tupsk {
+                assert!(!parallel.unwrap().is_empty());
+                assert!(!sequential.unwrap().is_empty());
+            } else {
+                for result in [parallel, sequential] {
+                    assert!(
+                        matches!(result, Err(TableError::Unsupported(_))),
+                        "{kind}: {result:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -15,9 +15,7 @@
 
 use std::collections::BTreeSet;
 
-use joinmi_sketch::{
-    Aggregation, ColumnSketch, DistinctSketch, RightSketchBuilder, SketchConfig, SketchKind,
-};
+use joinmi_sketch::{Aggregation, ColumnSketch, DistinctSketch, RightSketchBuilder, SketchConfig};
 use joinmi_table::{DataType, Table, TableError};
 
 use crate::index::{IndexDelta, JoinabilityIndex};
@@ -57,11 +55,10 @@ fn plan_pairs(profile: &TableProfile, batch_index: usize, max_pairs: usize) -> V
     pairs
 }
 
-/// Configuration of a repository.
+/// Configuration of a repository. Candidate columns are sketched with
+/// TUPSK, the one kind a repository serves.
 #[derive(Debug, Clone, Copy)]
 pub struct RepositoryConfig {
-    /// Sketching strategy used for candidate columns.
-    pub sketch_kind: SketchKind,
     /// Sketch size / seed.
     pub sketch: SketchConfig,
     /// Maximum number of `(key, feature)` pairs ingested per table (guards
@@ -76,7 +73,6 @@ pub struct RepositoryConfig {
 impl Default for RepositoryConfig {
     fn default() -> Self {
         Self {
-            sketch_kind: SketchKind::Tupsk,
             sketch: SketchConfig::new(1024, 0),
             max_pairs_per_table: 64,
             distinct_sketch_size: 256,
@@ -272,7 +268,6 @@ impl TableRepository {
         let built: Vec<Result<(RightSketchBuilder, ColumnSketch)>> =
             joinmi_par::par_map(&planned, |pair| {
                 let mut builder = RightSketchBuilder::start(
-                    config.sketch_kind,
                     &tables[pair.batch_index],
                     &pair.key_column,
                     &pair.feature_column,
@@ -400,31 +395,17 @@ impl TableRepository {
                 let builder = self.builders[candidate_index]
                     .as_mut()
                     .expect("validated above");
+                // The builder reports exactly which keys entered or left the
+                // selection, so the index is patched in O(changed).
                 let diff = builder.append_table_diff(chunk)?;
-                let new_sketch = builder.finish_cached();
-                let delta = if diff.exact_membership {
-                    // KMV kinds report exactly which keys entered/left the
-                    // selection, so the index is patched in O(changed).
-                    let size = self.builders[candidate_index]
-                        .as_ref()
-                        .expect("validated above")
-                        .selection_len();
-                    self.index.apply_membership_update(
-                        candidate_index,
-                        &diff.removed,
-                        &diff.added,
-                        size,
-                    )
-                } else {
-                    // INDSK's Bernoulli selection is only determined at
-                    // finish time: diff the finished sketches.
-                    self.index.update(
-                        candidate_index,
-                        &self.candidates[candidate_index].sketch,
-                        &new_sketch,
-                    )
-                };
-                self.candidates[candidate_index].sketch = new_sketch;
+                let size = builder.selection_len();
+                self.candidates[candidate_index].sketch = builder.finish_cached();
+                let delta = self.index.apply_membership_update(
+                    candidate_index,
+                    &diff.removed,
+                    &diff.added,
+                    size,
+                );
                 self.pending.dirty.insert(candidate_index);
                 if !delta.is_empty() {
                     self.pending.deltas.push(delta);

@@ -9,7 +9,7 @@
 
 use joinmi_discovery::persist::{
     CompactMode, RepositorySnapshot, SECTION_CANDIDATE, SECTION_CANDIDATE_STATE,
-    SECTION_CANDIDATE_UPDATE, SECTION_FEATURE_DISTINCT,
+    SECTION_CANDIDATE_UPDATE, SECTION_FEATURE_DISTINCT, SECTION_REPO_META,
 };
 use joinmi_discovery::{
     CandidateSource, RankedCandidate, RelationshipQuery, RepositoryConfig, TableRepository,
@@ -325,22 +325,85 @@ fn mutated_standalone_sketches_are_typed_errors_or_values_never_panics() {
     }
 }
 
-#[test]
-fn invalid_builder_state_serves_read_only_and_is_corrupt_to_load_and_compact() {
-    let (_, appended, query) = corpus();
-    let pristine = RepositorySnapshot::from_bytes(appended.clone()).unwrap();
-    let expected = fingerprint(&query.execute(&pristine).unwrap());
-    assert!(!expected.is_empty());
-
-    // Swap the first two seen-key digests of the first builder state: every
-    // byte still parses, but the seen set is no longer sorted.
-    let mut artifact = Artifact::parse(&appended);
-    let state = artifact
+/// The payload of the first CANDIDATE_STATE section.
+fn first_builder_state(artifact: &mut Artifact) -> &mut Vec<u8> {
+    artifact
         .sections
         .iter_mut()
         .find(|(tag, _)| *tag == SECTION_CANDIDATE_STATE)
         .map(|(_, payload)| payload)
-        .unwrap();
+        .unwrap()
+}
+
+/// A file whose builder state is invalid but checksum-valid still opens
+/// read-only and ranks like `appended`, while the eager paths — load and
+/// compact — refuse it as corrupt and compact leaves the file untouched.
+fn assert_serves_read_only_but_is_corrupt_to_load_and_compact(
+    appended: &[u8],
+    mutated: &[u8],
+    query: &RelationshipQuery,
+) {
+    let pristine = RepositorySnapshot::from_bytes(appended.to_vec()).unwrap();
+    let expected = fingerprint(&query.execute(&pristine).unwrap());
+    assert!(!expected.is_empty());
+
+    // Read-only: opens, every candidate decodes, ranks bit-identically.
+    let snapshot = RepositorySnapshot::from_bytes(mutated.to_vec()).unwrap();
+    assert_eq!(fingerprint(&query.execute(&snapshot).unwrap()), expected);
+    for index in 0..snapshot.candidate_count() {
+        let _ = snapshot.candidate(index);
+    }
+
+    // Eager paths decode the state and refuse it, typed; compact leaves the
+    // file exactly as it found it.
+    assert!(matches!(
+        TableRepository::load_from(mutated),
+        Err(StoreError::Corrupt(_))
+    ));
+    let path = std::env::temp_dir().join(format!(
+        "joinmi-bad-state-{}-{:?}.jmi",
+        std::process::id(),
+        std::thread::current().id()
+    ));
+    std::fs::write(&path, mutated).unwrap();
+    assert!(matches!(
+        TableRepository::load(&path),
+        Err(StoreError::Corrupt(_))
+    ));
+    assert!(matches!(
+        TableRepository::compact(&path, CompactMode::Preserve),
+        Err(StoreError::Corrupt(_))
+    ));
+    assert_eq!(std::fs::read(&path).unwrap(), mutated);
+    std::fs::remove_file(&path).unwrap();
+}
+
+/// Both the snapshot open and the eager load refuse `bytes` as corrupt.
+fn assert_corrupt_to_open_and_load(bytes: &[u8], what: &str) {
+    assert!(
+        matches!(
+            RepositorySnapshot::from_bytes(bytes.to_vec()),
+            Err(StoreError::Corrupt(_))
+        ),
+        "open: {what}"
+    );
+    assert!(
+        matches!(
+            TableRepository::load_from(bytes),
+            Err(StoreError::Corrupt(_))
+        ),
+        "load: {what}"
+    );
+}
+
+#[test]
+fn invalid_builder_state_serves_read_only_and_is_corrupt_to_load_and_compact() {
+    let (_, appended, query) = corpus();
+
+    // Swap the first two seen-key digests of the first builder state: every
+    // byte still parses, but the seen set is no longer sorted.
+    let mut artifact = Artifact::parse(&appended);
+    let state = first_builder_state(&mut artifact);
     let seen_start = {
         let mut p = SliceReader::new(state);
         assert_eq!(p.read_u8("presence flag").unwrap(), 1);
@@ -359,32 +422,92 @@ fn invalid_builder_state_serves_read_only_and_is_corrupt_to_load_and_compact() {
     first.swap_with_slice(second);
     let mutated = artifact.encode();
     assert_eq!(mutated.len(), appended.len());
+    assert_serves_read_only_but_is_corrupt_to_load_and_compact(&appended, &mutated, &query);
+}
 
-    // Read-only: opens, every candidate decodes, ranks bit-identically.
-    let snapshot = RepositorySnapshot::from_bytes(mutated.clone()).unwrap();
-    assert_eq!(fingerprint(&query.execute(&snapshot).unwrap()), expected);
-    for index in 0..snapshot.candidate_count() {
-        let _ = snapshot.candidate(index);
+#[test]
+fn builder_state_kind_other_than_tupsk_is_corrupt_to_load_and_compact() {
+    let (_, appended, query) = corpus();
+    let base = Artifact::parse(&appended);
+    // After the presence flag: the kind byte every writer sets to TUPSK's 1.
+    let mut probe = base.clone();
+    assert_eq!(&first_builder_state(&mut probe)[..2], &[1, 1]);
+    for kind in [0u8, 2, 3, 4, 5, 0xFF] {
+        let mut artifact = base.clone();
+        first_builder_state(&mut artifact)[1] = kind;
+        assert_serves_read_only_but_is_corrupt_to_load_and_compact(
+            &appended,
+            &artifact.encode(),
+            &query,
+        );
     }
+}
 
-    // Eager paths decode the state and refuse it, typed; compact leaves the
-    // file exactly as it found it.
-    assert!(matches!(
-        TableRepository::load_from(mutated.as_slice()),
-        Err(StoreError::Corrupt(_))
-    ));
-    let path = std::env::temp_dir().join(format!("joinmi-bad-state-{}.jmi", std::process::id()));
-    std::fs::write(&path, &mutated).unwrap();
-    assert!(matches!(
-        TableRepository::load(&path),
-        Err(StoreError::Corrupt(_))
-    ));
-    assert!(matches!(
-        TableRepository::compact(&path, CompactMode::Preserve),
-        Err(StoreError::Corrupt(_))
-    ));
-    assert_eq!(std::fs::read(&path).unwrap(), mutated);
-    std::fs::remove_file(&path).unwrap();
+#[test]
+fn repo_meta_kind_other_than_tupsk_is_corrupt() {
+    let (flat, appended, _) = corpus();
+    for pristine in [save_bytes(&flat), appended] {
+        let base = Artifact::parse(&pristine);
+        assert_eq!(base.sections[0].0, SECTION_REPO_META);
+        assert_eq!(base.sections[0].1[0], 1, "REPO_META kind byte");
+        for kind in [0u8, 2, 3, 4, 5, 0xFF] {
+            let mut artifact = base.clone();
+            artifact.sections[0].1[0] = kind;
+            assert_corrupt_to_open_and_load(&artifact.encode(), &format!("REPO_META kind {kind}"));
+        }
+    }
+}
+
+/// Rewrites byte `field` of the META payload of the sketch embedded in the
+/// first `tag` section — a base CANDIDATE or an append group's
+/// CANDIDATE_UPDATE — re-stamping the nested checksums, and checks the
+/// repository is refused.
+fn assert_candidate_meta_byte_is_corrupt(field: usize, pristine: u8, values: &[u8]) {
+    let (flat, appended, _) = corpus();
+    for (bytes, tag) in [
+        (save_bytes(&flat), SECTION_CANDIDATE),
+        (appended, SECTION_CANDIDATE_UPDATE),
+    ] {
+        let base = Artifact::parse(&bytes);
+        let section = base.sections.iter().position(|(t, _)| *t == tag).unwrap();
+        let meta_at = {
+            let mut p = SliceReader::new(&base.sections[section].1);
+            if tag == SECTION_CANDIDATE_UPDATE {
+                p.read_u64("id").unwrap();
+            }
+            p.read_u64("table index").unwrap();
+            for _ in 0..3 {
+                p.read_str("name").unwrap();
+            }
+            p.read_u8("aggregation").unwrap();
+            // The embedded META section's frame: tag, length, checksum.
+            p.position() + 17
+        };
+        assert_eq!(base.sections[section].1[meta_at + field], pristine);
+        for &value in values {
+            let mut artifact = base.clone();
+            let body = &mut artifact.sections[section].1;
+            body[meta_at + field] = value;
+            restamp_embedded_sketch(tag, body);
+            assert_corrupt_to_open_and_load(
+                &artifact.encode(),
+                &format!("section {tag:#04x}, META byte {field} = {value}"),
+            );
+        }
+    }
+}
+
+#[test]
+fn candidate_sketch_kind_other_than_tupsk_is_corrupt() {
+    // LV2SK, PRISK, INDSK and CSK are valid kinds in a standalone sketch
+    // file, and still refused inside a repository.
+    assert_candidate_meta_byte_is_corrupt(0, 1, &[2, 3, 4, 5]);
+}
+
+#[test]
+fn candidate_sketch_side_other_than_right_is_corrupt() {
+    // Left (1) is a valid side in a standalone sketch file.
+    assert_candidate_meta_byte_is_corrupt(1, 2, &[1]);
 }
 
 #[test]

@@ -31,8 +31,6 @@ pub struct QueryRequest {
     pub min_join_size: usize,
     /// Minimum sampled-key overlap for the joinability pre-filter.
     pub min_key_overlap: usize,
-    /// Sketching strategy (must match the shards').
-    pub sketch_kind: SketchKind,
     /// Query-side sketch size (must match the shards').
     pub sketch_size: usize,
     /// Query-side sketch seed (must match the shards').
@@ -127,18 +125,19 @@ impl QueryRequest {
             return Err(bad("key_column and target_column must differ"));
         }
 
-        let sketch_kind = match doc.get("sketch_kind") {
-            None => SketchKind::Tupsk,
-            Some(v) => {
-                let name = v
-                    .as_str()
-                    .ok_or_else(|| bad("field 'sketch_kind' must be a string"))?;
-                SketchKind::ALL
-                    .into_iter()
-                    .find(|k| k.name().eq_ignore_ascii_case(name))
-                    .ok_or_else(|| bad(format!("unknown sketch_kind '{name}'")))?
+        // Shards serve TUPSK sketches only: the field may be absent or name
+        // that one kind, in any case.
+        if let Some(v) = doc.get("sketch_kind") {
+            let tupsk = SketchKind::Tupsk.name();
+            if !v
+                .as_str()
+                .is_some_and(|name| name.eq_ignore_ascii_case(tupsk))
+            {
+                return Err(bad(format!(
+                    "field 'sketch_kind' must be \"{tupsk}\", the one kind the shards serve"
+                )));
             }
-        };
+        }
         let sketch_seed = match doc.get("sketch_seed") {
             None => 0,
             Some(v) => v
@@ -218,7 +217,6 @@ impl QueryRequest {
             top_k: field_usize("top_k", 10)?,
             min_join_size: field_usize("min_join_size", 20)?,
             min_key_overlap: field_usize("min_key_overlap", 1)?,
-            sketch_kind,
             sketch_size: field_usize("sketch_size", 1024)?,
             sketch_seed,
             k,
@@ -252,7 +250,6 @@ impl QueryRequest {
             ("top_k", Json::Int(self.top_k as i64)),
             ("min_join_size", Json::Int(self.min_join_size as i64)),
             ("min_key_overlap", Json::Int(self.min_key_overlap as i64)),
-            ("sketch_kind", Json::Str(self.sketch_kind.name().to_owned())),
             ("sketch_size", Json::Int(self.sketch_size as i64)),
             ("sketch_seed", Json::Int(self.sketch_seed as i64)),
             ("k", Json::Int(self.k as i64)),
@@ -302,7 +299,7 @@ impl QueryRequest {
             .with_top_k(self.top_k)
             .with_min_join_size(self.min_join_size)
             .with_sketch(
-                self.sketch_kind,
+                SketchKind::Tupsk,
                 SketchConfig::new(self.sketch_size, self.sketch_seed),
             )
             .with_k(self.k);
@@ -551,7 +548,6 @@ mod tests {
         assert_eq!(req.top_k, 10);
         assert_eq!(req.min_join_size, 20);
         assert_eq!(req.min_key_overlap, 1);
-        assert_eq!(req.sketch_kind, SketchKind::Tupsk);
         assert_eq!(req.sketch_size, 1024);
         assert_eq!(req.sketch_seed, 0);
         assert_eq!(req.k, DEFAULT_K);
@@ -651,12 +647,27 @@ mod tests {
 
     #[test]
     fn sketch_kind_names_parse_case_insensitively() {
-        let body = r#"{
-            "key_column": "k", "target_column": "t",
-            "rows": [["a", 1]], "sketch_kind": "lv2sk"
-        }"#;
-        let req = QueryRequest::from_json(body).unwrap();
-        assert_eq!(req.sketch_kind, SketchKind::Lv2sk);
+        let body = |kind: &str| {
+            format!(r#"{{"key_column": "k", "target_column": "t", "rows": [["a", 1]]{kind}}}"#)
+        };
+        let absent = QueryRequest::from_json(&body("")).unwrap();
+        for name in ["TUPSK", "tupsk", "TupSK"] {
+            let req =
+                QueryRequest::from_json(&body(&format!(r#", "sketch_kind": "{name}""#))).unwrap();
+            assert_eq!(req.canonical_json(), absent.canonical_json(), "{name}");
+        }
+        for value in [
+            r#""LV2SK""#,
+            r#""prisk""#,
+            r#""INDSK""#,
+            r#""csk""#,
+            r#""nope""#,
+            "1",
+        ] {
+            let err = QueryRequest::from_json(&body(&format!(r#", "sketch_kind": {value}"#)))
+                .unwrap_err();
+            assert!(err.0.contains("TUPSK"), "{value}: {}", err.0);
+        }
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! End-to-end incremental ingest: appending rows to a repository — in memory
 //! and through the on-disk append format — must be bit-for-bit identical to
-//! one-shot ingest of the extended tables, for every sketch kind; torn or
-//! corrupted append groups must surface as typed store errors.
+//! one-shot ingest of the extended tables; torn or corrupted append groups
+//! must surface as typed store errors. Repositories sketch with TUPSK, so
+//! "every kind" in the test names is that one kind.
 
 use joinmi::discovery::RepositoryConfig;
 use joinmi::prelude::*;
@@ -32,9 +33,8 @@ fn corpus_table(name: &str, rows: usize) -> Table {
         .unwrap()
 }
 
-fn repo_with(kind: SketchKind, tables: Vec<Table>) -> TableRepository {
+fn repo_with(tables: Vec<Table>) -> TableRepository {
     let mut repo = TableRepository::new(RepositoryConfig {
-        sketch_kind: kind,
         sketch: SketchConfig::new(64, 9),
         ..RepositoryConfig::default()
     });
@@ -56,58 +56,49 @@ fn assert_repos_bit_identical(a: &TableRepository, b: &TableRepository, context:
 
 #[test]
 fn append_rows_equals_one_shot_ingest_for_every_kind() {
-    for kind in SketchKind::ALL {
-        let full = corpus_table("cand", 400);
-        let one_shot = repo_with(kind, vec![full.clone()]);
+    let full = corpus_table("cand", 400);
+    let one_shot = repo_with(vec![full.clone()]);
 
-        let mut appended = repo_with(kind, vec![full.slice_rows(0..250)]);
-        appended.append_rows(&full.slice_rows(250..320)).unwrap();
-        appended.append_rows(&full.slice_rows(320..400)).unwrap();
+    let mut appended = repo_with(vec![full.slice_rows(0..250)]);
+    appended.append_rows(&full.slice_rows(250..320)).unwrap();
+    appended.append_rows(&full.slice_rows(320..400)).unwrap();
 
-        assert_repos_bit_identical(&one_shot, &appended, &format!("{kind}"));
-        // The raw table kept by the in-memory repository matches too.
-        assert_eq!(appended.table(0), &full);
-        // Profile row counts are exact after appends.
-        assert_eq!(appended.profiles()[0].rows, 400);
-    }
+    assert_repos_bit_identical(&one_shot, &appended, "in memory");
+    // The raw table kept by the in-memory repository matches too.
+    assert_eq!(appended.table(0), &full);
+    // Profile row counts are exact after appends.
+    assert_eq!(appended.profiles()[0].rows, 400);
 }
 
 #[test]
 fn append_through_disk_across_simulated_processes_for_every_kind() {
-    let dir = std::env::temp_dir();
-    for kind in SketchKind::ALL {
-        let full = corpus_table("cand", 380);
-        let path = dir.join(format!(
-            "joinmi-append-e2e-{}-{}.jmi",
-            kind,
-            std::process::id()
-        ));
+    let full = corpus_table("cand", 380);
+    let path = std::env::temp_dir().join(format!("joinmi-append-e2e-{}.jmi", std::process::id()));
 
-        // Process 1: ingest the prefix and persist.
-        repo_with(kind, vec![full.slice_rows(0..300)])
-            .save(&path)
-            .unwrap();
+    // Process 1: ingest the prefix and persist.
+    repo_with(vec![full.slice_rows(0..300)])
+        .save(&path)
+        .unwrap();
 
-        // Process 2: load, append the tail, extend the file in place.
-        let mut daemon = TableRepository::load(&path).unwrap();
-        assert!(daemon.is_appendable());
-        daemon.append_rows(&full.slice_rows(300..380)).unwrap();
-        daemon.append_to(&path).unwrap();
+    // Process 2: load, append the tail, extend the file in place.
+    let mut daemon = TableRepository::load(&path).unwrap();
+    assert!(daemon.is_appendable());
+    daemon.append_rows(&full.slice_rows(300..380)).unwrap();
+    daemon.append_to(&path).unwrap();
 
-        // Process 3: load the appended artifact; must equal one-shot ingest.
-        let reloaded = TableRepository::load(&path).unwrap();
-        std::fs::remove_file(&path).unwrap();
-        let one_shot = repo_with(kind, vec![full.clone()]);
-        assert_repos_bit_identical(&one_shot, &reloaded, &format!("{kind} via disk"));
-        assert_eq!(reloaded.profiles()[0].rows, 380, "{kind}: profile rows");
+    // Process 3: load the appended artifact; must equal one-shot ingest.
+    let reloaded = TableRepository::load(&path).unwrap();
+    std::fs::remove_file(&path).unwrap();
+    let one_shot = repo_with(vec![full.clone()]);
+    assert_repos_bit_identical(&one_shot, &reloaded, "via disk");
+    assert_eq!(reloaded.profiles()[0].rows, 380, "profile rows");
 
-        // And the reloaded repository can keep absorbing appends.
-        let mut extended = reloaded;
-        let more = corpus_table("cand", 500).slice_rows(380..500);
-        extended.append_rows(&more).unwrap();
-        let one_shot_more = repo_with(kind, vec![corpus_table("cand", 500)]);
-        assert_repos_bit_identical(&one_shot_more, &extended, &format!("{kind} re-append"));
-    }
+    // And the reloaded repository can keep absorbing appends.
+    let mut extended = reloaded;
+    let more = corpus_table("cand", 500).slice_rows(380..500);
+    extended.append_rows(&more).unwrap();
+    let one_shot_more = repo_with(vec![corpus_table("cand", 500)]);
+    assert_repos_bit_identical(&one_shot_more, &extended, "re-append");
 }
 
 #[test]
@@ -115,7 +106,7 @@ fn corrupt_append_section_is_a_typed_error_never_a_panic() {
     let full = corpus_table("cand", 300);
     let dir = std::env::temp_dir();
     let path = dir.join(format!("joinmi-append-corrupt-{}.jmi", std::process::id()));
-    repo_with(SketchKind::Tupsk, vec![full.slice_rows(0..240)])
+    repo_with(vec![full.slice_rows(0..240)])
         .save(&path)
         .unwrap();
     let base_len = std::fs::metadata(&path).unwrap().len() as usize;
@@ -163,7 +154,7 @@ fn any_format_version_other_than_3_is_unsupported() {
     // One readable version, for both artifact kinds and on every path that
     // opens a file: older stamps are refused exactly like newer ones.
     let full = corpus_table("cand", 200);
-    let mut repo = repo_with(SketchKind::Tupsk, vec![full.slice_rows(0..180)]);
+    let mut repo = repo_with(vec![full.slice_rows(0..180)]);
     let (mut repo_bytes, mut sketch_bytes) = (Vec::new(), Vec::new());
     repo.save_to(&mut repo_bytes).unwrap();
     repo.candidates()[0]
@@ -212,20 +203,18 @@ fn any_format_version_other_than_3_is_unsupported() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The pinned tentpole invariant: for every sketch kind, appending a
-    /// table in arbitrary chunks through the incremental builder is
-    /// bit-for-bit identical to one-shot sketching of the whole table.
+    /// The pinned tentpole invariant: appending a table in arbitrary chunks
+    /// through the incremental builder is bit-for-bit identical to one-shot
+    /// TUPSK sketching of the whole table.
     #[test]
     fn builder_appends_over_arbitrary_splits_equal_one_shot(
         rows in 1usize..260,
         splits in proptest::collection::vec(0usize..260, 0..5),
         seed in 0u64..5,
-        kind_index in 0usize..SketchKind::ALL.len(),
     ) {
-        let kind = SketchKind::ALL[kind_index];
         let cfg = SketchConfig::new(24, seed);
         let full = corpus_table("cand", rows);
-        let direct = kind
+        let direct = SketchKind::Tupsk
             .build_right(&full, "key", "f0", Aggregation::Avg, &cfg)
             .unwrap();
 
@@ -239,7 +228,7 @@ proptest! {
             match &mut builder {
                 None => {
                     builder = Some(
-                        RightSketchBuilder::start(kind, &chunk, "key", "f0", Aggregation::Avg, &cfg)
+                        RightSketchBuilder::start(&chunk, "key", "f0", Aggregation::Avg, &cfg)
                             .unwrap(),
                     );
                 }
@@ -258,20 +247,18 @@ proptest! {
     fn repository_appends_over_arbitrary_splits_equal_one_shot(
         rows in 40usize..200,
         cut_frac in 10usize..90,
-        kind_index in 0usize..SketchKind::ALL.len(),
     ) {
-        let kind = SketchKind::ALL[kind_index];
         let full = corpus_table("cand", rows);
         let cut = rows * cut_frac / 100;
-        let one_shot = repo_with(kind, vec![full.clone()]);
+        let one_shot = repo_with(vec![full.clone()]);
 
-        let mut direct = repo_with(kind, vec![full.slice_rows(0..cut)]);
+        let mut direct = repo_with(vec![full.slice_rows(0..cut)]);
         direct.append_rows(&full.slice_rows(cut..rows)).unwrap();
         assert_repos_bit_identical(&one_shot, &direct, "in-memory");
 
         // The same append applied after a persistence round-trip.
         let mut bytes = Vec::new();
-        repo_with(kind, vec![full.slice_rows(0..cut)])
+        repo_with(vec![full.slice_rows(0..cut)])
             .save_to(&mut bytes)
             .unwrap();
         let mut reloaded = TableRepository::load_from(bytes.as_slice()).unwrap();
