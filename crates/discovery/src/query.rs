@@ -6,7 +6,7 @@
 //!
 //! * **strategy** — parallel fan-out across `JOINMI_THREADS` workers or
 //!   sequential scoring with a caller-owned workspace (the serving daemon's
-//!   per-worker hot path);
+//!   per-query hot path);
 //! * **cache** — an optional cross-query [`CacheScope`] consulted before the
 //!   join and estimate stages;
 //! * **policy** — [`ScoringPolicy::Point`] (today's behaviour, bit-for-bit)
@@ -361,9 +361,9 @@ impl RelationshipQuery {
     ///
     /// The ranking is bit-for-bit identical to [`Self::execute`] (the
     /// parallel fan-out there is pinned to agree with a sequential run), but
-    /// this entry point lets a long-lived caller — a serving daemon's worker
-    /// thread — own **one** workspace across every query it handles instead
-    /// of rebuilding scratch buffers per call.
+    /// this entry point lets the caller own the workspace and reuse it across
+    /// calls — the serving daemon scores every shard of one query with one
+    /// workspace — instead of rebuilding scratch buffers per call.
     pub fn execute_in<S: CandidateSource>(
         &self,
         repository: &S,
@@ -374,7 +374,7 @@ impl RelationshipQuery {
 
     /// [`Self::execute_in`] with an optional cross-query stage cache — the
     /// serving daemon's hot path (one shared cache, one workspace per
-    /// worker). Bit-for-bit identical to the uncached run against the same
+    /// query). Bit-for-bit identical to the uncached run against the same
     /// (immutable) repository.
     pub fn execute_in_cached<S: CandidateSource>(
         &self,

@@ -24,8 +24,9 @@
 //! [`crate::mixed_ksg::mixed_ksg_mi_with`],
 //! [`crate::dc_ksg::dc_ksg_mi_with`]) take a `&mut EstimatorWorkspace`;
 //! the classic free functions wrap them with a throwaway workspace. Batch
-//! callers — candidate scoring in discovery, a daemon worker, the evaluation
-//! grids — keep one workspace per [`joinmi_par`] worker (`par_map_with`).
+//! callers — candidate scoring in discovery, the evaluation grids — keep one
+//! workspace per [`joinmi_par`] worker (`par_map_with`); the serving daemon
+//! gives each query one workspace, shared by every shard that query scores.
 //!
 //! A workspace carries no results, only layout and pure functions of
 //! integers: re-`prepare`-ing it for a new sample fully overwrites the

@@ -5,7 +5,9 @@
 //! [`std::thread::scope`]:
 //!
 //! * [`par_map`] — map a function over a slice, one result per item;
-//! * [`par_map_chunked`] — map a function over contiguous chunks of a slice;
+//! * [`par_map_ranges`] — map a function over fixed-size chunks of `0..len`,
+//!   one output per chunk, with chunk boundaries independent of the worker
+//!   count;
 //! * [`par_map_index`] / [`par_map_index_with`] — map over an index range
 //!   `0..n`, optionally with a per-worker scratch state that is created once
 //!   per worker thread and reused across all items that worker processes;
@@ -263,42 +265,6 @@ where
     flatten(chunks, items.len())
 }
 
-/// Maps `f` over explicit contiguous chunks of `items` in parallel.
-///
-/// `f` receives the offset of the chunk within `items` and the chunk itself,
-/// and must return one output per chunk element; outputs are concatenated in
-/// input order. Useful when per-chunk setup (sorting, buffers) should be
-/// amortized over many items.
-///
-/// # Panics
-/// Panics if `f` returns a chunk output whose length differs from the chunk.
-pub fn par_map_chunked<T, U, F>(items: &[T], chunk_size: usize, f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(usize, &[T]) -> Vec<U> + Sync,
-{
-    let chunk_size = chunk_size.max(1);
-    let num_chunks = items.len().div_ceil(chunk_size);
-    let chunks = run_chunks_with(
-        num_chunks,
-        threads_for(num_chunks),
-        || (),
-        |(), c| {
-            let start = c * chunk_size;
-            let end = (start + chunk_size).min(items.len());
-            let out = f(start, &items[start..end]);
-            assert_eq!(
-                out.len(),
-                end - start,
-                "par_map_chunked: chunk function must return one output per element"
-            );
-            out
-        },
-    );
-    flatten(chunks, items.len())
-}
-
 /// Maps `f` over fixed-size chunks of `0..len` in parallel, returning **one
 /// output per chunk** in chunk-index order.
 ///
@@ -396,24 +362,6 @@ mod tests {
                 let want: Vec<usize> = (0..n).map(|i| i * 3).collect();
                 assert_eq!(got, want, "n={n}, threads={threads}");
             }
-        }
-    }
-
-    #[test]
-    fn par_map_chunked_concatenates_in_order() {
-        let items: Vec<i64> = (0..997).collect();
-        for chunk in [1usize, 7, 100, 5000] {
-            let got = with_threads(4, || {
-                par_map_chunked(&items, chunk, |offset, chunk_items| {
-                    chunk_items
-                        .iter()
-                        .enumerate()
-                        .map(|(j, &x)| x + (offset + j) as i64)
-                        .collect()
-                })
-            });
-            let want: Vec<i64> = items.iter().map(|&x| 2 * x).collect();
-            assert_eq!(got, want, "chunk={chunk}");
         }
     }
 
@@ -533,7 +481,6 @@ mod tests {
         assert!(par_map_ranges(0, 1_024, |r| r.len()).is_empty());
         assert_eq!(par_map_index(1, |i| i), vec![0]);
         assert_eq!(par_map(&items[..1], |&x| x), vec![0]);
-        assert_eq!(par_map_chunked(&items, 8, |_, c| c.to_vec()), items);
         assert_eq!(lookups(), before, "a one-chunk map resolved a thread count");
 
         // A map that can split still resolves, once.

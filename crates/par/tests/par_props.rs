@@ -1,7 +1,7 @@
 //! Property tests: every `par_*` entry point must be bit-for-bit identical to
 //! its sequential equivalent, for arbitrary inputs and thread counts.
 
-use joinmi_par::{par_map, par_map_chunked, par_map_index, par_map_with, with_threads};
+use joinmi_par::{par_map, par_map_index, par_map_with, with_threads};
 use proptest::prelude::*;
 
 proptest! {
@@ -23,25 +23,6 @@ proptest! {
         let f = |i: usize| (i as u64).wrapping_mul(31).wrapping_add(17);
         let want: Vec<u64> = (0..n).map(f).collect();
         let got = with_threads(threads, || par_map_index(n, f));
-        prop_assert_eq!(got, want);
-    }
-
-    #[test]
-    fn par_map_chunked_matches_sequential(
-        items in proptest::collection::vec(-500i64..500, 0..300),
-        chunk in 1usize..64,
-        threads in 1usize..9,
-    ) {
-        let want: Vec<i64> = items.iter().enumerate().map(|(i, &x)| x - i as i64).collect();
-        let got = with_threads(threads, || {
-            par_map_chunked(&items, chunk, |offset, chunk_items| {
-                chunk_items
-                    .iter()
-                    .enumerate()
-                    .map(|(j, &x)| x - (offset + j) as i64)
-                    .collect()
-            })
-        });
         prop_assert_eq!(got, want);
     }
 

@@ -48,13 +48,6 @@ impl Deadline {
     pub fn expired(&self) -> bool {
         self.expires_at.is_some_and(|at| Instant::now() >= at)
     }
-
-    /// Time left, when a deadline is set.
-    #[must_use]
-    pub fn remaining(&self) -> Option<Duration> {
-        self.expires_at
-            .map(|at| at.saturating_duration_since(Instant::now()))
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -62,8 +55,9 @@ impl Deadline {
 // ---------------------------------------------------------------------------
 
 /// Bounds the number of queries in flight. `max_inflight = 0` means
-/// unlimited. Rejection is immediate and typed (HTTP 429) — the daemon sheds
-/// load instead of queueing unboundedly.
+/// unlimited: such a gate never rejects but still counts, so drain and
+/// `inflight` read true whatever the limit. Rejection is immediate and
+/// typed (HTTP 429) — the daemon sheds load instead of queueing unboundedly.
 #[derive(Debug)]
 pub struct AdmissionGate {
     max_inflight: usize,
@@ -96,12 +90,9 @@ impl AdmissionGate {
     /// caller must reject. The returned permit releases the slot on drop.
     #[must_use]
     pub fn try_acquire(&self) -> Option<AdmissionPermit<'_>> {
-        if self.max_inflight == 0 {
-            return Some(AdmissionPermit { gate: None });
-        }
         let mut current = self.inflight.load(Ordering::SeqCst);
         loop {
-            if current >= self.max_inflight {
+            if self.max_inflight > 0 && current >= self.max_inflight {
                 return None;
             }
             match self.inflight.compare_exchange(
@@ -110,7 +101,7 @@ impl AdmissionGate {
                 Ordering::SeqCst,
                 Ordering::SeqCst,
             ) {
-                Ok(_) => return Some(AdmissionPermit { gate: Some(self) }),
+                Ok(_) => return Some(AdmissionPermit { gate: self }),
                 Err(actual) => current = actual,
             }
         }
@@ -120,14 +111,12 @@ impl AdmissionGate {
 /// An admitted query's slot; releases it on drop.
 #[derive(Debug)]
 pub struct AdmissionPermit<'a> {
-    gate: Option<&'a AdmissionGate>,
+    gate: &'a AdmissionGate,
 }
 
 impl Drop for AdmissionPermit<'_> {
     fn drop(&mut self) {
-        if let Some(gate) = self.gate {
-            gate.inflight.fetch_sub(1, Ordering::SeqCst);
-        }
+        self.gate.inflight.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
@@ -458,7 +447,6 @@ mod tests {
     fn zero_timeout_never_expires() {
         let d = Deadline::starting_now(0);
         assert!(!d.expired());
-        assert!(d.remaining().is_none());
         assert!(!Deadline::unlimited().expired());
     }
 
@@ -467,7 +455,6 @@ mod tests {
         let d = Deadline::starting_now(1);
         std::thread::sleep(Duration::from_millis(5));
         assert!(d.expired());
-        assert_eq!(d.remaining(), Some(Duration::ZERO));
     }
 
     #[test]
@@ -486,8 +473,9 @@ mod tests {
     fn unlimited_gate_never_rejects() {
         let gate = AdmissionGate::new(0);
         let permits: Vec<_> = (0..64).map(|_| gate.try_acquire().unwrap()).collect();
-        assert_eq!(gate.inflight(), 0, "unlimited gate does not count");
+        assert_eq!(gate.inflight(), 64, "an unlimited gate still counts");
         drop(permits);
+        assert_eq!(gate.inflight(), 0);
     }
 
     #[test]

@@ -14,16 +14,13 @@
 //!
 //! ```text
 //! client ──HTTP/1.1──► acceptor ──► connection thread (parse, route, cache)
-//!                                        │ POST /v1/query
+//!                                        │ POST /v1/query, under its
+//!                                        │ admission permit, with one
+//!                                        │ EstimatorWorkspace per query
 //!                                        ▼
-//!                                   job channel ──► worker pool
-//!                                                   (one EstimatorWorkspace
-//!                                                    per worker, reused
-//!                                                    across all queries)
-//!                                                        │
-//!                                          shard 0 … shard N−1 snapshots
-//!                                          (execute_in per shard, then a
-//!                                           deterministic global merge)
+//!                          shard 0 … shard N−1 snapshots
+//!                          (execute_in per shard, then a
+//!                           deterministic global merge)
 //! ```
 //!
 //! * [`shard::ShardSet`] opens N repository files as read-only snapshots
@@ -41,8 +38,8 @@
 //!   generation) so append epochs invalidate cached rankings implicitly,
 //!   plus the failure-handling primitives — capped jittered [`guard::Backoff`]
 //!   and the per-shard [`guard::ShardHealth`] circuit breaker.
-//! * The daemon **degrades instead of dying**: workers isolate query panics
-//!   behind `catch_unwind` (typed 500, counter on `/v1/shards`), failing
+//! * The daemon **degrades instead of dying**: each query is scored behind
+//!   `catch_unwind` (typed 500, counter on `/v1/shards`), failing
 //!   shards are quarantined and served around (`allow_partial` opts into a
 //!   partial ranking; default is a strict 500) while a backoff loop reopens
 //!   them, and SIGTERM drains in-flight queries before exit. See

@@ -7,9 +7,9 @@
 //! Flags (all optional; defaults in parentheses):
 //!
 //! * `--addr HOST:PORT` — bind address (`127.0.0.1:7171`; port 0 picks one)
-//! * `--workers N` — query worker threads (2)
 //! * `--timeout-ms N` — per-query wall-clock budget, 0 = none (10000)
-//! * `--max-inflight N` — admission limit, 0 = unlimited (32)
+//! * `--max-inflight N` — admission limit and so the bound on queries scoring
+//!   at once, 0 = unlimited (32)
 //! * `--cache N` — result-cache entries, 0 = disabled (128)
 //! * `--cache-entries N` — cross-query stage-cache entries, 0 = disabled (4096)
 //! * `--cache-bytes N` — cross-query stage-cache resident-byte bound, 0 = unbounded (64 MiB)
@@ -40,8 +40,8 @@ use joinmi_serve::{Server, ServerConfig, ShardSet};
 /// SIGTERM/SIGINT → one atomic flag, polled by the main loop. Hand-rolled
 /// FFI because the workspace builds offline (no `libc`/`signal-hook`): the
 /// handler does nothing but an atomic store, which is async-signal-safe, and
-/// this module is the only unsafe code in the workspace — the serve library
-/// itself still forbids unsafe.
+/// this module and `malloc` below are the only unsafe code in the
+/// workspace — the serve library itself still forbids unsafe.
 #[cfg(unix)]
 mod signal {
     use std::sync::atomic::{AtomicBool, Ordering};
@@ -85,6 +85,37 @@ mod signal {
     }
 }
 
+/// Caps glibc's malloc arenas at two. Every query is scored on its
+/// connection's short-lived thread, and glibc gives a thread that starts
+/// while every arena is taken a new one, up to eight per core; the stage
+/// cache's long-lived entries then pin free pages in all of them. On the
+/// benchmark's `serve_cold` (2 cores, 2 clients) peak RSS reads ≈ 78 MiB at
+/// one arena, ≈ 86 at two, ≈ 94 at four and ≈ 107 uncapped. Two leaves a
+/// second arena for concurrent queries, and glibc's per-thread caches serve
+/// most small allocations without taking an arena lock at all.
+#[cfg(all(target_os = "linux", target_env = "gnu"))]
+mod malloc {
+    const M_ARENA_MAX: i32 = -8;
+
+    extern "C" {
+        // glibc's `mallopt(3)`; std already links glibc.
+        fn mallopt(param: i32, value: i32) -> i32;
+    }
+
+    /// Sets the cap; call before any thread but `main` is spawned.
+    pub fn cap_arenas() {
+        // SAFETY: a plain tuning call with no pointers; glibc validates it.
+        unsafe {
+            mallopt(M_ARENA_MAX, 2);
+        }
+    }
+}
+
+#[cfg(not(all(target_os = "linux", target_env = "gnu")))]
+mod malloc {
+    pub fn cap_arenas() {}
+}
+
 fn main() -> ExitCode {
     match run() {
         Ok(code) => code,
@@ -96,6 +127,7 @@ fn main() -> ExitCode {
 }
 
 fn run() -> Result<ExitCode, String> {
+    malloc::cap_arenas();
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "--help" || a == "-h") {
         print_help();
@@ -120,7 +152,6 @@ fn run() -> Result<ExitCode, String> {
         };
         match arg.as_str() {
             "--addr" => config.addr = take_value(&mut i)?,
-            "--workers" => config.workers = parse_num(arg, &take_value(&mut i)?)?,
             "--timeout-ms" => config.timeout_ms = parse_num(arg, &take_value(&mut i)?)?,
             "--max-inflight" => config.max_inflight = parse_num(arg, &take_value(&mut i)?)?,
             "--cache" => config.cache_capacity = parse_num(arg, &take_value(&mut i)?)?,
@@ -215,8 +246,8 @@ fn parse_num<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String>
 
 fn print_help() {
     eprintln!(
-        "usage: joinmi_serve [--addr HOST:PORT] [--workers N] [--timeout-ms N] \
-         [--max-inflight N] [--cache N] [--cache-entries N] [--cache-bytes N] \
+        "usage: joinmi_serve [--addr HOST:PORT] [--timeout-ms N] [--max-inflight N] \
+         [--cache N] [--cache-entries N] [--cache-bytes N] \
          [--compact-after N] [--compact-bytes N] [--compact-poll-ms N] \
          [--retry-backoff-ms N] [--retry-backoff-cap-ms N] [--drain-ms N] \
          [--repair] SHARD.jmi [SHARD.jmi ...]\n\

@@ -1,15 +1,15 @@
-//! The daemon: a TCP acceptor, a pool of query workers each owning one
-//! reusable [`EstimatorWorkspace`], and the guardrail plumbing that turns
-//! the library into something operable — admission control, per-query
-//! deadlines, and the generation-keyed result cache.
+//! The daemon: a TCP acceptor, a background guardian, and the guardrail
+//! plumbing that turns the library into something operable — admission
+//! control, per-query deadlines, and the generation-keyed result cache.
 //!
 //! Threading model: the acceptor spawns one short-lived thread per
-//! connection (the protocol is one request per connection). Connection
-//! threads do the cheap work — HTTP parsing, routing, cache lookups — and
-//! hand `POST /v1/query` bodies to the worker pool over a channel, so the
-//! expensive scoring always runs on a worker that has warmed up its
-//! estimator workspace. The admission gate bounds queries *admitted*, not
-//! connections, so health checks keep answering while the pool is saturated.
+//! connection (the protocol is one request per connection), and that thread
+//! does all of its request's work — HTTP parsing, routing, cache lookups and,
+//! for `POST /v1/query`, the scoring itself, under its admission permit and
+//! with a fresh [`EstimatorWorkspace`] dropped with the query. The admission
+//! gate bounds queries *scoring*, not connections, so health checks keep
+//! answering while every permit is taken, and a query that times out stops
+//! at the next shard boundary instead of running on behind its 504.
 //!
 //! Shard state lives in an `Epoch` — one immutable `ShardSet` paired with
 //! the stage cache bound to its generation — behind a `RwLock`. Queries
@@ -22,10 +22,10 @@
 //!
 //! The daemon degrades instead of dying:
 //!
-//! * **Worker panic isolation** — every query runs under `catch_unwind`; a
-//!   panicking query becomes a typed 500 (`"code": "panic"`), the worker
-//!   rebuilds its workspace and keeps serving, and the panic counter shows
-//!   on `GET /v1/shards`.
+//! * **Query panic isolation** — every query is scored under
+//!   `catch_unwind`; a panicking query becomes a typed 500
+//!   (`"code": "panic"`), its workspace is dropped with it, the daemon keeps
+//!   serving, and the panic counter shows on `GET /v1/shards`.
 //! * **Per-shard circuit breaker** — a shard that fails while scoring is
 //!   quarantined ([`crate::guard::ShardHealth`]); queries skip it (partial
 //!   ranking with `allow_partial`, strict 500 otherwise) while the guardian
@@ -36,8 +36,7 @@
 
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
-use std::sync::{mpsc, Arc, Mutex, PoisonError, RwLock};
+use std::sync::{Arc, Mutex, PoisonError, RwLock};
 use std::time::Duration;
 
 use joinmi_discovery::{
@@ -57,17 +56,16 @@ use crate::wire::{QueryRequest, QueryResponse, ServeError, ShardedResult};
 pub struct ServerConfig {
     /// Address to bind (`127.0.0.1:0` picks a free port).
     pub addr: String,
-    /// Query worker threads (each owns one estimator workspace). Clamped to
-    /// at least 1.
-    pub workers: usize,
     /// Per-query wall-clock budget in milliseconds; 0 disables the deadline.
     pub timeout_ms: u64,
-    /// Maximum queries in flight; 0 means unlimited.
+    /// Maximum queries in flight, and so the bound on queries scoring at
+    /// once; 0 means unlimited.
     pub max_inflight: usize,
     /// Result-cache capacity in entries; 0 disables caching.
     pub cache_capacity: usize,
     /// Cross-query stage-cache capacity in entries (joined sketches + MI
-    /// estimates, shared across the worker pool); 0 disables the stage cache.
+    /// estimates, shared by every query in flight); 0 disables the stage
+    /// cache.
     pub stage_cache_entries: usize,
     /// Cross-query stage-cache bound in resident bytes; 0 means unbounded by
     /// bytes (the entry bound still applies).
@@ -100,7 +98,6 @@ impl Default for ServerConfig {
         let stage = StageCacheConfig::default();
         Self {
             addr: "127.0.0.1:0".to_owned(),
-            workers: 2,
             timeout_ms: 10_000,
             max_inflight: 32,
             cache_capacity: 128,
@@ -142,38 +139,20 @@ impl Epoch {
     }
 }
 
-/// What a worker hands back for one successfully executed query.
-struct WorkerOutput {
-    results: Arc<Vec<ShardedResult>>,
-    /// Shard indices that did not contribute; non-empty only when the
-    /// request opted in with `allow_partial` (strict requests fail instead).
-    degraded: Vec<usize>,
-}
-
-struct Job {
-    request: QueryRequest,
-    deadline: Deadline,
-    /// The epoch the connection thread admitted the query under; the worker
-    /// scores against exactly this snapshot set and cache.
-    epoch: Epoch,
-    reply: Sender<Result<WorkerOutput, ServeError>>,
-}
-
 struct Shared {
     /// The current epoch; read by every query, replaced by the guardian.
     epoch: RwLock<Epoch>,
     config: ServerConfig,
     gate: AdmissionGate,
     cache: Mutex<QueryCache>,
-    jobs: Mutex<Option<Sender<Job>>>,
     shutdown: AtomicBool,
     /// Draining: `/v1/healthz` answers 503 and new queries are rejected
     /// while in-flight ones finish.
     draining: AtomicBool,
     /// Shard files rewritten by the background guardian since startup.
     compactions: AtomicU64,
-    /// Queries that panicked inside a worker (each became a typed 500 and
-    /// the worker survived).
+    /// Queries that panicked while scoring (each became a typed 500 and the
+    /// daemon kept serving).
     worker_panics: AtomicU64,
     /// Candidates skipped by interval early termination across all queries
     /// since startup (see `QueryStats::early_stopped`).
@@ -203,7 +182,7 @@ impl Shared {
 }
 
 /// A running daemon. Dropping it (or calling [`Server::shutdown`]) stops the
-/// acceptor and joins every worker.
+/// acceptor, waits for the queries still scoring, and joins its threads.
 pub struct Server {
     local_addr: SocketAddr,
     shared: Arc<Shared>,
@@ -211,15 +190,13 @@ pub struct Server {
 }
 
 impl Server {
-    /// Binds the listener, starts the worker pool and the acceptor, and
+    /// Binds the listener, starts the guardian and the acceptor, and
     /// returns immediately. Use [`Server::local_addr`] to find the bound
     /// port when the config asked for port 0.
     pub fn start(config: ServerConfig, shards: ShardSet) -> std::io::Result<Self> {
         let listener = TcpListener::bind(&config.addr)?;
         let local_addr = listener.local_addr()?;
 
-        let (job_tx, job_rx) = mpsc::channel::<Job>();
-        let job_rx = Arc::new(Mutex::new(job_rx));
         // One breaker per shard, each with its own jitter stream so retry
         // storms across shards de-correlate.
         let health = (0..shards.shards().len())
@@ -235,7 +212,6 @@ impl Server {
             gate: AdmissionGate::new(config.max_inflight),
             cache: Mutex::new(QueryCache::new(config.cache_capacity)),
             epoch: RwLock::new(Epoch::new(shards, &config)),
-            jobs: Mutex::new(Some(job_tx)),
             shutdown: AtomicBool::new(false),
             draining: AtomicBool::new(false),
             compactions: AtomicU64::new(0),
@@ -248,11 +224,6 @@ impl Server {
         });
 
         let mut threads = Vec::new();
-        for _ in 0..shared.config.workers.max(1) {
-            let shared = Arc::clone(&shared);
-            let job_rx = Arc::clone(&job_rx);
-            threads.push(std::thread::spawn(move || worker_loop(&shared, &job_rx)));
-        }
         {
             // The guardian always runs: even with compaction off it owns
             // reopening quarantined shards.
@@ -279,18 +250,18 @@ impl Server {
         self.local_addr
     }
 
-    /// Stops accepting, drains the worker pool, and joins every thread.
-    /// Idempotent.
+    /// Stops accepting, waits until no admitted query is still scoring, and
+    /// joins the acceptor and the guardian. Once it returns, no query of this
+    /// daemon runs. Idempotent.
     pub fn shutdown(&mut self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
-        // Closing the job channel wakes blocked workers…
-        *self
-            .shared
-            .jobs
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner) = None;
-        // …and a dummy connection wakes the blocking accept().
+        // A dummy connection wakes the blocking accept().
         let _ = TcpStream::connect(self.local_addr);
+        // A query admitted from here on sees the flag and stops before
+        // scoring (see `query`), so the count only falls.
+        while self.shared.gate.inflight() > 0 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
         for handle in self.threads.drain(..) {
             let _ = handle.join();
         }
@@ -312,11 +283,10 @@ impl Server {
     }
 
     /// Graceful shutdown: begins draining, waits up to `deadline` for
-    /// in-flight queries to finish, then stops every thread. Returns whether
-    /// the pool emptied before the deadline (queries still running at the
-    /// deadline are abandoned by the hard stop). In-flight tracking uses the
-    /// admission gate, so with `max_inflight = 0` (an uncounting gate) the
-    /// wait degrades to the deadline-free fast path.
+    /// in-flight queries to finish, then calls [`Server::shutdown`]. Returns
+    /// whether every query finished before the deadline; one still scoring
+    /// then is waited for by the shutdown, and stops at its next shard
+    /// boundary once its own query deadline passes.
     pub fn drain(&mut self, deadline: Duration) -> bool {
         self.begin_drain();
         let until = std::time::Instant::now() + deadline;
@@ -357,63 +327,21 @@ fn acceptor_loop(shared: &Arc<Shared>, listener: &TcpListener) {
     }
 }
 
-fn worker_loop(shared: &Arc<Shared>, jobs: &Mutex<Receiver<Job>>) {
-    // Each worker owns ONE workspace for its whole lifetime: the KSG-family
-    // estimators' sort buffers are reused across every query and shard this
-    // worker ever scores — the reuse `RelationshipQuery::execute_in` exists
-    // for.
-    let mut ws = EstimatorWorkspace::new();
-    loop {
-        let job = {
-            // A panicking sibling poisons this mutex while holding nothing
-            // but the receiver handle — plain handoff state, safe to strip
-            // the poison; the pool must outlive any one worker's crash.
-            let rx = jobs.lock().unwrap_or_else(PoisonError::into_inner);
-            rx.recv_timeout(Duration::from_millis(100))
-        };
-        match job {
-            Ok(job) => {
-                // Panic isolation: a query that panics inside the scoring
-                // engine becomes a typed 500 and this worker keeps serving.
-                let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    execute_job(shared, &job, &mut ws)
-                }));
-                let result = match outcome {
-                    Ok(result) => result,
-                    Err(_) => {
-                        shared.worker_panics.fetch_add(1, Ordering::SeqCst);
-                        // The workspace's scratch buffers may be mid-mutation
-                        // from the unwound query; rebuild rather than trust
-                        // them for the next one.
-                        ws = EstimatorWorkspace::new();
-                        Err(ServeError::QueryPanicked)
-                    }
-                };
-                // The connection thread may have timed out and gone away;
-                // that is fine, the result is simply dropped.
-                let _ = job.reply.send(result);
-            }
-            Err(RecvTimeoutError::Timeout) => {
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-            }
-            Err(RecvTimeoutError::Disconnected) => return,
-        }
-    }
-}
-
-/// One query, on a worker thread: fault-injection checkpoints, quarantine
-/// skips, scoring, breaker updates, and the strict-vs-partial policy.
-fn execute_job(
+/// Scores one admitted query against `epoch` on the calling connection
+/// thread: fault-injection checkpoints, quarantine skips, scoring, breaker
+/// updates, and the strict-vs-partial policy. Returns the ranking and the
+/// shard indices that did not contribute (non-empty only when the request
+/// opted in with `allow_partial`; strict requests fail instead).
+fn score_query(
     shared: &Shared,
-    job: &Job,
-    ws: &mut EstimatorWorkspace,
-) -> Result<WorkerOutput, ServeError> {
+    request: &QueryRequest,
+    epoch: &Epoch,
+    deadline: Deadline,
+) -> Result<(Vec<ShardedResult>, Vec<usize>), ServeError> {
     // Chaos checkpoints: one global, one scoped to this daemon's port so a
     // test arming the process-wide plan only hits its own server. An `Error`
     // action models an engine failure; a `Panic` action exercises the
-    // catch_unwind path above.
+    // catch_unwind path in `query`.
     joinmi_store::fault::failpoint("serve.worker.query")
         .and_then(|()| {
             joinmi_store::fault::failpoint(&format!("serve.worker.query:{}", shared.port))
@@ -427,11 +355,11 @@ fn execute_job(
         .filter(|(_, health)| health.is_quarantined())
         .map(|(index, _)| index)
         .collect();
-    let outcome = job.epoch.shards.execute(
-        &job.request,
-        ws,
-        Some(&job.epoch.stage_cache),
-        job.deadline,
+    let outcome = epoch.shards.execute(
+        request,
+        &mut EstimatorWorkspace::new(),
+        Some(&epoch.stage_cache),
+        deadline,
         shared.config.timeout_ms,
         &quarantined,
     )?;
@@ -458,13 +386,10 @@ fn execute_job(
     }
 
     let degraded = outcome.degraded();
-    if !degraded.is_empty() && !job.request.allow_partial {
+    if !degraded.is_empty() && !request.allow_partial {
         return Err(ServeError::Degraded { shards: degraded });
     }
-    Ok(WorkerOutput {
-        results: Arc::new(outcome.results),
-        degraded,
-    })
+    Ok((outcome.results, degraded))
 }
 
 /// The background guardian: every `compact_poll_ms` it (1) tries to restore
@@ -805,7 +730,6 @@ fn shards_info(shared: &Shared) -> Json {
             "generation",
             Json::Str(format!("0x{:016x}", epoch.shards.generation())),
         ),
-        ("workers", Json::Int(shared.config.workers.max(1) as i64)),
         ("timeout_ms", Json::Int(shared.config.timeout_ms as i64)),
         ("max_inflight", Json::Int(shared.config.max_inflight as i64)),
         (
@@ -896,42 +820,21 @@ fn query(shared: &Shared, body: &str) -> Result<QueryResponse, ServeError> {
         });
     }
 
-    // Hand the query to the worker pool and wait, bounded by the deadline
-    // (workers also check it cooperatively between shards).
-    let (reply_tx, reply_rx) = mpsc::channel();
-    {
-        let jobs = shared.jobs.lock().unwrap_or_else(PoisonError::into_inner);
-        let Some(tx) = jobs.as_ref() else {
-            return Err(ServeError::Internal("server is shutting down".into()));
-        };
-        tx.send(Job {
-            request,
-            deadline,
-            epoch,
-            reply: reply_tx,
-        })
-        .map_err(|_| ServeError::Internal("worker pool is gone".into()))?;
+    // Score on this thread. `Server::shutdown` sets the flag before it reads
+    // the in-flight count, and this permit counted before the flag is read
+    // here, so either the shutdown waits for this query or the query stops.
+    if shared.shutdown.load(Ordering::SeqCst) {
+        return Err(ServeError::Internal("server is shutting down".into()));
     }
-    let output = match deadline.remaining() {
-        None => reply_rx
-            .recv()
-            .map_err(|_| ServeError::Internal("worker dropped the query".into()))?,
-        Some(remaining) => {
-            // Small grace on top of the budget so a worker that finishes
-            // exactly at the deadline still delivers.
-            match reply_rx.recv_timeout(remaining + Duration::from_millis(50)) {
-                Ok(result) => result,
-                Err(RecvTimeoutError::Timeout) => Err(ServeError::Timeout {
-                    timeout_ms: shared.config.timeout_ms,
-                }),
-                Err(RecvTimeoutError::Disconnected) => {
-                    Err(ServeError::Internal("worker dropped the query".into()))
-                }
-            }
-        }
-    }?;
+    let (results, degraded) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        score_query(shared, &request, &epoch, deadline)
+    }))
+    .unwrap_or_else(|_| {
+        shared.worker_panics.fetch_add(1, Ordering::SeqCst);
+        Err(ServeError::QueryPanicked)
+    })?;
 
-    let partial = !output.degraded.is_empty();
+    let partial = !degraded.is_empty();
     if !partial {
         // Never cache a partial ranking: the quarantined shard may be back
         // for the very next query under the same generation, and a cached
@@ -943,18 +846,18 @@ fn query(shared: &Shared, body: &str) -> Result<QueryResponse, ServeError> {
             .insert(
                 key,
                 Arc::new(CachedResult {
-                    results: Arc::clone(&output.results),
+                    results: Arc::new(results.clone()),
                     shards_queried,
                 }),
             );
     }
     Ok(QueryResponse {
-        results: output.results.as_ref().clone(),
+        results,
         shards_queried,
         generation,
         cached: false,
         partial,
-        degraded_shards: output.degraded,
+        degraded_shards: degraded,
     })
 }
 

@@ -148,7 +148,6 @@ fn three_shard_rest_query_is_bit_identical_to_single_repository() {
 
     let mut server = Server::start(
         ServerConfig {
-            workers: 2,
             timeout_ms: 0,
             ..ServerConfig::default()
         },
@@ -231,7 +230,6 @@ fn repeated_query_hits_the_cache_bit_identically() {
     let shards = ShardSet::open(&paths).unwrap();
     let mut server = Server::start(
         ServerConfig {
-            workers: 1,
             timeout_ms: 0,
             ..ServerConfig::default()
         },
@@ -276,7 +274,6 @@ fn stage_cache_counters_move_on_hit_and_miss_over_rest() {
     // cache; the stage cache itself keeps its defaults.
     let mut server = Server::start(
         ServerConfig {
-            workers: 2,
             timeout_ms: 0,
             cache_capacity: 0,
             ..ServerConfig::default()
@@ -392,7 +389,6 @@ fn background_compaction_folds_append_logs_and_swaps_epochs_bit_identically() {
     let opened_generation = shards.generation();
     let mut server = Server::start(
         ServerConfig {
-            workers: 2,
             timeout_ms: 0,
             compact_after_groups: 1,
             compact_poll_ms: 25,
@@ -553,17 +549,37 @@ fn http_error_paths_are_typed() {
     cleanup(&paths);
 }
 
+/// The taxi query with its rows repeated 25 times, so the sketch build alone
+/// keeps a debug build busy well past a short probe window.
+fn slow_request_body(train: &Table) -> String {
+    let rows: Vec<String> = (0..train.num_rows())
+        .map(|i| {
+            format!(
+                "[\"{}\", {}]",
+                train.value(i, "zipcode").unwrap().as_str().unwrap(),
+                train.value(i, "num_trips").unwrap().as_i64().unwrap()
+            )
+        })
+        .collect();
+    let repeated = vec![rows.join(", "); 25];
+    format!(
+        r#"{{"key_column": "zipcode", "target_column": "num_trips",
+            "rows": [{}], "min_join_size": 10,
+            "sketch_size": 256, "sketch_seed": 3}}"#,
+        repeated.join(", ")
+    )
+}
+
 #[test]
 fn saturated_admission_gate_rejects_with_429() {
-    // Deterministic saturation: a one-slot gate where the only worker is
-    // busy on a query that cannot finish before we probe — its deadline is
+    // Deterministic saturation: a one-slot gate whose only permit is held
+    // by a query that cannot finish before we probe — its deadline is
     // unlimited and its rows are large enough to keep a debug build busy.
     let (tables, train) = corpus();
     let paths = save_shards(&tables, 3, "admission");
     let shards = ShardSet::open(&paths).unwrap();
     let mut server = Server::start(
         ServerConfig {
-            workers: 1,
             timeout_ms: 0,
             max_inflight: 1,
             cache_capacity: 0,
@@ -575,25 +591,7 @@ fn saturated_admission_gate_rejects_with_429() {
     let addr = server.local_addr().to_string();
     wait_healthy(&addr, Duration::from_secs(5)).unwrap();
 
-    // Inflate the query: repeat the taxi rows many times so the sketch
-    // build alone takes well over the probe window.
-    let rows: Vec<String> = (0..train.num_rows())
-        .map(|i| {
-            format!(
-                "[\"{}\", {}]",
-                train.value(i, "zipcode").unwrap().as_str().unwrap(),
-                train.value(i, "num_trips").unwrap().as_i64().unwrap()
-            )
-        })
-        .collect();
-    let big_rows = rows.join(", ");
-    let repeated = vec![big_rows; 25];
-    let slow_body = format!(
-        r#"{{"key_column": "zipcode", "target_column": "num_trips",
-            "rows": [{}], "min_join_size": 10,
-            "sketch_size": 256, "sketch_seed": 3}}"#,
-        repeated.join(", ")
-    );
+    let slow_body = slow_request_body(&train);
 
     // Wait (via the health endpoint's inflight gauge) until the slow query
     // has actually been admitted, then probe: the one-slot gate must answer
@@ -639,6 +637,93 @@ fn saturated_admission_gate_rejects_with_429() {
     // With the slot free again, the probe succeeds.
     let (status, _) = client_request(&addr, "POST", "/v1/query", &probe_body).unwrap();
     assert_eq!(status, 200);
+
+    server.shutdown();
+    cleanup(&paths);
+}
+
+#[test]
+fn a_timed_out_query_is_a_typed_504_and_releases_its_permit() {
+    // The query scores on its connection thread, which checks the deadline
+    // before each shard and after the last: a slow query against a 1 ms
+    // budget is a 504, and its admission permit is gone by the time the
+    // answer is on the wire.
+    let (tables, train) = corpus();
+    let paths = save_shards(&tables, 3, "timeout");
+    let mut server = Server::start(
+        ServerConfig {
+            timeout_ms: 1,
+            cache_capacity: 0,
+            ..ServerConfig::default()
+        },
+        ShardSet::open(&paths).unwrap(),
+    )
+    .unwrap();
+    let addr = server.local_addr().to_string();
+    wait_healthy(&addr, Duration::from_secs(5)).unwrap();
+
+    let (status, body) =
+        client_request(&addr, "POST", "/v1/query", &slow_request_body(&train)).unwrap();
+    assert_eq!(status, 504, "{body}");
+    assert!(body.contains("\"code\":\"timeout\""), "{body}");
+
+    let (status, health) = client_request(&addr, "GET", "/v1/healthz", "").unwrap();
+    assert_eq!(status, 200);
+    let inflight = Json::parse(&health)
+        .unwrap()
+        .get("inflight")
+        .and_then(Json::as_i64);
+    assert_eq!(inflight, Some(0), "{health}");
+
+    server.shutdown();
+    cleanup(&paths);
+}
+
+#[test]
+fn concurrent_cold_queries_share_the_stage_cache_bit_identically() {
+    // Eight connection threads score the same cold query at once against
+    // one stage cache; every answer must equal the single-repository
+    // ranking bit for bit.
+    const CLIENTS: usize = 8;
+    let (tables, train) = corpus();
+    let paths = save_shards(&tables, 3, "concurrent");
+    let single = single_repo(&tables);
+    let expected = fingerprint(&in_process_query(&train, 0).execute(&single).unwrap());
+    let mut server = Server::start(
+        ServerConfig {
+            timeout_ms: 0,
+            cache_capacity: 0,
+            max_inflight: CLIENTS,
+            ..ServerConfig::default()
+        },
+        ShardSet::open(&paths).unwrap(),
+    )
+    .unwrap();
+    let addr = server.local_addr().to_string();
+    wait_healthy(&addr, Duration::from_secs(5)).unwrap();
+
+    let body = request_body(&train, 0);
+    let start = std::sync::Barrier::new(CLIENTS);
+    let answers: Vec<(u16, String)> = std::thread::scope(|scope| {
+        let clients: Vec<_> = (0..CLIENTS)
+            .map(|_| {
+                scope.spawn(|| {
+                    start.wait();
+                    client_request(&addr, "POST", "/v1/query", &body).unwrap()
+                })
+            })
+            .collect();
+        clients.into_iter().map(|c| c.join().unwrap()).collect()
+    });
+    for (status, response) in &answers {
+        assert_eq!(*status, 200, "{response}");
+        assert_eq!(wire_fingerprint(response), expected);
+    }
+
+    let (status, stats) = client_request(&addr, "GET", "/v1/shards", "").unwrap();
+    assert_eq!(status, 200);
+    let doc = Json::parse(&stats).unwrap();
+    assert_eq!(doc.get("worker_panics").and_then(Json::as_i64), Some(0));
 
     server.shutdown();
     cleanup(&paths);
@@ -715,7 +800,6 @@ fn worker_panic_is_a_typed_500_and_the_daemon_survives() {
     let shards = ShardSet::open(&paths).unwrap();
     let mut server = Server::start(
         ServerConfig {
-            workers: 2,
             timeout_ms: 0,
             ..ServerConfig::default()
         },
@@ -726,8 +810,8 @@ fn worker_panic_is_a_typed_500_and_the_daemon_survives() {
     wait_healthy(&addr, Duration::from_secs(5)).unwrap();
 
     // Arm: the FIRST query on THIS daemon (port-scoped checkpoint) panics
-    // inside the worker. The fault must fire on a pool thread the test does
-    // not own, hence the process-global plan.
+    // while scoring. The fault must fire on a connection thread the test
+    // does not own, hence the process-global plan.
     let checkpoint = format!("serve.worker.query:{}", server.local_addr().port());
     let body = request_body(&train, 3);
     {
@@ -737,7 +821,7 @@ fn worker_panic_is_a_typed_500_and_the_daemon_survives() {
         assert!(response.contains("\"code\":\"panic\""), "{response}");
     }
 
-    // The daemon survived: the worker recovered, the panic is counted, and
+    // The daemon survived: the panic is counted, and
     // the very same query now succeeds end to end.
     let (status, shards_body) = client_request(&addr, "GET", "/v1/shards", "").unwrap();
     assert_eq!(status, 200);
@@ -763,7 +847,6 @@ fn quarantined_shard_degrades_and_the_guardian_restores_it() {
     let shards = ShardSet::open(&paths).unwrap();
     let mut server = Server::start(
         ServerConfig {
-            workers: 1,
             timeout_ms: 0,
             compact_poll_ms: 20,
             retry_backoff_ms: 5,
@@ -873,7 +956,6 @@ fn drain_flips_healthz_and_rejects_new_queries() {
     let shards = ShardSet::open(&paths).unwrap();
     let mut server = Server::start(
         ServerConfig {
-            workers: 1,
             timeout_ms: 0,
             ..ServerConfig::default()
         },
@@ -992,7 +1074,6 @@ fn interval_rest_query_reproduces_single_repository_interval_ranking() {
 
     let mut server = Server::start(
         ServerConfig {
-            workers: 2,
             timeout_ms: 0,
             ..ServerConfig::default()
         },
