@@ -3,8 +3,15 @@
 //! The workspace builds offline, so the wire layer is hand-rolled like the
 //! store format. The subset implemented here is exactly what the serving
 //! protocol needs: objects, arrays, strings (with `\uXXXX` escapes), numbers,
-//! booleans and null. Two deliberate choices keep query fingerprints and MI
-//! bit-patterns exact across the wire:
+//! booleans and null. Numbers follow RFC 8259's grammar exactly.
+//!
+//! The parser is one linear pass over the input. A string's unescaped runs
+//! are copied into the result with one `push_str` each, and only escapes are
+//! decoded one at a time, so parse time grows with the document's size, not
+//! with its square.
+//!
+//! Two deliberate choices keep query fingerprints and MI bit-patterns exact
+//! across the wire:
 //!
 //! * numbers without a fraction or exponent that fit an `i64` parse as
 //!   [`Json::Int`], so 64-bit sketch seeds round-trip losslessly;
@@ -141,11 +148,7 @@ impl Json {
 
     /// Parses a complete JSON document, rejecting trailing garbage.
     pub fn parse(input: &str) -> Result<Json, JsonError> {
-        let mut p = Parser {
-            bytes: input.as_bytes(),
-            pos: 0,
-            depth: 0,
-        };
+        let mut p = Parser::new(input);
         p.skip_ws();
         let value = p.value()?;
         p.skip_ws();
@@ -210,12 +213,24 @@ impl std::error::Error for JsonError {}
 const MAX_DEPTH: usize = 64;
 
 struct Parser<'a> {
+    /// The document; every slice taken of it starts and ends at an ASCII
+    /// byte, so always on a char boundary.
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
     depth: usize,
 }
 
-impl Parser<'_> {
+impl<'a> Parser<'a> {
+    fn new(src: &'a str) -> Self {
+        Self {
+            src,
+            bytes: src.as_bytes(),
+            pos: 0,
+            depth: 0,
+        }
+    }
+
     fn skip_ws(&mut self) {
         while let Some(&b) = self.bytes.get(self.pos) {
             if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
@@ -251,9 +266,13 @@ impl Parser<'_> {
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'n') => self.literal("null", Json::Null),
             Some(b'-' | b'0'..=b'9') => self.number(),
-            Some(other) => Err(JsonError::at(
+            Some(other) if other.is_ascii_graphic() => Err(JsonError::at(
                 self.pos,
                 format!("unexpected character '{}'", other as char),
+            )),
+            Some(other) => Err(JsonError::at(
+                self.pos,
+                format!("unexpected byte 0x{other:02X}"),
             )),
             None => Err(JsonError::at(self.pos, "unexpected end of input")),
         }
@@ -327,9 +346,6 @@ impl Parser<'_> {
         }
     }
 
-    // Infallible expects below: the input arrived as a &str, so any
-    // non-ASCII tail is valid UTF-8 and non-empty at this point.
-    #[allow(clippy::expect_used)]
     fn string(&mut self) -> Result<String, JsonError> {
         self.expect(b'"')?;
         let mut out = String::new();
@@ -393,12 +409,15 @@ impl Parser<'_> {
                     return Err(JsonError::at(self.pos, "control character in string"))
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so always valid).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).expect("input was a str");
-                    let c = s.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the whole unescaped run at once. It ends at the
+                    // next quote, backslash or control byte (or the end of
+                    // input); all are ASCII, so the slice is a valid `str`.
+                    let run = self.bytes[start..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                        .map_or(self.bytes.len(), |len| start + len);
+                    out.push_str(&self.src[start..run]);
+                    self.pos = run;
                 }
             }
         }
@@ -410,16 +429,18 @@ impl Parser<'_> {
             .bytes
             .get(self.pos..end)
             .ok_or_else(|| JsonError::at(self.pos, "truncated \\u escape"))?;
-        let s = std::str::from_utf8(digits)
-            .map_err(|_| JsonError::at(self.pos, "invalid \\u escape"))?;
-        let value = u16::from_str_radix(s, 16)
-            .map_err(|_| JsonError::at(self.pos, "invalid \\u escape"))?;
+        // Folded by hand: `from_str_radix` would also take a leading `+`.
+        let mut value = 0u16;
+        for &b in digits {
+            let digit = char::from(b)
+                .to_digit(16)
+                .ok_or_else(|| JsonError::at(self.pos, "invalid \\u escape"))?;
+            value = value << 4 | digit as u16;
+        }
         self.pos = end;
         Ok(value)
     }
 
-    // Infallible expect: the consumed span holds only ASCII number bytes.
-    #[allow(clippy::expect_used)]
     fn number(&mut self) -> Result<Json, JsonError> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
@@ -436,7 +457,11 @@ impl Parser<'_> {
                 _ => break,
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii");
+        // The span holds only ASCII number bytes.
+        let text = &self.src[start..self.pos];
+        if !is_rfc8259_number(text.as_bytes()) {
+            return Err(JsonError::at(start, format!("invalid number '{text}'")));
+        }
         if !is_float {
             if let Ok(i) = text.parse::<i64>() {
                 return Ok(Json::Int(i));
@@ -447,6 +472,40 @@ impl Parser<'_> {
             _ => Err(JsonError::at(start, format!("invalid number '{text}'"))),
         }
     }
+}
+
+/// Whether `text` matches RFC 8259's `number`:
+/// `-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?`. Rust's `parse`
+/// alone would also take `01`, `1.` and `1.e5`.
+fn is_rfc8259_number(text: &[u8]) -> bool {
+    fn digits(s: &[u8]) -> usize {
+        s.iter().take_while(|b| b.is_ascii_digit()).count()
+    }
+    let s = text.strip_prefix(b"-").unwrap_or(text);
+    let int = digits(s);
+    if int == 0 || (int > 1 && s[0] == b'0') {
+        return false;
+    }
+    let mut s = &s[int..];
+    if let Some(frac) = s.strip_prefix(b".") {
+        let n = digits(frac);
+        if n == 0 {
+            return false;
+        }
+        s = &frac[n..];
+    }
+    if let Some(exp) = s.strip_prefix(b"e").or_else(|| s.strip_prefix(b"E")) {
+        let exp = exp
+            .strip_prefix(b"+")
+            .or_else(|| exp.strip_prefix(b"-"))
+            .unwrap_or(exp);
+        let n = digits(exp);
+        if n == 0 {
+            return false;
+        }
+        s = &exp[n..];
+    }
+    s.is_empty()
 }
 
 #[cfg(test)]
@@ -513,9 +572,58 @@ mod tests {
             "\"\\q\"",
             "\"\u{1}\"",
             "[1]]",
+            "01",
+            "-01",
+            "00",
+            "1.",
+            "1.e5",
+            "-",
+            "1e",
+            "1e+",
+            "\"\\u+123\"",
         ] {
             assert!(Json::parse(bad).is_err(), "{bad:?} should fail");
         }
+    }
+
+    #[test]
+    fn numbers_follow_the_rfc_8259_grammar() {
+        for (text, value) in [
+            ("0", Json::Int(0)),
+            ("-0", Json::Int(0)),
+            ("0.5", Json::Float(0.5)),
+            ("1E+2", Json::Float(100.0)),
+            ("2.5e-3", Json::Float(2.5e-3)),
+        ] {
+            assert_eq!(Json::parse(text), Ok(value), "{text}");
+        }
+        // A near miss is a typed error at the number's own offset.
+        for (text, offset) in [
+            ("[1, 01]", 4),
+            ("{\"a\": -01}", 6),
+            ("[1.e5]", 1),
+            ("[2.]", 1),
+        ] {
+            let err = Json::parse(text).unwrap_err();
+            assert_eq!(err.offset, offset, "{text}: {err}");
+            assert!(err.message.starts_with("invalid number"), "{text}: {err}");
+        }
+    }
+
+    #[test]
+    fn a_non_ascii_lead_byte_is_reported_as_a_byte() {
+        let err = Json::parse("\u{feff}{}").unwrap_err();
+        assert_eq!(
+            (err.offset, err.message.as_str()),
+            (0, "unexpected byte 0xEF")
+        );
+        let err = Json::parse("[1, é]").unwrap_err();
+        assert_eq!(
+            (err.offset, err.message.as_str()),
+            (4, "unexpected byte 0xC3")
+        );
+        let err = Json::parse("[1, x]").unwrap_err();
+        assert_eq!(err.message, "unexpected character 'x'");
     }
 
     #[test]
@@ -534,5 +642,251 @@ mod tests {
         );
         assert!(Json::parse(r#""\ud83e""#).is_err());
         assert!(Json::parse(r#""\udd80""#).is_err());
+    }
+
+    /// splitmix64, so the generated documents are the same on every run.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+
+        fn pick<T: Copy>(&mut self, items: &[T]) -> T {
+            items[self.below(items.len())]
+        }
+    }
+
+    /// The string decoder as it was before unescaped runs were copied whole:
+    /// one `char` at a time, re-validating the rest of the input for each.
+    /// Kept as the oracle the linear decoder must agree with, error and
+    /// offset included.
+    fn string_one_char_at_a_time(p: &mut Parser<'_>) -> Result<String, JsonError> {
+        p.expect(b'"')?;
+        let mut out = String::new();
+        loop {
+            let start = p.pos;
+            match p.peek() {
+                None => return Err(JsonError::at(p.pos, "unterminated string")),
+                Some(b'"') => {
+                    p.pos += 1;
+                    return Ok(out);
+                }
+                Some(b'\\') => {
+                    p.pos += 1;
+                    match p.peek() {
+                        Some(b'"') => out.push('"'),
+                        Some(b'\\') => out.push('\\'),
+                        Some(b'/') => out.push('/'),
+                        Some(b'b') => out.push('\u{8}'),
+                        Some(b'f') => out.push('\u{c}'),
+                        Some(b'n') => out.push('\n'),
+                        Some(b'r') => out.push('\r'),
+                        Some(b't') => out.push('\t'),
+                        Some(b'u') => {
+                            p.pos += 1;
+                            let cp = p.hex4()?;
+                            let c = match cp {
+                                0xD800..=0xDBFF => {
+                                    if p.bytes[p.pos..].starts_with(b"\\u") {
+                                        p.pos += 2;
+                                        let low = p.hex4()?;
+                                        if !(0xDC00..=0xDFFF).contains(&low) {
+                                            return Err(JsonError::at(
+                                                start,
+                                                "invalid low surrogate",
+                                            ));
+                                        }
+                                        let combined = 0x10000
+                                            + ((u32::from(cp) - 0xD800) << 10)
+                                            + (u32::from(low) - 0xDC00);
+                                        char::from_u32(combined)
+                                            .ok_or_else(|| JsonError::at(start, "invalid scalar"))?
+                                    } else {
+                                        return Err(JsonError::at(start, "lone high surrogate"));
+                                    }
+                                }
+                                0xDC00..=0xDFFF => {
+                                    return Err(JsonError::at(start, "lone low surrogate"))
+                                }
+                                cp => char::from_u32(u32::from(cp))
+                                    .ok_or_else(|| JsonError::at(start, "invalid scalar"))?,
+                            };
+                            out.push(c);
+                            continue;
+                        }
+                        _ => return Err(JsonError::at(p.pos, "invalid escape")),
+                    }
+                    p.pos += 1;
+                }
+                Some(b) if b < 0x20 => {
+                    return Err(JsonError::at(p.pos, "control character in string"))
+                }
+                Some(_) => {
+                    let rest = std::str::from_utf8(&p.bytes[p.pos..]).expect("input was a str");
+                    let c = rest.chars().next().expect("non-empty");
+                    out.push(c);
+                    p.pos += c.len_utf8();
+                }
+            }
+        }
+    }
+
+    /// Pieces of a string body: plain runs, every UTF-8 width, quotes,
+    /// backslashes, control bytes, and well- and ill-formed escapes.
+    const PIECES: [&str; 32] = [
+        "plain",
+        "a",
+        "é",
+        "€",
+        "🦀",
+        "\u{7f}",
+        "\u{ffff}",
+        "\u{10ffff}",
+        "\"",
+        "\\",
+        "\u{0}",
+        "\u{1}",
+        "\n",
+        "\u{1f}",
+        "\\\"",
+        "\\\\",
+        "\\/",
+        "\\b",
+        "\\n",
+        "\\t",
+        "\\q",
+        "\\u00e9",
+        "\\u00E9",
+        "\\u12",
+        "\\u12g4",
+        "\\u+123",
+        "\\u€é",
+        "\\ud83e\\udd80",
+        "\\ud83e",
+        "\\udd80",
+        "\\ud83e\\u0041",
+        " ",
+    ];
+
+    #[test]
+    fn string_decoding_matches_the_one_char_at_a_time_oracle() {
+        let mut rng = Rng(0x5EED);
+        let cases = 20_000;
+        let mut errors = 0;
+        for _ in 0..cases {
+            let mut doc = String::from("\"");
+            for _ in 0..rng.below(12) {
+                let piece = rng.pick(&PIECES);
+                if piece == "plain" {
+                    let len = rng.below(40);
+                    doc.extend((0..len).map(|i| char::from(b'a' + (i % 26) as u8)));
+                } else {
+                    doc.push_str(piece);
+                }
+            }
+            // A quarter of the documents are left unterminated.
+            if rng.below(4) != 0 {
+                doc.push('"');
+            }
+            let mut linear = Parser::new(&doc);
+            let mut oracle = Parser::new(&doc);
+            let got = linear.string();
+            let want = string_one_char_at_a_time(&mut oracle);
+            assert_eq!(got, want, "{doc:?}");
+            errors += usize::from(want.is_err());
+            match want {
+                Ok(s) => {
+                    assert_eq!(linear.pos, oracle.pos, "{doc:?}");
+                    if oracle.pos == doc.len() {
+                        assert_eq!(Json::parse(&doc), Ok(Json::Str(s)), "{doc:?}");
+                    }
+                }
+                Err(e) => assert_eq!(Json::parse(&doc), Err(e), "{doc:?}"),
+            }
+        }
+        // Both outcomes are exercised, not just one.
+        assert!(
+            errors > cases / 10 && errors < cases * 9 / 10,
+            "{errors} errors"
+        );
+    }
+
+    /// A document of at least `min_len` bytes: an array of objects whose
+    /// strings mix long unescaped runs, 2-, 3- and 4-byte UTF-8, escapes at
+    /// run boundaries and surrogate-pair escapes. Returns the text and the
+    /// value it must parse to.
+    fn large_document(min_len: usize) -> (String, Json) {
+        const SEGMENTS: [(&str, &str); 13] = [
+            ("é", "é"),
+            ("ß", "ß"),
+            ("€", "€"),
+            ("中文", "中文"),
+            ("🦀", "🦀"),
+            ("\\n", "\n"),
+            ("\\\"", "\""),
+            ("\\\\", "\\"),
+            ("\\/", "/"),
+            ("\\u00e9", "é"),
+            ("\\u0001", "\u{1}"),
+            ("\\ud83e\\udd80", "🦀"),
+            ("\\uD834\\uDD1E", "𝄞"),
+        ];
+        let mut rng = Rng(4);
+        let mut text = String::from("[");
+        let mut items = Vec::new();
+        while text.len() < min_len {
+            let (mut raw, mut decoded) = (String::new(), String::new());
+            for _ in 0..1 + rng.below(16) {
+                if rng.below(3) == 0 {
+                    let len = 1 + rng.below(2_000);
+                    let run: String = (0..len)
+                        .map(|i| char::from(b' ' + 1 + ((i * 7 + len) % 90) as u8))
+                        .filter(|&c| c != '"' && c != '\\')
+                        .collect();
+                    raw.push_str(&run);
+                    decoded.push_str(&run);
+                } else {
+                    let (r, d) = rng.pick(&SEGMENTS);
+                    raw.push_str(r);
+                    decoded.push_str(d);
+                }
+            }
+            if !items.is_empty() {
+                text.push(',');
+            }
+            let n = items.len() as i64;
+            text.push_str(&format!("{{\"text\": \"{raw}\", \"n\": {n}}}"));
+            items.push(obj([("n", Json::Int(n)), ("text", Json::Str(decoded))]));
+        }
+        text.push(']');
+        (text, Json::Arr(items))
+    }
+
+    /// Four megabytes through the parser and back, in well under a second.
+    /// A decoder that re-validates the rest of the document per character,
+    /// like the oracle above, is quadratic in document size: it does not
+    /// finish this in 15 minutes in the debug test profile.
+    #[test]
+    fn a_four_megabyte_document_parses_and_round_trips() {
+        let (text, value) = large_document(4 << 20);
+        let started = std::time::Instant::now();
+        assert_eq!(Json::parse(&text).unwrap(), value);
+        let encoded = value.encode();
+        assert_eq!(Json::parse(&encoded).unwrap(), value);
+        eprintln!(
+            "parsed {} + {} bytes in {:?}",
+            text.len(),
+            encoded.len(),
+            started.elapsed()
+        );
     }
 }

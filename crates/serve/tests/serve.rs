@@ -3,6 +3,8 @@
 //! repository queried in process, and every guardrail must be reachable
 //! through the public API.
 
+use std::io::{Read, Write};
+use std::net::TcpStream;
 use std::time::Duration;
 
 use joinmi_discovery::{
@@ -544,6 +546,66 @@ fn http_error_paths_are_typed() {
     assert!(doc.get("timeout_ms").is_some());
     assert!(doc.get("max_inflight").is_some());
     assert!(doc.get("cache_capacity").is_some());
+
+    server.shutdown();
+    cleanup(&paths);
+}
+
+/// Sends `request` as raw bytes and returns the answer's status and body.
+/// The daemon may answer before it has read everything sent, so a failed
+/// write, or a reset after the answer, is not an error here.
+fn raw_request(addr: &str, request: &[u8]) -> (u16, String) {
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .unwrap();
+    let _ = stream.write_all(request);
+    let mut response = Vec::new();
+    let _ = stream.read_to_end(&mut response);
+    let text = String::from_utf8(response).unwrap();
+    let (head, body) = text.split_once("\r\n\r\n").expect("an answer");
+    let status = head.split_whitespace().nth(1).unwrap().parse().unwrap();
+    (status, body.to_owned())
+}
+
+#[test]
+fn oversized_and_unsupported_request_heads_are_typed() {
+    let (tables, _) = corpus();
+    let paths = save_shards(&tables, 1, "heads");
+    let mut server =
+        Server::start(ServerConfig::default(), ShardSet::open(&paths).unwrap()).unwrap();
+    let addr = server.local_addr().to_string();
+    wait_healthy(&addr, Duration::from_secs(5)).unwrap();
+
+    // A 20 KB request line that never ends: the read stops at the 16 KiB
+    // budget instead of waiting for a newline.
+    let mut endless = b"GET /v1/".to_vec();
+    endless.resize(20_000, b'a');
+    let (status, body) = raw_request(&addr, &endless);
+    assert_eq!(status, 431, "{body}");
+
+    let mut head = String::from("GET /v1/healthz HTTP/1.1\r\n");
+    for i in 0..40 {
+        head.push_str(&format!("X-Pad-{i}: {}\r\n", "p".repeat(500)));
+    }
+    head.push_str("\r\n");
+    let (status, body) = raw_request(&addr, head.as_bytes());
+    assert_eq!(status, 431, "{body}");
+
+    let too_long = format!(
+        "POST /v1/query HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
+        64 * 1024 * 1024 + 1
+    );
+    let (status, body) = raw_request(&addr, too_long.as_bytes());
+    assert_eq!(status, 413, "{body}");
+
+    let chunked = "POST /v1/query HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n";
+    let (status, body) = raw_request(&addr, chunked.as_bytes());
+    assert_eq!(status, 501, "{body}");
+
+    // Each refusal was typed and the daemon still serves.
+    let (status, _) = client_request(&addr, "GET", "/v1/healthz", "").unwrap();
+    assert_eq!(status, 200);
 
     server.shutdown();
     cleanup(&paths);
