@@ -6,8 +6,9 @@
 //! selected from the value data types exactly as in the paper's experiments.
 
 use joinmi_estimators::{
-    mi_interval, pearson, select_estimator, spearman, EstimatorError, EstimatorKind,
-    EstimatorWorkspace, MiEstimate, MiInterval, Variable, DEFAULT_K,
+    credible_interval, force_codes, mi_posterior_with, mle_mi_posterior_with, pearson,
+    select_estimator, spearman, EstimatorError, EstimatorKind, EstimatorWorkspace, MiEstimate,
+    MiInterval, Variable, DEFAULT_K,
 };
 use joinmi_hash::{digest_map_with_capacity, DigestHashMap};
 use joinmi_table::{DataType, Value};
@@ -288,11 +289,12 @@ impl JoinedSketch {
     /// Hutter–Zaffalon posterior credible interval around the point estimate
     /// at the given two-sided `level`.
     ///
-    /// The point estimate is produced by exactly the same code path as
-    /// [`Self::estimate_mi_in`] — same estimator selection, same workspace
-    /// reuse — so its value is bit-for-bit identical to the point-only call;
-    /// the interval is pure decoration computed from the contingency table of
-    /// the same sample (continuous sides grouped by exact equality).
+    /// The point estimate is bit-for-bit identical to the point-only call:
+    /// same estimator selection, same workspace. The interval is computed
+    /// from the contingency table of the same sample (continuous sides
+    /// grouped by exact equality). A discrete pair takes the MLE and the
+    /// posterior from one contingency pass; any other pair adds the
+    /// posterior's pass to its k-NN estimate, reading `ψ` from `ws`.
     pub fn estimate_mi_interval_in(
         &self,
         ws: &mut EstimatorWorkspace,
@@ -301,9 +303,22 @@ impl JoinedSketch {
     ) -> Result<(MiEstimate, MiInterval), EstimatorError> {
         let (x, y) = self.variables()?;
         let kind = select_estimator(x, y);
-        let est = joinmi_estimators::estimate_mi_with_workspace(ws, x, y, kind, k)?;
-        let interval = mi_interval(x, y, est.mi, level)?;
-        Ok((est, interval))
+        let (est, posterior) = if kind == EstimatorKind::Mle {
+            let (mi, posterior) = mle_mi_posterior_with(ws, &force_codes(x), &force_codes(y))?;
+            let est = MiEstimate {
+                mi,
+                estimator: kind,
+                n: x.len(),
+            };
+            (est, posterior)
+        } else {
+            let est = joinmi_estimators::estimate_mi_with_workspace(ws, x, y, kind, k)?;
+            (
+                est,
+                mi_posterior_with(ws, &force_codes(x), &force_codes(y))?,
+            )
+        };
+        Ok((est, credible_interval(est.mi, posterior, level)?))
     }
 
     /// Estimates MI with an explicitly chosen estimator.

@@ -22,6 +22,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod contingency;
 pub mod correlation;
 pub mod dc_ksg;
 pub mod entropy;
@@ -43,11 +44,11 @@ pub use entropy::{knn_entropy_1d, miller_madow_entropy, mle_entropy};
 pub use error::EstimatorError;
 pub use ksg::{ksg_mi, ksg_mi_with};
 pub use mixed_ksg::{mixed_ksg_mi, mixed_ksg_mi_with};
-pub use mle::{mle_mi, mle_mi_bias, smoothed_mle_mi};
+pub use mle::{mle_mi, mle_mi_bias, mle_mi_with, smoothed_mle_mi};
 pub use perturb::{perturb_ties, perturb_ties_with};
 pub use posterior::{
-    credible_interval, mi_interval, mi_posterior, mi_posterior_vars, normal_quantile, MiInterval,
-    MiPosterior,
+    credible_interval, mi_interval, mi_posterior, mi_posterior_vars, mi_posterior_with,
+    mle_mi_posterior_with, normal_quantile, MiInterval, MiPosterior,
 };
 pub use select::{
     estimate_mi, estimate_mi_with_workspace, force_codes, select_estimator, EstimatorKind,

@@ -4,9 +4,9 @@
 
 use std::collections::HashMap;
 
-use joinmi_hash::FixedHashMap;
-
+use crate::contingency::plug_in_mi;
 use crate::error::EstimatorError;
+use crate::workspace::EstimatorWorkspace;
 use crate::Result;
 
 /// Plug-in MLE estimate of `I(X; Y)` for two discrete samples given as
@@ -15,31 +15,18 @@ use crate::Result;
 /// `Î = Σ_{x,y} p̂(x,y) ln [ p̂(x,y) / (p̂(x) p̂(y)) ]`, in nats.
 ///
 /// The estimate is clamped at 0 (the true MI is non-negative, and tiny
-/// negative values can appear from floating-point cancellation).
+/// negative values can appear from floating-point cancellation). The sum
+/// runs in the iteration order of a deterministically hashed joint table,
+/// so the estimate is bit-for-bit reproducible across runs and across
+/// parallel and sequential replays.
 pub fn mle_mi(x: &[u32], y: &[u32]) -> Result<f64> {
-    check_lengths(x, y)?;
-    let n = x.len() as f64;
+    mle_mi_with(&mut EstimatorWorkspace::new(), x, y)
+}
 
-    // Deterministic hasher: the MI sum below runs in map iteration order, so
-    // a randomly seeded map would make the estimate differ in the last float
-    // bits from run to run (and between parallel and sequential replays).
-    let mut joint: FixedHashMap<(u32, u32), f64> = FixedHashMap::default();
-    let mut px: FixedHashMap<u32, f64> = FixedHashMap::default();
-    let mut py: FixedHashMap<u32, f64> = FixedHashMap::default();
-    for (&a, &b) in x.iter().zip(y) {
-        *joint.entry((a, b)).or_default() += 1.0;
-        *px.entry(a).or_default() += 1.0;
-        *py.entry(b).or_default() += 1.0;
-    }
-
-    let mut mi = 0.0;
-    for (&(a, b), &nab) in &joint {
-        let pab = nab / n;
-        let pa = px[&a] / n;
-        let pb = py[&b] / n;
-        mi += pab * (pab / (pa * pb)).ln();
-    }
-    Ok(mi.max(0.0))
+/// [`mle_mi`] against a caller-owned [`EstimatorWorkspace`], whose marginal
+/// count buffers it reuses. The result is bit-identical to [`mle_mi`].
+pub fn mle_mi_with(ws: &mut EstimatorWorkspace, x: &[u32], y: &[u32]) -> Result<f64> {
+    plug_in_mi(ws, x, y)
 }
 
 /// Laplace-smoothed MI: every cell of the joint contingency table over the

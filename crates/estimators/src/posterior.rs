@@ -12,10 +12,13 @@
 //!   `J = Σ_ij (n_ij/n) ln(n_ij n / (n_i n_j))` (the plug-in MI) and
 //!   `K` is the same sum with the logarithm squared.
 //!
-//! Both are exact in the counts the MLE path already accumulates — no
-//! resampling, no extra passes over the data. The discovery layer uses them
-//! to attach credible intervals to every candidate score and to terminate
-//! candidates whose interval cannot reach the running top-k.
+//! Both are exact in the counts the MLE already accumulates, and both come
+//! out of the MLE's own contingency pass: one joint table and one walk over
+//! its cells give the plug-in MI, the mean and the variance together
+//! ([`mle_mi_posterior_with`]), with `ψ` of the integer counts read from the
+//! workspace's table. No resampling. The discovery layer uses them to attach
+//! credible intervals to every candidate score and to terminate candidates
+//! whose interval cannot reach the running top-k.
 //!
 //! The moments use the observed counts as the Dirichlet parameters (the
 //! "counts-only" posterior); cells never observed carry no mass and drop out
@@ -24,12 +27,11 @@
 //! categories), the same coercion [`crate::select::estimate_mi_with`] applies
 //! when the MLE is forced onto numeric data.
 
-use joinmi_hash::FixedHashMap;
-
+use crate::contingency::plug_in_mi_and_posterior;
 use crate::error::EstimatorError;
 use crate::select::force_codes;
-use crate::special::digamma;
 use crate::variable::Variable;
+use crate::workspace::EstimatorWorkspace;
 use crate::Result;
 
 /// Posterior mean and variance of `I(X; Y)` from a discrete sample pair.
@@ -68,47 +70,24 @@ pub struct MiInterval {
 /// reproducible across runs and across parallel/sequential replays, matching
 /// the discipline of [`crate::mle::mle_mi`].
 pub fn mi_posterior(x: &[u32], y: &[u32]) -> Result<MiPosterior> {
-    if x.len() != y.len() {
-        return Err(EstimatorError::LengthMismatch {
-            x_len: x.len(),
-            y_len: y.len(),
-        });
-    }
-    if x.is_empty() {
-        return Err(EstimatorError::InsufficientSamples {
-            available: 0,
-            required: 1,
-        });
-    }
-    let n = x.len() as f64;
+    mi_posterior_with(&mut EstimatorWorkspace::new(), x, y)
+}
 
-    let mut joint: FixedHashMap<(u32, u32), f64> = FixedHashMap::default();
-    let mut px: FixedHashMap<u32, f64> = FixedHashMap::default();
-    let mut py: FixedHashMap<u32, f64> = FixedHashMap::default();
-    for (&a, &b) in x.iter().zip(y) {
-        *joint.entry((a, b)).or_default() += 1.0;
-        *px.entry(a).or_default() += 1.0;
-        *py.entry(b).or_default() += 1.0;
-    }
+/// [`mi_posterior`] against a caller-owned [`EstimatorWorkspace`], whose
+/// count buffers and `ψ` table it reuses. Bit-identical to [`mi_posterior`].
+pub fn mi_posterior_with(ws: &mut EstimatorWorkspace, x: &[u32], y: &[u32]) -> Result<MiPosterior> {
+    Ok(mle_mi_posterior_with(ws, x, y)?.1)
+}
 
-    let psi_n1 = digamma(n + 1.0);
-    let mut mean = 0.0;
-    let mut j_sum = 0.0;
-    let mut k_sum = 0.0;
-    for (&(a, b), &nab) in &joint {
-        let na = px[&a];
-        let nb = py[&b];
-        let w = nab / n;
-        mean += w * (digamma(nab + 1.0) - digamma(na + 1.0) - digamma(nb + 1.0) + psi_n1);
-        let log_term = (nab * n / (na * nb)).ln();
-        j_sum += w * log_term;
-        k_sum += w * log_term * log_term;
-    }
-    Ok(MiPosterior {
-        mean: mean.max(0.0),
-        variance: ((k_sum - j_sum * j_sum) / (n + 1.0)).max(0.0),
-        n: x.len(),
-    })
+/// The plug-in MI ([`crate::mle::mle_mi`]) and the posterior moments
+/// ([`mi_posterior`]) of one code pair from one contingency pass, each
+/// bit-identical to its own function.
+pub fn mle_mi_posterior_with(
+    ws: &mut EstimatorWorkspace,
+    x: &[u32],
+    y: &[u32],
+) -> Result<(f64, MiPosterior)> {
+    plug_in_mi_and_posterior(ws, x, y)
 }
 
 /// [`mi_posterior`] over [`Variable`] samples: continuous sides are grouped

@@ -21,7 +21,7 @@ use joinmi_hash::DigestHashMap;
 use crate::dc_ksg::dc_ksg_mi_with;
 use crate::error::EstimatorError;
 use crate::mixed_ksg::mixed_ksg_mi_with;
-use crate::mle::{mle_mi, smoothed_mle_mi};
+use crate::mle::{mle_mi_with, smoothed_mle_mi};
 use crate::variable::Variable;
 use crate::workspace::EstimatorWorkspace;
 use crate::{Result, DEFAULT_K};
@@ -101,8 +101,9 @@ pub fn estimate_mi_with(
 /// [`estimate_mi_with`] against a caller-owned [`EstimatorWorkspace`].
 ///
 /// Batch callers (candidate scoring, evaluation grids) keep one workspace per
-/// worker so the KSG-family paths reuse their sort buffers across estimates;
-/// the MLE paths ignore the workspace.
+/// worker so the KSG-family paths reuse their sort buffers across estimates
+/// and the MLE reuses its marginal count buffers; only the smoothed MLE
+/// ignores the workspace.
 pub fn estimate_mi_with_workspace(
     ws: &mut EstimatorWorkspace,
     x: &Variable,
@@ -118,7 +119,7 @@ pub fn estimate_mi_with_workspace(
     }
     let n = x.len();
     let mi = match kind {
-        EstimatorKind::Mle => mle_mi(&force_codes(x), &force_codes(y))?,
+        EstimatorKind::Mle => mle_mi_with(ws, &force_codes(x), &force_codes(y))?,
         EstimatorKind::SmoothedMle => smoothed_mle_mi(&force_codes(x), &force_codes(y), 1.0)?,
         EstimatorKind::Ksg => {
             crate::ksg::ksg_mi_with(ws, &x.as_continuous(), &y.as_continuous(), k)?

@@ -1,10 +1,12 @@
-//! The shared sort-once workspace for the KSG-family estimators.
+//! The shared workspace of the estimators: sort-once buffers for the
+//! KSG family, count buffers and ψ for the discrete pass.
 //!
-//! An estimate needs each column sorted once, per-point k-NN distances,
+//! A k-NN estimate needs each column sorted once, per-point k-NN distances,
 //! `ψ` and `ln` of integer counts, and (for DC-KSG) the sample grouped by
-//! discrete value. [`EstimatorWorkspace`] owns all of it and is reused
-//! across estimates, so a batch of estimates pays for allocations and table
-//! entries once, not once per call:
+//! discrete value. The one contingency pass behind the MLE and the posterior
+//! moments needs marginal counts and `ψ` of counts. [`EstimatorWorkspace`]
+//! owns all of it and is reused across estimates, so a batch of estimates
+//! pays for allocations and table entries once, not once per call:
 //!
 //! * **Sorted views.** An x-sorted [`SortedJoint`](crate::knn) whose
 //!   sorted-x copy doubles as the x marginal, and a
@@ -16,13 +18,19 @@
 //! * **Count tables.** `ψ(c)` and `ln(c)` for `c = 1..=n`, grown on demand by
 //!   the same [`digamma`] and [`f64::ln`] calls the sums would otherwise make
 //!   per point, so a lookup returns the identical value. Counts are bounded
-//!   by the sample size, and the tables only grow.
+//!   by the sample size, and the tables only grow. The k-NN estimators and
+//!   the posterior moments of the discrete pass read the same `ψ` table.
+//! * **Marginal counts.** The discrete pass's dense per-code counts (and,
+//!   for codes that are not dense, their relabelled slots).
 //! * **Tie counts and groups.** MixedKSG's exact-pair counter and DC-KSG's
 //!   dense group layout keep their allocations between calls.
 //!
-//! The `*_mi_with` estimator variants ([`crate::ksg::ksg_mi_with`],
+//! The `*_with` estimator variants ([`crate::ksg::ksg_mi_with`],
 //! [`crate::mixed_ksg::mixed_ksg_mi_with`],
-//! [`crate::dc_ksg::dc_ksg_mi_with`]) take a `&mut EstimatorWorkspace`;
+//! [`crate::dc_ksg::dc_ksg_mi_with`], [`crate::mle::mle_mi_with`],
+//! [`crate::posterior::mi_posterior_with`],
+//! [`crate::posterior::mle_mi_posterior_with`]) take a
+//! `&mut EstimatorWorkspace`;
 //! the classic free functions wrap them with a throwaway workspace. Batch
 //! callers — candidate scoring in discovery, the evaluation grids — keep one
 //! workspace per [`joinmi_par`] worker (`par_map_with`); the serving daemon
@@ -36,6 +44,7 @@
 
 use joinmi_hash::FixedHashMap;
 
+use crate::contingency::MarginalCounts;
 use crate::dc_ksg::DenseGroups;
 use crate::knn::{RankedMarginal, SortedJoint};
 use crate::special::digamma;
@@ -48,10 +57,10 @@ use crate::special::digamma;
 /// [`joinmi_par::par_map_ranges`]).
 pub(crate) const ACC_CHUNK: usize = 1024;
 
-/// Reusable state shared by the KSG-family estimators.
+/// Reusable state shared by the estimators.
 ///
 /// See the [module docs](self) for the full story. Construct once (cheap:
-/// empty buffers), then pass to any number of `*_mi_with` calls.
+/// empty buffers), then pass to any number of `*_with` calls.
 #[derive(Debug, Clone, Default)]
 pub struct EstimatorWorkspace {
     /// X-sorted joint view; its sorted-x copy doubles as the x marginal.
@@ -68,6 +77,8 @@ pub struct EstimatorWorkspace {
     pub(crate) groups: DenseGroups,
     /// Generic f64 scratch (perturbation sort buffer).
     pub(crate) scratch: Vec<f64>,
+    /// The discrete pass's marginal counts.
+    pub(crate) marginals: MarginalCounts,
 }
 
 impl EstimatorWorkspace {
@@ -97,6 +108,16 @@ impl CountTables {
     /// Makes `ψ(c)` available for every `c <= n`.
     pub(crate) fn grow_psi(&mut self, n: usize) {
         grow(&mut self.psi, n, digamma);
+    }
+
+    /// Makes `ψ(c)` available for every `c <= n` unless that takes more than
+    /// `budget` new entries; returns whether it is available.
+    pub(crate) fn grow_psi_within(&mut self, n: usize, budget: usize) -> bool {
+        if (n + 1).saturating_sub(self.psi.len().max(1)) > budget {
+            return false;
+        }
+        self.grow_psi(n);
+        true
     }
 
     /// Makes `ln(c)` available for every `c <= n`.

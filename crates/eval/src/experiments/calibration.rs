@@ -21,7 +21,7 @@
 
 use std::collections::BTreeMap;
 
-use joinmi_estimators::{credible_interval, discretize, mi_posterior, mle_mi};
+use joinmi_estimators::{credible_interval, discretize, mle_mi_posterior_with, EstimatorWorkspace};
 use joinmi_synth::TrinomialConfig;
 use joinmi_table::Value;
 
@@ -115,6 +115,7 @@ pub fn permille(null_fraction: f64) -> u32 {
 pub fn run(cfg: &Config) -> Series {
     let ms = [4u32, 8, 16];
     let mut series = Series::new();
+    let mut ws = EstimatorWorkspace::new();
     for (ri, &rows) in cfg.corpus_rows.iter().enumerate() {
         for (ni, &nf) in cfg.null_fractions.iter().enumerate() {
             let cell: &mut Vec<CoverageTrial> = series.entry((rows, permille(nf))).or_default();
@@ -143,7 +144,7 @@ pub fn run(cfg: &Config) -> Series {
                 let (xs, ys) = complete_pairs(&corpus.xs, &corpus.ys);
                 let cx = discretize(&xs);
                 let cy = discretize(&ys);
-                let (Ok(mi), Ok(post)) = (mle_mi(&cx, &cy), mi_posterior(&cx, &cy)) else {
+                let Ok((mi, post)) = mle_mi_posterior_with(&mut ws, &cx, &cy) else {
                     continue;
                 };
                 let Ok(interval) = credible_interval(mi, post, cfg.level) else {

@@ -6,7 +6,7 @@
 //! The full-join baseline applies the same estimator to all generated pairs.
 
 use joinmi_estimators::{
-    dc_ksg_mi_with, discretize, force_codes, mixed_ksg_mi_with, mle_mi, perturb_ties_with,
+    dc_ksg_mi_with, discretize, force_codes, mixed_ksg_mi_with, mle_mi_with, perturb_ties_with,
     EstimatorWorkspace, Variable, DEFAULT_K,
 };
 use joinmi_sketch::{ColumnSketch, JoinedSketch, SketchConfig, SketchKind};
@@ -118,7 +118,7 @@ impl EstimatorMode {
             return None;
         }
         match self {
-            Self::Mle => mle_mi(&force_codes(x), &force_codes(y)).ok(),
+            Self::Mle => mle_mi_with(ws, &force_codes(x), &force_codes(y)).ok(),
             Self::MixedKsg => {
                 mixed_ksg_mi_with(ws, coordinates(x)?, coordinates(y)?, DEFAULT_K).ok()
             }

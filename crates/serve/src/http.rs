@@ -2,10 +2,12 @@
 //! three-endpoint REST protocol and nothing more. One request per
 //! connection (`Connection: close`), `Content-Length` bodies only (no
 //! chunked encoding), bounded header and body sizes; the header bound holds
-//! while the head is read, not only once a line ends. The same discipline as
-//! the store format: hand-rolled over `std`, because the build is offline.
+//! while the head is read, not only once a line ends, and the body buffer
+//! grows with the bytes that arrive, not with the declared length. The same
+//! discipline as the store format: hand-rolled over `std`, because the build
+//! is offline.
 
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
@@ -14,9 +16,13 @@ const MAX_HEADER_BYTES: usize = 16 * 1024;
 /// Maximum accepted request body, in bytes. A million-row query is ~21 MB;
 /// decoding it takes ≈ 0.35 s in a release build on a 2-core x86-64 host.
 const MAX_BODY_BYTES: usize = 64 * 1024 * 1024;
+/// The most a body buffer reserves before its bytes arrive. Past it, the
+/// buffer grows as the bytes do, so a declared `Content-Length` alone never
+/// allocates more than this.
+const BODY_RESERVE_BYTES: usize = 64 * 1024;
 /// Socket read timeout: a client that stalls mid-request is dropped rather
 /// than pinning a connection thread forever.
-const READ_TIMEOUT: Duration = Duration::from_secs(30);
+pub const READ_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// A parsed request: method, path, body.
 #[derive(Debug)]
@@ -45,17 +51,15 @@ fn http_err(status: u16, message: impl Into<String>) -> HttpError {
     }
 }
 
-/// Reads one HTTP/1.1 request from the stream.
-pub fn read_request(stream: &mut TcpStream) -> Result<Request, HttpError> {
-    stream
-        .set_read_timeout(Some(READ_TIMEOUT))
-        .map_err(|e| http_err(500, e.to_string()))?;
-    let mut reader = BufReader::new(stream);
+/// Reads one HTTP/1.1 request from `reader`: a buffered socket with
+/// [`READ_TIMEOUT`] set, in the server, or any byte source. Every input
+/// gives a request or a typed error.
+pub fn read_request(reader: &mut impl BufRead) -> Result<Request, HttpError> {
     // The request line and the headers share one budget, charged as each
     // line is read.
     let mut head_budget = MAX_HEADER_BYTES;
 
-    let request_line = read_head_line(&mut reader, &mut head_budget, "bad request line")?;
+    let request_line = read_head_line(reader, &mut head_budget, "bad request line")?;
     let mut parts = request_line.split_whitespace();
     let method = parts
         .next()
@@ -73,7 +77,7 @@ pub fn read_request(stream: &mut TcpStream) -> Result<Request, HttpError> {
     // Headers: we only act on Content-Length.
     let mut content_length = 0usize;
     loop {
-        let line = read_head_line(&mut reader, &mut head_budget, "bad header")?;
+        let line = read_head_line(reader, &mut head_budget, "bad header")?;
         let line = line.trim_end_matches(['\r', '\n']);
         if line.is_empty() {
             break;
@@ -93,10 +97,19 @@ pub fn read_request(stream: &mut TcpStream) -> Result<Request, HttpError> {
         return Err(http_err(413, "request body too large"));
     }
 
-    let mut body_bytes = vec![0u8; content_length];
-    reader
-        .read_exact(&mut body_bytes)
+    // Read through `take`, so the buffer holds what arrived: at most
+    // `BODY_RESERVE_BYTES` up front, then amortised growth with the bytes.
+    let mut body_bytes = Vec::with_capacity(content_length.min(BODY_RESERVE_BYTES));
+    let read = reader
+        .take(content_length as u64)
+        .read_to_end(&mut body_bytes)
         .map_err(|e| http_err(400, format!("truncated body: {e}")))?;
+    if read < content_length {
+        return Err(http_err(
+            400,
+            format!("truncated body: {read} of {content_length} bytes"),
+        ));
+    }
     let body =
         String::from_utf8(body_bytes).map_err(|_| http_err(400, "body is not valid UTF-8"))?;
 

@@ -34,6 +34,7 @@
 //!   and rejects new queries with a typed 503 while in-flight ones finish;
 //!   the `joinmi_serve` binary wires this to SIGTERM.
 
+use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
@@ -46,7 +47,7 @@ use joinmi_estimators::EstimatorWorkspace;
 use joinmi_hash::SplitMix64;
 
 use crate::guard::{AdmissionGate, CachedResult, Deadline, QueryCache, ShardHealth};
-use crate::http::{client_request, read_request, write_response, Request};
+use crate::http::{client_request, read_request, write_response, HttpError, Request, READ_TIMEOUT};
 use crate::json::{obj, Json};
 use crate::shard::ShardSet;
 use crate::wire::{QueryRequest, QueryResponse, ServeError, ShardedResult};
@@ -562,7 +563,14 @@ fn compact_and_swap(shared: &Shared, index: usize) -> Result<(), String> {
 }
 
 fn handle_connection(shared: &Shared, mut stream: TcpStream) {
-    let request = match read_request(&mut stream) {
+    let request = match stream.set_read_timeout(Some(READ_TIMEOUT)) {
+        Ok(()) => read_request(&mut BufReader::new(&stream)),
+        Err(e) => Err(HttpError {
+            status: 500,
+            message: e.to_string(),
+        }),
+    };
+    let request = match request {
         Ok(request) => request,
         Err(e) => {
             let body = obj([(

@@ -6,10 +6,17 @@
 //! `QueryRequest::from_json`. The contract: a typed error or a value, never
 //! a panic. Whatever parses re-encodes to a document that parses back to the
 //! same value, and whatever `from_json` accepts lowers to a query.
+//!
+//! The same bodies, wrapped in valid HTTP requests, are damaged as bytes
+//! (truncated, re-declared lengths, dropped, duplicated and injected head
+//! lines, bad request lines, stray bytes) and fed to `http::read_request` on
+//! byte slices, without a socket: a request or a typed 4xx/5xx, never a
+//! panic.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
+use joinmi_serve::http::read_request;
 use joinmi_serve::json::Json;
 use joinmi_serve::QueryRequest;
 
@@ -333,4 +340,212 @@ fn mutated_query_bodies_are_typed_errors_or_values_never_panics() {
             "only {count} cases were {what}"
         );
     }
+}
+
+/// A valid `POST /v1/query` request around `body`.
+fn http_request(body: &str) -> Vec<u8> {
+    format!(
+        "POST /v1/query?explain=1 HTTP/1.1\r\nHost: 127.0.0.1\r\n\
+         Content-Type: application/json\r\nContent-Length: {}\r\n\
+         Connection: close\r\n\r\n{body}",
+        body.len()
+    )
+    .into_bytes()
+}
+
+/// The head of a request as its lines, terminators kept, and the rest.
+fn split_head(bytes: &[u8]) -> (Vec<Vec<u8>>, Vec<u8>) {
+    let end = bytes
+        .windows(4)
+        .position(|w| w == b"\r\n\r\n")
+        .map_or(bytes.len(), |p| p + 4);
+    let lines = bytes[..end]
+        .split_inclusive(|&b| b == b'\n')
+        .map(<[u8]>::to_vec)
+        .collect();
+    (lines, bytes[end..].to_vec())
+}
+
+/// Values a `Content-Length` header may be re-declared with.
+const LENGTHS: [&str; 12] = [
+    "0",
+    "1",
+    "67108864",
+    "67108865",
+    "-1",
+    "1e3",
+    " 12 ",
+    "",
+    "0x10",
+    "+5",
+    "18446744073709551616",
+    "99999999999999999999999999",
+];
+
+/// Head lines a mutation may insert.
+fn injected_line(rng: &mut Rng) -> Vec<u8> {
+    let long = format!("X-Long: {}\r\n", "a".repeat(17_000));
+    let lines: [&[u8]; 8] = [
+        b"Transfer-Encoding: chunked\r\n",
+        b"content-length:  3\r\n",
+        b"Content-Length: 100000\r\n",
+        b"no colon in this line\r\n",
+        b"X-Bytes: \xff\xfe\r\n",
+        b"\r\n",
+        b"\n",
+        long.as_bytes(),
+    ];
+    rng.pick(&lines).to_vec()
+}
+
+/// Damages the bytes of a request and says how.
+fn mutate_request(bytes: &mut Vec<u8>, rng: &mut Rng) -> String {
+    if bytes.is_empty() {
+        return "nothing left to damage".into();
+    }
+    let (mut lines, body) = split_head(bytes);
+    let what = match rng.below(7) {
+        0 => {
+            let at = rng.below(bytes.len() + 1);
+            bytes.truncate(at);
+            return format!("truncate at {at}");
+        }
+        1 => {
+            let delta = rng.below(9) as i64 - 4;
+            let declared = (body.len() as i64 + delta).max(0).to_string();
+            let odd = rng.pick(&LENGTHS);
+            let value = rng.pick(&[declared.as_str(), odd]).to_owned();
+            for line in &mut lines {
+                if line.starts_with(b"Content-Length:") {
+                    *line = format!("Content-Length: {value}\r\n").into_bytes();
+                }
+            }
+            format!("declare Content-Length {value:?}")
+        }
+        2 => {
+            let i = rng.below(lines.len());
+            if rng.below(2) == 0 {
+                lines.remove(i);
+                format!("drop head line {i}")
+            } else {
+                lines.insert(i, lines[i].clone());
+                format!("duplicate head line {i}")
+            }
+        }
+        3 => {
+            let i = rng.below(lines.len() + 1).max(1).min(lines.len());
+            let line = injected_line(rng);
+            let what = format!("inject a {}-byte head line at {i}", line.len());
+            lines.insert(i, line);
+            what
+        }
+        4 => {
+            let request_line = rng.pick(&[
+                String::new(),
+                "GET\r\n".into(),
+                "GET /\r\n".into(),
+                "GET / HTTP/2.0\r\n".into(),
+                "post /v1/query HTTP/1.0\r\n".into(),
+                format!("GET /{} HTTP/1.1\r\n", "a".repeat(20_000)),
+            ]);
+            lines[0] = request_line.into_bytes();
+            "replace the request line".into()
+        }
+        5 => {
+            let at = rng.below(bytes.len());
+            let byte = rng.pick(&[0x00, b'\r', b'\n', b':', 0x80, 0xc3, 0xff]);
+            bytes[at] = byte;
+            return format!("set byte {at} to {byte:#04x}");
+        }
+        _ => {
+            for line in &mut lines {
+                line.retain(|&b| b != b'\r');
+            }
+            "bare LF line ends".into()
+        }
+    };
+    *bytes = lines.concat();
+    bytes.extend_from_slice(&body);
+    what
+}
+
+#[derive(Default)]
+struct RequestOutcomes {
+    requests: usize,
+    /// Refusals by status: 400, 413, 431, 501.
+    refused: [usize; 4],
+    bodies: Outcomes,
+}
+
+/// The contract for one (possibly damaged) request.
+fn check_request(bytes: &[u8], outcomes: &mut RequestOutcomes) {
+    match read_request(&mut &bytes[..]) {
+        Ok(request) => {
+            assert!(
+                request.body.len() <= bytes.len(),
+                "a body longer than the input"
+            );
+            outcomes.requests += 1;
+            check(&request.body, &mut outcomes.bodies);
+        }
+        Err(e) => {
+            let slot = [400, 413, 431, 501].iter().position(|&s| s == e.status);
+            let slot =
+                slot.unwrap_or_else(|| panic!("untyped refusal {}: {}", e.status, e.message));
+            outcomes.refused[slot] += 1;
+        }
+    }
+}
+
+#[test]
+fn mutated_http_requests_are_typed_errors_or_requests_never_panics() {
+    const CASES: u64 = 10_000;
+    let requests: Vec<Vec<u8>> = corpus().iter().map(|b| http_request(b)).collect();
+    for bytes in &requests {
+        let request = read_request(&mut &bytes[..]).expect("the corpus is valid");
+        assert_eq!(
+            (request.method.as_str(), request.path.as_str()),
+            ("POST", "/v1/query")
+        );
+    }
+    let mut outcomes = RequestOutcomes::default();
+    let started = Instant::now();
+    for seed in 0..CASES {
+        let mut rng = Rng(seed ^ 0x4854_5450);
+        let mut bytes = rng.pick(&requests);
+        let applied: Vec<String> = (0..1 + rng.below(3))
+            .map(|_| mutate_request(&mut bytes, &mut rng))
+            .collect();
+        let outcome = catch_unwind(AssertUnwindSafe(|| check_request(&bytes, &mut outcomes)));
+        assert!(
+            outcome.is_ok(),
+            "seed {seed} broke the contract after: {applied:?}"
+        );
+    }
+    eprintln!(
+        "{CASES} mutated requests in {:?}: {} requests ({} bodies accepted), \
+         refused 400/413/431/501: {:?}",
+        started.elapsed(),
+        outcomes.requests,
+        outcomes.bodies.accepted,
+        outcomes.refused
+    );
+    assert!(
+        outcomes.requests > CASES as usize / 50,
+        "{} requests",
+        outcomes.requests
+    );
+    for (status, count) in [400, 413, 431, 501].iter().zip(outcomes.refused) {
+        assert!(count > 0, "no mutation was refused with {status}");
+    }
+}
+
+#[test]
+fn a_body_shorter_than_its_declared_length_is_a_typed_400() {
+    // 64 MiB declared (the largest accepted), 10 bytes sent, then EOF.
+    let mut bytes = b"POST /v1/query HTTP/1.1\r\nContent-Length: 67108864\r\n\r\n".to_vec();
+    bytes.extend_from_slice(b"{\"rows\": [");
+    let e = read_request(&mut &bytes[..]).unwrap_err();
+    assert_eq!(e.status, 400, "{}", e.message);
+    assert!(e.message.contains("10 of 67108864 bytes"), "{}", e.message);
 }
