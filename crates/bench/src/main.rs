@@ -620,6 +620,21 @@ fn cmd_serve_check(args: &[String]) -> i32 {
         }
         println!("serve-check: LV2SK variant refused with 400");
 
+        // A confidence level below 1 whose interval quantile
+        // `0.5 + level / 2` rounds to exactly 1 is refused, never scored.
+        let boundary_body = body.replace(
+            r#""top_k": 0"#,
+            r#""confidence": 0.9999999999999999, "top_k": 0"#,
+        );
+        let (status, _) = joinmi_serve::client_request(url, "POST", "/v1/query", &boundary_body)
+            .map_err(|e| format!("boundary-confidence variant: request failed: {e}"))?;
+        if status != 400 {
+            return Err(format!(
+                "boundary-confidence variant: expected status 400, got {status}"
+            ));
+        }
+        println!("serve-check: confidence 0.9999999999999999 refused with 400");
+
         // The early-termination / pruning counters must be surfaced.
         let (status, text) = joinmi_serve::client_request(url, "GET", "/v1/shards", "")
             .map_err(|e| format!("GET /v1/shards failed: {e}"))?;

@@ -2,13 +2,14 @@
 //!
 //! Joining two column sketches on their hashed keys recovers a subset of the
 //! full join's `(x, y)` pairs (Section IV, "Approach Overview"). The paired
-//! sample is then handed to one of the estimators of `joinmi-estimators`,
-//! selected from the value data types exactly as in the paper's experiments.
+//! sample is then handed to `joinmi_estimators`, which selects the estimator
+//! from the value data types exactly as in the paper's experiments and, for
+//! interval scoring, adds the credible interval. A [`JoinedSketch`] only
+//! gathers the sample; it owns no estimation rule.
 
 use joinmi_estimators::{
-    credible_interval, force_codes, mi_posterior_with, mle_mi_posterior_with, pearson,
-    select_estimator, spearman, EstimatorError, EstimatorKind, EstimatorWorkspace, MiEstimate,
-    MiInterval, Variable, DEFAULT_K,
+    estimate_mi_interval_with_workspace, estimate_mi_with_workspace, select_estimator,
+    EstimatorError, EstimatorWorkspace, MiEstimate, MiInterval, Variable, DEFAULT_K,
 };
 use joinmi_hash::{digest_map_with_capacity, DigestHashMap};
 use joinmi_table::{DataType, Value};
@@ -254,47 +255,28 @@ impl JoinedSketch {
         }
     }
 
-    /// The estimator that the data-type rule would select for this sample.
-    pub fn selected_estimator(&self) -> Result<EstimatorKind, EstimatorError> {
-        let (x, y) = self.variables()?;
-        Ok(select_estimator(x, y))
-    }
-
     /// Estimates `I(X; Y)` from the recovered pairs with the automatically
-    /// selected estimator and the default `k`.
+    /// selected estimator and the default `k`, on a fresh workspace.
     pub fn estimate_mi(&self) -> Result<MiEstimate, EstimatorError> {
-        self.estimate_mi_with_k(DEFAULT_K)
+        self.estimate_mi_in(&mut EstimatorWorkspace::new(), DEFAULT_K)
     }
 
-    /// Estimates MI with the automatically selected estimator and a custom
-    /// neighbour count `k` for the KSG-family estimators.
-    pub fn estimate_mi_with_k(&self, k: usize) -> Result<MiEstimate, EstimatorError> {
-        self.estimate_mi_in(&mut EstimatorWorkspace::new(), k)
-    }
-
-    /// Estimates MI with the automatically selected estimator against a
-    /// caller-owned [`EstimatorWorkspace`], so callers scoring many joins
-    /// (e.g. query candidate ranking) reuse the estimator sort buffers.
+    /// Estimates MI with the automatically selected estimator and neighbour
+    /// count `k` against a caller-owned [`EstimatorWorkspace`], so callers
+    /// scoring many joins (e.g. query candidate ranking) reuse the estimator
+    /// buffers.
     pub fn estimate_mi_in(
         &self,
         ws: &mut EstimatorWorkspace,
         k: usize,
     ) -> Result<MiEstimate, EstimatorError> {
         let (x, y) = self.variables()?;
-        let kind = select_estimator(x, y);
-        joinmi_estimators::estimate_mi_with_workspace(ws, x, y, kind, k)
+        estimate_mi_with_workspace(ws, x, y, select_estimator(x, y), k)
     }
 
-    /// Estimates MI like [`Self::estimate_mi_in`] and additionally computes a
-    /// Hutter–Zaffalon posterior credible interval around the point estimate
-    /// at the given two-sided `level`.
-    ///
-    /// The point estimate is bit-for-bit identical to the point-only call:
-    /// same estimator selection, same workspace. The interval is computed
-    /// from the contingency table of the same sample (continuous sides
-    /// grouped by exact equality). A discrete pair takes the MLE and the
-    /// posterior from one contingency pass; any other pair adds the
-    /// posterior's pass to its k-NN estimate, reading `ψ` from `ws`.
+    /// [`Self::estimate_mi_in`] plus a Hutter–Zaffalon credible interval at
+    /// the two-sided `level`: see [`estimate_mi_interval_with_workspace`].
+    /// The point estimate is bit-for-bit the point-only call's.
     pub fn estimate_mi_interval_in(
         &self,
         ws: &mut EstimatorWorkspace,
@@ -302,57 +284,7 @@ impl JoinedSketch {
         level: f64,
     ) -> Result<(MiEstimate, MiInterval), EstimatorError> {
         let (x, y) = self.variables()?;
-        let kind = select_estimator(x, y);
-        let (est, posterior) = if kind == EstimatorKind::Mle {
-            let (mi, posterior) = mle_mi_posterior_with(ws, &force_codes(x), &force_codes(y))?;
-            let est = MiEstimate {
-                mi,
-                estimator: kind,
-                n: x.len(),
-            };
-            (est, posterior)
-        } else {
-            let est = joinmi_estimators::estimate_mi_with_workspace(ws, x, y, kind, k)?;
-            (
-                est,
-                mi_posterior_with(ws, &force_codes(x), &force_codes(y))?,
-            )
-        };
-        Ok((est, credible_interval(est.mi, posterior, level)?))
-    }
-
-    /// Estimates MI with an explicitly chosen estimator.
-    pub fn estimate_mi_with(
-        &self,
-        kind: EstimatorKind,
-        k: usize,
-    ) -> Result<MiEstimate, EstimatorError> {
-        let (x, y) = self.variables()?;
-        joinmi_estimators::select::estimate_mi_with(x, y, kind, k)
-    }
-
-    /// Both sides as numeric coordinates, when both are numeric.
-    fn coordinates(&self) -> Option<(&[f64], &[f64])> {
-        match self.sample.as_ref().ok()? {
-            (Variable::Continuous(x), Variable::Continuous(y)) => Some((x, y)),
-            _ => None,
-        }
-    }
-
-    /// Pearson correlation of the recovered pairs (what the CSK baseline
-    /// estimates); `None` when either side is non-numeric or degenerate.
-    #[must_use]
-    pub fn estimate_pearson(&self) -> Option<f64> {
-        let (x, y) = self.coordinates()?;
-        pearson(x, y)
-    }
-
-    /// Spearman rank correlation of the recovered pairs; `None` when either
-    /// side is non-numeric or degenerate.
-    #[must_use]
-    pub fn estimate_spearman(&self) -> Option<f64> {
-        let (x, y) = self.coordinates()?;
-        spearman(x, y)
+        estimate_mi_interval_with_workspace(ws, x, y, k, level)
     }
 }
 
@@ -362,6 +294,7 @@ mod tests {
     use crate::config::{Side, SketchConfig};
     use crate::kind::SketchKind;
     use crate::row::SketchRow;
+    use joinmi_estimators::EstimatorKind;
     use joinmi_hash::KeyHash;
 
     fn sketch(side: Side, dtype: DataType, rows: Vec<(u64, Value)>) -> ColumnSketch {
@@ -436,7 +369,7 @@ mod tests {
         let (x, y) = joined.variables().unwrap();
         assert_eq!(x, &Variable::Discrete(vec![0, 1, 0]));
         assert_eq!(y, &Variable::Discrete(vec![0, 1, 0]));
-        assert_eq!(joined.selected_estimator().unwrap(), EstimatorKind::Mle);
+        assert_eq!(select_estimator(x, y), EstimatorKind::Mle);
     }
 
     #[test]
@@ -470,7 +403,6 @@ mod tests {
         let error = joined.estimate_mi().unwrap_err();
         assert!(matches!(error, EstimatorError::IncompatibleTypes { .. }));
         assert_eq!(error, reference.estimate_mi().unwrap_err());
-        assert!(joined.estimate_pearson().is_none());
     }
 
     #[test]
@@ -503,10 +435,8 @@ mod tests {
             DataType::Float,
             right_rows,
         ));
-        assert_eq!(
-            joined.selected_estimator().unwrap(),
-            EstimatorKind::MixedKsg
-        );
+        let (x, y) = joined.variables().unwrap();
+        assert_eq!(select_estimator(x, y), EstimatorKind::MixedKsg);
         assert!(joined.estimate_mi().unwrap().mi > 0.5);
 
         let right_str: Vec<(u64, Value)> = (0..n)
@@ -520,7 +450,8 @@ mod tests {
             DataType::Str,
             right_str,
         ));
-        assert_eq!(joined.selected_estimator().unwrap(), EstimatorKind::Mle);
+        let (x, y) = joined.variables().unwrap();
+        assert_eq!(select_estimator(x, y), EstimatorKind::Mle);
         let est = joined.estimate_mi().unwrap();
         assert_eq!(est.estimator, EstimatorKind::Mle);
         assert!((est.mi - 8.0_f64.ln()).abs() < 1e-9);
@@ -544,19 +475,12 @@ mod tests {
         ];
         let j = JoinedSketch::from_pairs(xs, ys, DataType::Float, DataType::Int);
         assert_eq!(j.len(), 3);
-        assert!(j.estimate_pearson().unwrap() > 0.99);
-        assert!(j.estimate_spearman().unwrap() > 0.99);
-    }
-
-    #[test]
-    fn correlations_are_none_for_string_data() {
-        let j = JoinedSketch::from_pairs(
-            vec![Value::from("a")],
-            vec![Value::Int(1)],
-            DataType::Str,
-            DataType::Int,
-        );
-        assert!(j.estimate_pearson().is_none());
+        let (x, y) = j.variables().unwrap();
+        assert_eq!(x, &Variable::Continuous(vec![1.0, 3.0, 5.0]));
+        assert_eq!(y, &Variable::Continuous(vec![1.0, 3.0, 5.0]));
+        let est = j.estimate_mi_in(&mut EstimatorWorkspace::new(), 1).unwrap();
+        assert_eq!(est.estimator, EstimatorKind::MixedKsg);
+        assert_eq!(est.n, 3);
     }
 
     #[test]
@@ -601,26 +525,50 @@ mod tests {
     #[test]
     fn interval_estimate_reproduces_point_estimate_bit_for_bit() {
         let n = 64u64;
-        let left_rows: Vec<(u64, Value)> =
-            (0..n).map(|i| (i, Value::Int((i % 8) as i64))).collect();
-        let right_rows: Vec<(u64, Value)> = (0..n)
+        let ints: Vec<(u64, Value)> = (0..n).map(|i| (i, Value::Int((i % 8) as i64))).collect();
+        let floats: Vec<(u64, Value)> = (0..n)
             .map(|i| (i, Value::Float((i % 8) as f64 * 2.0)))
             .collect();
-        let joined = sketch(Side::Left, DataType::Int, left_rows).join(&sketch(
-            Side::Right,
-            DataType::Float,
-            right_rows,
-        ));
+        let tags = |prefix: &str, modulus: u64| -> Vec<(u64, Value)> {
+            (0..n)
+                .map(|i| (i, Value::from(format!("{prefix}{}", i % modulus))))
+                .collect()
+        };
+        let join = |left: DataType, left_rows, right: DataType, right_rows| {
+            sketch(Side::Left, left, left_rows).join(&sketch(Side::Right, right, right_rows))
+        };
+        // One join per selected estimator; the string/string one takes the
+        // MLE and the posterior from one contingency pass.
+        let (int, float, string) = (DataType::Int, DataType::Float, DataType::Str);
+        let cases = [
+            (
+                join(int, ints.clone(), float, floats),
+                EstimatorKind::MixedKsg,
+            ),
+            (
+                join(string, tags("tag", 8), string, tags("cat", 4)),
+                EstimatorKind::Mle,
+            ),
+            (
+                join(int, ints, string, tags("cat", 4)),
+                EstimatorKind::DcKsg,
+            ),
+        ];
         let mut ws = EstimatorWorkspace::new();
-        let point = joined.estimate_mi_in(&mut ws, 3).unwrap();
-        let (est, iv) = joined.estimate_mi_interval_in(&mut ws, 3, 0.95).unwrap();
-        assert_eq!(point.mi.to_bits(), est.mi.to_bits());
-        assert_eq!(point.estimator, est.estimator);
-        assert!(iv.ci_lo >= 0.0);
-        assert!(iv.ci_lo <= est.mi && est.mi <= iv.ci_hi);
-        assert!(iv.variance >= 0.0);
-        // A bad confidence level is rejected.
-        assert!(joined.estimate_mi_interval_in(&mut ws, 3, 1.5).is_err());
+        for (joined, kind) in cases {
+            let point = joined.estimate_mi_in(&mut ws, 3).unwrap();
+            let (est, iv) = joined.estimate_mi_interval_in(&mut ws, 3, 0.95).unwrap();
+            assert_eq!(point.estimator, kind);
+            assert_eq!(point.mi.to_bits(), est.mi.to_bits(), "{kind}");
+            assert_eq!(point.estimator, est.estimator);
+            assert_eq!(point.n, est.n);
+            assert_eq!(est.n, n as usize);
+            assert!(iv.ci_lo >= 0.0);
+            assert!(iv.ci_lo <= est.mi && est.mi <= iv.ci_hi, "{kind}");
+            assert!(iv.variance >= 0.0);
+            // A bad confidence level is rejected.
+            assert!(joined.estimate_mi_interval_in(&mut ws, 3, 1.5).is_err());
+        }
     }
 
     #[test]

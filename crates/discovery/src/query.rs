@@ -442,7 +442,7 @@ impl RelationshipQuery {
         F: FnMut(&ColumnSketch, (u64, u64), &[(usize, usize)]) -> Vec<Option<RankedCandidate>>,
     {
         if let ScoringPolicy::Interval { level } = self.policy {
-            if !(level > 0.0 && level < 1.0) {
+            if !joinmi_estimators::posterior::is_valid_level(level) {
                 return Err(TableError::Unsupported(format!(
                     "interval scoring requires a confidence level in (0, 1), got {level}"
                 )));
@@ -1151,6 +1151,19 @@ mod tests {
         let (repo, query) = repo_and_query();
         assert!(query.clone().with_confidence(0.0).execute(&repo).is_err());
         assert!(query.clone().with_confidence(1.0).execute(&repo).is_err());
+        // Below 1, but `0.5 + level / 2` rounds to 1: a typed error before
+        // any candidate is scored, not a panic in the scorer.
+        let boundary = 1.0 - f64::EPSILON / 2.0;
+        assert!(matches!(
+            query.clone().with_confidence(boundary).execute(&repo),
+            Err(TableError::Unsupported(_))
+        ));
+        let largest = 1.0 - f64::EPSILON;
+        assert!(query
+            .clone()
+            .with_confidence(largest)
+            .execute(&repo)
+            .is_ok());
         assert!(query.with_confidence(f64::NAN).execute(&repo).is_err());
     }
 

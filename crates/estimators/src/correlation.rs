@@ -47,8 +47,7 @@ pub fn spearman(x: &[f64], y: &[f64]) -> Option<f64> {
 
 /// Assigns average ranks (1-based) to a sample, ties receiving the mean of
 /// the ranks they span.
-#[must_use]
-pub fn average_ranks(values: &[f64]) -> Vec<f64> {
+fn average_ranks(values: &[f64]) -> Vec<f64> {
     let n = values.len();
     let mut order: Vec<usize> = (0..n).collect();
     order.sort_by(|&a, &b| values[a].partial_cmp(&values[b]).expect("finite values"));

@@ -1,19 +1,12 @@
-//! Entropy estimators.
+//! Entropy estimation.
 //!
-//! * [`mle_entropy`] — the plug-in (maximum likelihood) estimator of Shannon
-//!   entropy for discrete samples, Section II of the paper. Known to be
-//!   biased downward by roughly `(m − 1) / 2N` (Roulston 1999).
-//! * [`miller_madow_entropy`] — the bias-corrected variant.
-//! * [`knn_entropy_1d`] — the nearest-neighbour (spacing) estimator of
-//!   differential entropy for one-dimensional continuous samples
-//!   (Kozachenko–Leonenko / Kraskov et al. 2004, Eq. 20).
-//!
-//! All entropies are in nats.
+//! [`mle_entropy`] is the plug-in (maximum likelihood) estimator of Shannon
+//! entropy for discrete samples, Section II of the paper, in nats. It is
+//! known to be biased downward by roughly `(m − 1) / 2N` (Roulston 1999).
 
 use joinmi_hash::FixedHashMap;
 
 use crate::error::EstimatorError;
-use crate::special::digamma;
 use crate::Result;
 
 /// Plug-in (MLE) entropy of a discrete sample given as integer codes.
@@ -43,60 +36,6 @@ pub fn mle_entropy(codes: &[u32]) -> Result<f64> {
     Ok(h)
 }
 
-/// Miller–Madow bias-corrected entropy: `Ĥ_MM = Ĥ_MLE + (m − 1) / (2N)` where
-/// `m` is the number of observed distinct values.
-pub fn miller_madow_entropy(codes: &[u32]) -> Result<f64> {
-    let h = mle_entropy(codes)?;
-    let n = codes.len() as f64;
-    let mut distinct = codes.to_vec();
-    distinct.sort_unstable();
-    distinct.dedup();
-    let m = distinct.len() as f64;
-    Ok(h + (m - 1.0) / (2.0 * n))
-}
-
-/// Nearest-neighbour (spacing) estimator of differential entropy for a 1-D
-/// continuous sample:
-///
-/// `Ĥ ≈ ψ(N) − ψ(1) + (1 / (N−1)) Σ ln(x_(i+1) − x_(i))`
-///
-/// (Kraskov et al. 2004, Eq. 20 — the paper quotes this formula with the
-/// signs of the digamma terms flipped, which is a typo: with the signs used
-/// here the estimator is consistent, e.g. it converges to 0 for `U(0,1)`.)
-///
-/// Zero spacings (ties) are skipped; if every spacing is zero the sample is
-/// degenerate and `-inf` would be the formal answer, so an error is returned
-/// instead.
-pub fn knn_entropy_1d(values: &[f64]) -> Result<f64> {
-    let n = values.len();
-    if n < 2 {
-        return Err(EstimatorError::InsufficientSamples {
-            available: n,
-            required: 2,
-        });
-    }
-    let mut sorted = values.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite values"));
-
-    let mut sum = 0.0;
-    let mut used = 0usize;
-    for w in sorted.windows(2) {
-        let spacing = w[1] - w[0];
-        if spacing > 0.0 {
-            sum += spacing.ln();
-            used += 1;
-        }
-    }
-    if used == 0 {
-        return Err(EstimatorError::IncompatibleTypes {
-            estimator: "knn_entropy_1d".to_owned(),
-            detail: "all sample values are identical (zero spacings)".to_owned(),
-        });
-    }
-    let n_f = n as f64;
-    Ok(digamma(n_f) - digamma(1.0) + sum / (n_f - 1.0))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -120,50 +59,5 @@ mod tests {
         codes.extend(1..=95u32);
         let h = mle_entropy(&codes).unwrap();
         assert!((h - 4.5247).abs() < 5e-4, "H = {h}");
-    }
-
-    #[test]
-    fn miller_madow_adds_positive_correction() {
-        let codes = vec![0, 1, 2, 3, 0, 1, 2, 3];
-        let mle = mle_entropy(&codes).unwrap();
-        let mm = miller_madow_entropy(&codes).unwrap();
-        assert!(mm > mle);
-        assert!((mm - mle - 3.0 / 16.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn knn_entropy_uniform_near_zero() {
-        // For U(0, 1) the differential entropy is 0. The spacing estimator is
-        // built for *random* samples (its γ term cancels the expected log of
-        // exponential spacings), so use a deterministic LCG sample.
-        let n = 20_000u64;
-        let mut state = 88_172_645_463_325_252u64;
-        let values: Vec<f64> = (0..n)
-            .map(|_| {
-                state = state
-                    .wrapping_mul(6_364_136_223_846_793_005)
-                    .wrapping_add(1);
-                ((state >> 11) as f64) / (1u64 << 53) as f64
-            })
-            .collect();
-        let h = knn_entropy_1d(&values).unwrap();
-        assert!(h.abs() < 0.05, "H = {h}");
-    }
-
-    #[test]
-    fn knn_entropy_scales_with_range() {
-        // H(U(0, s)) = ln s; doubling the range adds ln 2.
-        let n = 2000;
-        let unit: Vec<f64> = (0..n).map(|i| (i as f64 + 0.5) / n as f64).collect();
-        let doubled: Vec<f64> = unit.iter().map(|v| v * 2.0).collect();
-        let h1 = knn_entropy_1d(&unit).unwrap();
-        let h2 = knn_entropy_1d(&doubled).unwrap();
-        assert!((h2 - h1 - 2.0_f64.ln()).abs() < 0.01);
-    }
-
-    #[test]
-    fn knn_entropy_rejects_degenerate_input() {
-        assert!(knn_entropy_1d(&[1.0]).is_err());
-        assert!(knn_entropy_1d(&[2.0, 2.0, 2.0]).is_err());
     }
 }

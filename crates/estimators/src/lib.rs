@@ -10,14 +10,20 @@
 //! | discrete | numeric (or vice versa) | DC-KSG ([`dc_ksg`], Ross 2014) |
 //!
 //! plus the classic KSG estimator ([`ksg`], Kraskov et al. 2004) for purely
-//! continuous data, entropy estimators ([`entropy`]), and the correlation
-//! measures ([`correlation`]) used both by the Correlation-Sketches baseline
-//! and by the evaluation harness (Spearman's rank correlation of rankings).
+//! continuous data, the plug-in entropy ([`entropy`]), the Hutter–Zaffalon
+//! posterior of discrete MI behind the credible intervals ([`posterior`]),
+//! and the correlation measures ([`correlation`]) the evaluation harness
+//! scores estimates and rankings with.
 //!
-//! All estimators work on plain slices, so they can be fed either the fully
-//! materialized join (the exact baseline) or the small samples recovered from
-//! sketch joins. MI is reported in **nats** (natural logarithm) throughout,
-//! matching the paper's synthetic benchmark construction.
+//! Two entry points estimate a sample pair: [`estimate_mi_with_workspace`]
+//! runs a chosen estimator (the rule itself is [`select_estimator`]), and
+//! [`estimate_mi_interval_with_workspace`] runs the selected one and adds a
+//! credible interval. Both take a caller-owned [`EstimatorWorkspace`] whose
+//! buffers batch callers reuse across estimates. The estimators also work on
+//! plain slices, so they can be fed either the fully materialized join (the
+//! exact baseline) or the small samples recovered from sketch joins. MI is
+//! reported in **nats** (natural logarithm) throughout, matching the paper's
+//! synthetic benchmark construction.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -40,21 +46,21 @@ pub mod workspace;
 
 pub use correlation::{pearson, spearman};
 pub use dc_ksg::{dc_ksg_mi, dc_ksg_mi_with};
-pub use entropy::{knn_entropy_1d, miller_madow_entropy, mle_entropy};
+pub use entropy::mle_entropy;
 pub use error::EstimatorError;
 pub use ksg::{ksg_mi, ksg_mi_with};
 pub use mixed_ksg::{mixed_ksg_mi, mixed_ksg_mi_with};
-pub use mle::{mle_mi, mle_mi_bias, mle_mi_with, smoothed_mle_mi};
+pub use mle::{mle_mi, mle_mi_with, smoothed_mle_mi};
 pub use perturb::{perturb_ties, perturb_ties_with};
 pub use posterior::{
-    credible_interval, mi_interval, mi_posterior, mi_posterior_vars, mi_posterior_with,
-    mle_mi_posterior_with, normal_quantile, MiInterval, MiPosterior,
+    credible_interval, mi_posterior, mi_posterior_with, mle_mi_posterior_with, MiInterval,
+    MiPosterior,
 };
 pub use select::{
-    estimate_mi, estimate_mi_with_workspace, force_codes, select_estimator, EstimatorKind,
-    MiEstimate,
+    estimate_mi_interval_with_workspace, estimate_mi_with_workspace, force_codes, select_estimator,
+    EstimatorKind, MiEstimate,
 };
-pub use variable::{discretize, to_continuous, Variable};
+pub use variable::{discretize, Variable};
 pub use workspace::EstimatorWorkspace;
 
 /// Result alias for estimator operations.

@@ -1,6 +1,6 @@
 //! Plug-in (maximum likelihood) mutual information for discrete–discrete
 //! variable pairs, plus the Laplace-smoothed variant mentioned in the paper's
-//! conclusion and the first-order bias formula (Eq. 6).
+//! conclusion.
 
 use std::collections::HashMap;
 
@@ -83,18 +83,6 @@ pub fn smoothed_mle_mi(x: &[u32], y: &[u32], alpha: f64) -> Result<f64> {
     Ok(mi.max(0.0))
 }
 
-/// First-order bias of the MLE MI estimator (Eq. 6 of the paper, Roulston
-/// 1999): `E[Î] − I ≈ (m_X + m_Y − m_XY − 1) / (2N)` where `m_X`, `m_Y`,
-/// `m_XY` are the numbers of distinct values / pairs and `N` the sample size.
-///
-/// (The paper writes the left-hand side as `I − E[Î]`; with the sign used
-/// here a *positive* value means the estimator over-estimates, which is the
-/// direction observed in the experiments.)
-#[must_use]
-pub fn mle_mi_bias(m_x: usize, m_y: usize, m_xy: usize, n: usize) -> f64 {
-    (m_x as f64 + m_y as f64 - m_xy as f64 - 1.0) / (2.0 * n as f64)
-}
-
 fn check_lengths(x: &[u32], y: &[u32]) -> Result<()> {
     if x.len() != y.len() {
         return Err(EstimatorError::LengthMismatch {
@@ -171,14 +159,6 @@ mod tests {
     }
 
     #[test]
-    fn bias_formula_matches_eq6() {
-        // m_X = m_Y = 4, m_XY = 16, N = 100: (4 + 4 - 16 - 1) / 200 < 0.
-        assert!((mle_mi_bias(4, 4, 16, 100) - (-9.0 / 200.0)).abs() < 1e-12);
-        // Perfectly dependent: m_XY = m_X = m_Y = m → (m - 1) / 2N > 0.
-        assert!((mle_mi_bias(8, 8, 8, 64) - (7.0 / 128.0)).abs() < 1e-12);
-    }
-
-    #[test]
     fn bias_shows_up_empirically_for_independent_uniforms() {
         // With m distinct values each and independent X, Y the true MI is 0
         // but the MLE gives roughly (m−1)² / (2N) > 0.
@@ -195,7 +175,10 @@ mod tests {
         let x: Vec<u32> = (0..n).map(|_| next(m)).collect();
         let y: Vec<u32> = (0..n).map(|_| next(m)).collect();
         let mi = mle_mi(&x, &y).unwrap();
-        let predicted = mle_mi_bias(m as usize, m as usize, (m * m) as usize, n).abs();
+        // Eq. 6 of the paper (Roulston 1999): the first-order bias is
+        // (m_X + m_Y − m_XY − 1) / (2N), here with m_X = m_Y = m, m_XY = m².
+        let m_f = f64::from(m);
+        let predicted = ((m_f + m_f - m_f * m_f - 1.0) / (2.0 * n as f64)).abs();
         // The empirical overestimate should be positive and of the same order
         // as the |bias| prediction (not exact — Eq. 6 is first-order).
         assert!(mi > 0.0);

@@ -24,13 +24,12 @@
 //! "counts-only" posterior); cells never observed carry no mass and drop out
 //! of the sums. For continuous or mixed samples the interval is computed on
 //! the induced contingency table (exactly equal values grouped into
-//! categories), the same coercion [`crate::select::estimate_mi_with`] applies
-//! when the MLE is forced onto numeric data.
+//! categories), the same coercion
+//! [`crate::select::estimate_mi_with_workspace`] applies when the MLE is
+//! forced onto numeric data.
 
 use crate::contingency::plug_in_mi_and_posterior;
 use crate::error::EstimatorError;
-use crate::select::force_codes;
-use crate::variable::Variable;
 use crate::workspace::EstimatorWorkspace;
 use crate::Result;
 
@@ -90,10 +89,15 @@ pub fn mle_mi_posterior_with(
     plug_in_mi_and_posterior(ws, x, y)
 }
 
-/// [`mi_posterior`] over [`Variable`] samples: continuous sides are grouped
-/// into categories by exact equality before the contingency table is built.
-pub fn mi_posterior_vars(x: &Variable, y: &Variable) -> Result<MiPosterior> {
-    mi_posterior(&force_codes(x), &force_codes(y))
+/// Whether [`credible_interval`] accepts `level` as a two-sided confidence
+/// level: `level > 0` and `0.5 + level / 2`, the normal quantile's argument,
+/// strictly below 1. That refuses everything outside `(0, 1)` and also
+/// `1 − 2⁻⁵³`, the largest double below 1, whose half rounds the sum up to
+/// exactly 1. Layers that validate a level before scoring call this, so
+/// they refuse exactly what the interval would.
+#[must_use]
+pub fn is_valid_level(level: f64) -> bool {
+    level > 0.0 && 0.5 + level / 2.0 < 1.0
 }
 
 /// Builds the credible interval for a point estimate `mi` from posterior
@@ -104,7 +108,7 @@ pub fn mi_posterior_vars(x: &Variable, y: &Variable) -> Result<MiPosterior> {
 /// point estimate, preserving `ci_lo ≤ mi ≤ ci_hi` for finite `mi`. A
 /// non-finite `mi` degrades gracefully to the posterior-centred bounds.
 pub fn credible_interval(mi: f64, posterior: MiPosterior, level: f64) -> Result<MiInterval> {
-    if !(level > 0.0 && level < 1.0) {
+    if !is_valid_level(level) {
         return Err(EstimatorError::InvalidParameter(format!(
             "confidence level must be in (0, 1), got {level}"
         )));
@@ -121,19 +125,12 @@ pub fn credible_interval(mi: f64, posterior: MiPosterior, level: f64) -> Result<
     })
 }
 
-/// Posterior credible interval around `mi` for a [`Variable`] sample pair:
-/// [`mi_posterior_vars`] followed by [`credible_interval`].
-pub fn mi_interval(x: &Variable, y: &Variable, mi: f64, level: f64) -> Result<MiInterval> {
-    credible_interval(mi, mi_posterior_vars(x, y)?, level)
-}
-
 /// Standard normal quantile function `Φ⁻¹(p)` for `p ∈ (0, 1)`.
 ///
 /// Acklam's rational approximation (relative error below `1.2e-9` over the
 /// whole domain) — more than enough for credible-interval endpoints, and it
 /// keeps the crate free of external special-function dependencies.
-#[must_use]
-pub fn normal_quantile(p: f64) -> f64 {
+fn normal_quantile(p: f64) -> f64 {
     assert!(
         p > 0.0 && p < 1.0,
         "normal_quantile requires p in (0, 1), got {p}"
@@ -191,6 +188,8 @@ pub fn normal_quantile(p: f64) -> f64 {
 mod tests {
     use super::*;
     use crate::mle::mle_mi;
+    use crate::select::{estimate_mi_interval_with_workspace, force_codes};
+    use crate::variable::Variable;
 
     fn repeated(pattern: &[u32], reps: usize) -> Vec<u32> {
         pattern
@@ -286,8 +285,8 @@ mod tests {
     fn continuous_sides_are_grouped_by_exact_equality() {
         let x = Variable::Continuous(vec![1.0, 1.0, 2.0, 2.0, 1.0, 2.0, 1.0, 2.0]);
         let d = Variable::Discrete(vec![0, 0, 1, 1, 0, 1, 0, 1]);
-        let a = mi_posterior_vars(&x, &x).unwrap();
-        let b = mi_posterior_vars(&d, &d).unwrap();
+        let a = mi_posterior(&force_codes(&x), &force_codes(&x)).unwrap();
+        let b = mi_posterior(&force_codes(&d), &force_codes(&d)).unwrap();
         assert_eq!(a, b);
     }
 
@@ -327,6 +326,18 @@ mod tests {
         assert!(credible_interval(0.5, post, 0.0).is_err());
         assert!(credible_interval(0.5, post, 1.0).is_err());
         assert!(credible_interval(0.5, post, -0.5).is_err());
+        assert!(credible_interval(0.5, post, f64::NAN).is_err());
+        // Below 1, yet `0.5 + level / 2` rounds to exactly 1: refused, not a
+        // panic in the normal quantile.
+        let boundary = 1.0 - f64::EPSILON / 2.0;
+        assert!(boundary < 1.0 && 0.5 + boundary / 2.0 == 1.0);
+        assert!(!is_valid_level(boundary));
+        assert!(credible_interval(0.5, post, boundary).is_err());
+        // The next double down is the largest level accepted.
+        let largest = 1.0 - f64::EPSILON;
+        assert!(is_valid_level(largest));
+        let iv = credible_interval(0.5, post, largest).unwrap();
+        assert!(iv.ci_lo.is_finite() && iv.ci_hi.is_finite());
     }
 
     #[test]
@@ -346,8 +357,9 @@ mod tests {
     #[test]
     fn mi_interval_end_to_end() {
         let x = Variable::Discrete(repeated(&[0, 1, 2, 3], 32));
-        let est = crate::select::estimate_mi_default(&x, &x).unwrap();
-        let iv = mi_interval(&x, &x, est.mi, 0.9).unwrap();
+        let (est, iv) =
+            estimate_mi_interval_with_workspace(&mut EstimatorWorkspace::new(), &x, &x, 3, 0.9)
+                .unwrap();
         assert!(iv.ci_lo <= est.mi && est.mi <= iv.ci_hi);
         // Strong dependence on 128 samples: the interval should be tight.
         assert!(iv.ci_hi - iv.ci_lo < 0.5);

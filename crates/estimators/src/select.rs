@@ -8,10 +8,13 @@
 //! * numeric / numeric → MixedKSG,
 //! * string / numeric (either order) → DC-KSG.
 //!
-//! [`estimate_mi`] applies that rule to a pair of [`Variable`] samples and
-//! returns an [`MiEstimate`] carrying the value, the estimator used, and the
-//! sample size — everything the discovery layer needs to rank candidates and
-//! everything the evaluation harness needs to reproduce the paper's figures.
+//! [`select_estimator`] is that rule. [`estimate_mi_with_workspace`] runs a
+//! chosen estimator on a pair of [`Variable`] samples and returns an
+//! [`MiEstimate`] carrying the value, the estimator used, and the sample
+//! size. [`estimate_mi_interval_with_workspace`] is the interval rule: the
+//! selected estimator's point estimate plus a Hutter–Zaffalon credible
+//! interval ([`crate::posterior`]) on the same sample, with the MLE and the
+//! posterior sharing one contingency pass when both sides are discrete.
 
 use std::borrow::Cow;
 use std::fmt;
@@ -22,9 +25,10 @@ use crate::dc_ksg::dc_ksg_mi_with;
 use crate::error::EstimatorError;
 use crate::mixed_ksg::mixed_ksg_mi_with;
 use crate::mle::{mle_mi_with, smoothed_mle_mi};
+use crate::posterior::{credible_interval, mi_posterior_with, mle_mi_posterior_with, MiInterval};
 use crate::variable::Variable;
 use crate::workspace::EstimatorWorkspace;
-use crate::{Result, DEFAULT_K};
+use crate::Result;
 
 /// The available MI estimators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -83,22 +87,13 @@ pub fn select_estimator(x: &Variable, y: &Variable) -> EstimatorKind {
     }
 }
 
-/// Estimates `I(X; Y)` with an explicitly chosen estimator.
+/// Estimates `I(X; Y)` with an explicitly chosen estimator against a
+/// caller-owned [`EstimatorWorkspace`].
 ///
 /// Type coercions follow the paper: KSG-family estimators accept discrete
 /// codes as (ordered) numeric coordinates; the MLE treats numeric samples as
 /// categorical by grouping exactly equal values; DC-KSG requires at least one
 /// discrete side and puts the discrete variable on the categorical axis.
-pub fn estimate_mi_with(
-    x: &Variable,
-    y: &Variable,
-    kind: EstimatorKind,
-    k: usize,
-) -> Result<MiEstimate> {
-    estimate_mi_with_workspace(&mut EstimatorWorkspace::new(), x, y, kind, k)
-}
-
-/// [`estimate_mi_with`] against a caller-owned [`EstimatorWorkspace`].
 ///
 /// Batch callers (candidate scoring, evaluation grids) keep one workspace per
 /// worker so the KSG-family paths reuse their sort buffers across estimates
@@ -151,17 +146,39 @@ pub fn estimate_mi_with_workspace(
     })
 }
 
-/// Estimates `I(X; Y)` with the estimator chosen automatically from the
-/// variable representations (the paper's default behaviour).
-pub fn estimate_mi(x: &Variable, y: &Variable, k: usize) -> Result<MiEstimate> {
+/// Estimates `I(X; Y)` with the estimator [`select_estimator`] picks and
+/// adds a Hutter–Zaffalon credible interval at the two-sided `level`.
+///
+/// The point estimate is bit-for-bit the one [`estimate_mi_with_workspace`]
+/// gives for the selected estimator. The interval is computed from the
+/// contingency table of the same sample (continuous sides grouped by exact
+/// equality). A discrete pair takes the MLE and the posterior from one
+/// contingency pass; any other pair adds the posterior's pass to its k-NN
+/// estimate, reading `ψ` from `ws`.
+pub fn estimate_mi_interval_with_workspace(
+    ws: &mut EstimatorWorkspace,
+    x: &Variable,
+    y: &Variable,
+    k: usize,
+    level: f64,
+) -> Result<(MiEstimate, MiInterval)> {
     let kind = select_estimator(x, y);
-    estimate_mi_with(x, y, kind, k)
-}
-
-/// Estimates `I(X; Y)` with the automatically selected estimator and the
-/// default neighbour count.
-pub fn estimate_mi_default(x: &Variable, y: &Variable) -> Result<MiEstimate> {
-    estimate_mi(x, y, DEFAULT_K)
+    let (est, posterior) = if kind == EstimatorKind::Mle {
+        let (mi, posterior) = mle_mi_posterior_with(ws, &force_codes(x), &force_codes(y))?;
+        let est = MiEstimate {
+            mi,
+            estimator: kind,
+            n: x.len(),
+        };
+        (est, posterior)
+    } else {
+        let est = estimate_mi_with_workspace(ws, x, y, kind, k)?;
+        (
+            est,
+            mi_posterior_with(ws, &force_codes(x), &force_codes(y))?,
+        )
+    };
+    Ok((est, credible_interval(est.mi, posterior, level)?))
 }
 
 /// A variable as categories: its codes, borrowed, or its coordinates grouped
@@ -191,6 +208,17 @@ pub fn force_codes(v: &Variable) -> Cow<'_, [u32]> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::DEFAULT_K;
+
+    /// The estimate `kind` gives on a fresh workspace.
+    fn estimate(x: &Variable, y: &Variable, kind: EstimatorKind) -> Result<MiEstimate> {
+        estimate_mi_with_workspace(&mut EstimatorWorkspace::new(), x, y, kind, DEFAULT_K)
+    }
+
+    /// The estimate of the estimator the data-type rule selects.
+    fn estimate_selected(x: &Variable, y: &Variable) -> Result<MiEstimate> {
+        estimate(x, y, select_estimator(x, y))
+    }
 
     #[test]
     fn selection_follows_type_rule() {
@@ -205,7 +233,7 @@ mod tests {
     #[test]
     fn mle_path_on_identical_discrete() {
         let x = Variable::Discrete(vec![0, 1, 2, 3, 0, 1, 2, 3]);
-        let est = estimate_mi_default(&x, &x).unwrap();
+        let est = estimate_selected(&x, &x).unwrap();
         assert_eq!(est.estimator, EstimatorKind::Mle);
         assert_eq!(est.n, 8);
         assert!((est.mi - 4.0_f64.ln()).abs() < 1e-9);
@@ -215,8 +243,8 @@ mod tests {
     fn dc_ksg_path_accepts_either_argument_order() {
         let d = Variable::Discrete(vec![0, 0, 0, 1, 1, 1, 0, 1, 0, 1]);
         let c = Variable::Continuous(vec![0.1, 0.2, 0.15, 5.1, 5.2, 5.15, 0.12, 5.3, 0.22, 5.05]);
-        let a = estimate_mi_default(&d, &c).unwrap();
-        let b = estimate_mi_default(&c, &d).unwrap();
+        let a = estimate_selected(&d, &c).unwrap();
+        let b = estimate_selected(&c, &d).unwrap();
         assert_eq!(a.estimator, EstimatorKind::DcKsg);
         assert!((a.mi - b.mi).abs() < 1e-12);
     }
@@ -226,18 +254,18 @@ mod tests {
         // Force the MLE onto numeric data: exact ties become categories.
         let x = Variable::Continuous(vec![1.0, 1.0, 2.0, 2.0]);
         let y = Variable::Continuous(vec![5.0, 5.0, 9.0, 9.0]);
-        let est = estimate_mi_with(&x, &y, EstimatorKind::Mle, DEFAULT_K).unwrap();
+        let est = estimate(&x, &y, EstimatorKind::Mle).unwrap();
         assert!((est.mi - 2.0_f64.ln()).abs() < 1e-9);
 
         // DC-KSG on two continuous variables is a type error.
-        assert!(estimate_mi_with(&x, &y, EstimatorKind::DcKsg, DEFAULT_K).is_err());
+        assert!(estimate(&x, &y, EstimatorKind::DcKsg).is_err());
     }
 
     #[test]
     fn smoothed_mle_is_not_larger_than_mle() {
         let x = Variable::Discrete(vec![0, 1, 2, 3, 0, 1, 2, 3]);
-        let plain = estimate_mi_with(&x, &x, EstimatorKind::Mle, DEFAULT_K).unwrap();
-        let smooth = estimate_mi_with(&x, &x, EstimatorKind::SmoothedMle, DEFAULT_K).unwrap();
+        let plain = estimate(&x, &x, EstimatorKind::Mle).unwrap();
+        let smooth = estimate(&x, &x, EstimatorKind::SmoothedMle).unwrap();
         assert!(smooth.mi <= plain.mi);
     }
 
@@ -254,6 +282,6 @@ mod tests {
     fn length_mismatch_is_rejected() {
         let x = Variable::Discrete(vec![0, 1]);
         let y = Variable::Discrete(vec![0]);
-        assert!(estimate_mi_default(&x, &y).is_err());
+        assert!(estimate_selected(&x, &y).is_err());
     }
 }

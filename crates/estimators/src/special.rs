@@ -97,15 +97,6 @@ pub fn ln_factorial(n: u64) -> f64 {
     }
 }
 
-/// Binomial coefficient `ln C(n, k)`.
-#[must_use]
-pub fn ln_choose(n: u64, k: u64) -> f64 {
-    if k > n {
-        return f64::NEG_INFINITY;
-    }
-    ln_factorial(n) - ln_factorial(k) - ln_factorial(n - k)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -160,12 +151,5 @@ mod tests {
             let direct: f64 = (1..=n).map(|i| (i as f64).ln()).sum();
             assert!((ln_factorial(n) - direct).abs() < 1e-8, "n = {n}");
         }
-    }
-
-    #[test]
-    fn ln_choose_small_cases() {
-        assert!((ln_choose(5, 2) - 10.0_f64.ln()).abs() < 1e-10);
-        assert!((ln_choose(10, 0)).abs() < 1e-12);
-        assert_eq!(ln_choose(3, 5), f64::NEG_INFINITY);
     }
 }

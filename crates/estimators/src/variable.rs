@@ -45,25 +45,6 @@ impl Variable {
         matches!(self, Self::Discrete(_))
     }
 
-    /// Number of distinct values in the sample.
-    #[must_use]
-    pub fn distinct_count(&self) -> usize {
-        match self {
-            Self::Discrete(v) => {
-                let mut sorted = v.clone();
-                sorted.sort_unstable();
-                sorted.dedup();
-                sorted.len()
-            }
-            Self::Continuous(v) => {
-                let mut sorted: Vec<u64> = v.iter().map(|x| x.to_bits()).collect();
-                sorted.sort_unstable();
-                sorted.dedup();
-                sorted.len()
-            }
-        }
-    }
-
     /// Returns the continuous coordinates, converting discrete codes to
     /// floats when necessary (ordered discrete data can legitimately be fed
     /// to KSG-type estimators; see Section V-A of the paper).
@@ -100,13 +81,6 @@ impl Variable {
             }
         }
     }
-
-    /// Forces a discrete representation regardless of the original type
-    /// (numeric values are grouped by exact equality).
-    #[must_use]
-    pub fn forced_discrete(values: &[Value]) -> Self {
-        Self::Discrete(discretize(values))
-    }
 }
 
 /// Maps arbitrary values to dense integer codes (equal values share a code).
@@ -120,20 +94,6 @@ pub fn discretize(values: &[Value]) -> Vec<u32> {
         out.push(code);
     }
     out
-}
-
-/// Extracts the numeric coordinates of a value slice, failing on non-numeric
-/// entries.
-pub fn to_continuous(values: &[Value]) -> Result<Vec<f64>> {
-    values
-        .iter()
-        .map(|v| {
-            v.as_f64().ok_or_else(|| EstimatorError::IncompatibleTypes {
-                estimator: "continuous conversion".to_owned(),
-                detail: format!("value `{v}` is not numeric"),
-            })
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -156,8 +116,7 @@ mod tests {
         let vals = vec![Value::from("x"), Value::from("y"), Value::from("x")];
         let v = Variable::from_values(&vals, DataType::Str).unwrap();
         assert!(v.is_discrete());
-        assert_eq!(v.len(), 3);
-        assert_eq!(v.distinct_count(), 2);
+        assert_eq!(v, Variable::Discrete(vec![0, 1, 0]));
     }
 
     #[test]
@@ -175,23 +134,10 @@ mod tests {
     }
 
     #[test]
-    fn forced_discrete_groups_numerics() {
-        let vals = vec![Value::Float(1.5), Value::Float(1.5), Value::Float(2.0)];
-        let v = Variable::forced_discrete(&vals);
-        assert_eq!(v, Variable::Discrete(vec![0, 0, 1]));
-    }
-
-    #[test]
     fn as_continuous_widens_codes() {
         let v = Variable::Discrete(vec![0, 2, 1]);
         assert_eq!(v.as_continuous(), vec![0.0, 2.0, 1.0]);
         let c = Variable::Continuous(vec![0.5, 1.5]);
         assert!(matches!(c.as_continuous(), Cow::Borrowed(&[0.5, 1.5])));
-    }
-
-    #[test]
-    fn to_continuous_errors_on_strings() {
-        assert!(to_continuous(&[Value::from("a")]).is_err());
-        assert_eq!(to_continuous(&[Value::Int(2)]).unwrap(), vec![2.0]);
     }
 }

@@ -10,6 +10,7 @@
 
 use std::time::Instant;
 
+use joinmi_estimators::EstimatorWorkspace;
 use joinmi_sketch::{SketchConfig, SketchKind};
 use joinmi_synth::{decompose, KeyDistribution, TrinomialConfig};
 use joinmi_table::{augment, AugmentSpec};
@@ -145,7 +146,11 @@ pub fn run(cfg: &Config) -> Vec<Timing> {
             sketch_join.push(ms_since(t0));
 
             let t0 = Instant::now();
-            let _ = EstimatorMode::Mle.estimate_joined(&joined_sketch, cfg.seed);
+            let _ = EstimatorMode::Mle.estimate_joined_in(
+                &mut EstimatorWorkspace::new(),
+                &joined_sketch,
+                cfg.seed,
+            );
             sketch_est.push(ms_since(t0));
         }
 

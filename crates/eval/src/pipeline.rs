@@ -53,20 +53,6 @@ impl EstimatorMode {
     /// way the paper discards meaningless estimates.
     #[must_use]
     pub fn estimate(self, xs: &[Value], ys: &[Value], seed: u64) -> Option<f64> {
-        self.estimate_in(&mut EstimatorWorkspace::new(), xs, ys, seed)
-    }
-
-    /// [`estimate`](Self::estimate) against a caller-owned
-    /// [`EstimatorWorkspace`]: grid runners keep one workspace per worker so
-    /// every trial on that worker reuses the estimator sort buffers.
-    #[must_use]
-    pub fn estimate_in(
-        self,
-        ws: &mut EstimatorWorkspace,
-        xs: &[Value],
-        ys: &[Value],
-        seed: u64,
-    ) -> Option<f64> {
         // The mode, not the column type, picks each side's representation.
         let (x, y) = match self {
             Self::Mle => (
@@ -82,17 +68,13 @@ impl EstimatorMode {
                 Variable::Continuous(to_f64(ys)?),
             ),
         };
-        self.estimate_typed(ws, &x, &y, seed)
+        self.estimate_typed(&mut EstimatorWorkspace::new(), &x, &y, seed)
     }
 
-    /// Applies the estimator to the sample a sketch join recovered.
-    #[must_use]
-    pub fn estimate_joined(self, joined: &JoinedSketch, seed: u64) -> Option<f64> {
-        self.estimate_joined_in(&mut EstimatorWorkspace::new(), joined, seed)
-    }
-
-    /// [`estimate_joined`](Self::estimate_joined) against a caller-owned
-    /// [`EstimatorWorkspace`].
+    /// Applies the estimator to the sample a sketch join recovered, against
+    /// a caller-owned [`EstimatorWorkspace`]: grid runners keep one
+    /// workspace per worker so every trial on that worker reuses the
+    /// estimator sort buffers.
     #[must_use]
     pub fn estimate_joined_in(
         self,

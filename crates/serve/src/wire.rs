@@ -201,7 +201,7 @@ impl QueryRequest {
                 let level = v
                     .as_f64()
                     .ok_or_else(|| bad("field 'confidence' must be a number"))?;
-                if !(level > 0.0 && level < 1.0) {
+                if !joinmi_estimators::posterior::is_valid_level(level) {
                     return Err(bad(format!(
                         "field 'confidence' must be strictly between 0 and 1, got {level}"
                     )));
@@ -748,6 +748,8 @@ mod tests {
         for bad in [
             r#"{"key_column": "k", "target_column": "t", "rows": [["a", 1]], "confidence": 0.0}"#,
             r#"{"key_column": "k", "target_column": "t", "rows": [["a", 1]], "confidence": 1.0}"#,
+            // Below 1, but the credible interval's `0.5 + level / 2` rounds to 1.
+            r#"{"key_column": "k", "target_column": "t", "rows": [["a", 1]], "confidence": 0.9999999999999999}"#,
             r#"{"key_column": "k", "target_column": "t", "rows": [["a", 1]], "confidence": -0.5}"#,
             r#"{"key_column": "k", "target_column": "t", "rows": [["a", 1]], "confidence": "high"}"#,
         ] {

@@ -517,7 +517,7 @@ fn torn_shard_is_refused_strictly_and_repaired_with_opt_in() {
 
 #[test]
 fn http_error_paths_are_typed() {
-    let (tables, _) = corpus();
+    let (tables, train) = corpus();
     let paths = save_shards(&tables, 1, "errors");
     let shards = ShardSet::open(&paths).unwrap();
     let mut server = Server::start(ServerConfig::default(), shards).unwrap();
@@ -526,6 +526,14 @@ fn http_error_paths_are_typed() {
 
     let (status, body) = client_request(&addr, "POST", "/v1/query", "{not json").unwrap();
     assert_eq!(status, 400);
+    assert!(body.contains("\"code\":\"bad_request\""), "{body}");
+
+    // A level below 1 whose credible-interval quantile `0.5 + level / 2`
+    // rounds to exactly 1: refused as a bad request, never scored.
+    let boundary = request_body(&train, 3)
+        .replace(r#""top_k""#, r#""confidence": 0.9999999999999999, "top_k""#);
+    let (status, body) = client_request(&addr, "POST", "/v1/query", &boundary).unwrap();
+    assert_eq!(status, 400, "{body}");
     assert!(body.contains("\"code\":\"bad_request\""), "{body}");
 
     let (status, body) = client_request(&addr, "GET", "/v1/nope", "").unwrap();
@@ -546,6 +554,7 @@ fn http_error_paths_are_typed() {
     assert!(doc.get("timeout_ms").is_some());
     assert!(doc.get("max_inflight").is_some());
     assert!(doc.get("cache_capacity").is_some());
+    assert_eq!(doc.get("worker_panics").and_then(Json::as_i64), Some(0));
 
     server.shutdown();
     cleanup(&paths);
