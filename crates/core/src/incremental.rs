@@ -20,8 +20,7 @@
 //!
 //! The builder produces TUPSK sketches only — the paper's proposed method
 //! and the one kind a repository serves. On the aggregated right side every
-//! key is unique, so TUPSK selects a key by `h_u(⟨k, 1⟩)`. The four baselines
-//! keep their one-shot [`SketchKind::build_right`] for the evaluation.
+//! key is unique, so TUPSK selects a key by `h_u(⟨k, 1⟩)`.
 //!
 //! Left-side sketches have no incremental builder: they are query-side
 //! artifacts, rebuilt from the (small) query table at query time, while
@@ -52,11 +51,10 @@ use joinmi_store::{Result as StoreResult, SliceReader, StoreError};
 use joinmi_table::{Aggregation, DataType, Table, TableError, Value};
 
 use crate::config::{Side, SketchConfig};
-use crate::kind::SketchKind;
 use crate::kmv::{BoundedMinSet, Offer};
 use crate::persist::{
     aggregation_from_tag, aggregation_tag, dtype_from_tag, dtype_tag, read_served_kind, read_value,
-    sketch_kind_tag, write_value,
+    write_value, TUPSK_KIND_TAG,
 };
 use crate::row::{ColumnSketch, SketchRow};
 use crate::Result;
@@ -272,8 +270,8 @@ pub struct AppendDiff {
 
 /// Incrementally builds a right-side (aggregated candidate) TUPSK sketch that
 /// can absorb appended rows in `O(changed)` and finalize — repeatedly — to a
-/// [`ColumnSketch`] bit-for-bit identical to [`SketchKind::build_right`] of
-/// [`SketchKind::Tupsk`] over everything appended so far.
+/// [`ColumnSketch`] bit-for-bit identical to [`tupsk::build_right`](crate::tupsk::build_right) over
+/// everything appended so far.
 #[derive(Debug, Clone)]
 pub struct RightSketchBuilder {
     agg: Aggregation,
@@ -312,7 +310,7 @@ struct RowCache {
 
 impl RightSketchBuilder {
     /// Creates an empty builder for a `(key, value)` column pair with the
-    /// given physical types. Fails like [`SketchKind::build_right`] would if
+    /// given physical types. Fails like [`tupsk::build_right`](crate::tupsk::build_right) would if
     /// the aggregation is incompatible with the value type.
     pub fn new(
         key_column: &str,
@@ -458,9 +456,8 @@ impl RightSketchBuilder {
     /// Finalizes the current state into a [`ColumnSketch`] — callable any
     /// number of times; the builder keeps accepting appends afterwards.
     ///
-    /// Bit-for-bit identical to [`SketchKind::build_right`] of
-    /// [`SketchKind::Tupsk`] over the concatenation of everything appended
-    /// so far.
+    /// Bit-for-bit identical to [`tupsk::build_right`](crate::tupsk::build_right) over the
+    /// concatenation of everything appended so far.
     #[must_use]
     pub fn finish(&self) -> ColumnSketch {
         let rows: Vec<SketchRow> = self
@@ -482,7 +479,6 @@ impl RightSketchBuilder {
     /// Wraps finished rows in this builder's TUPSK right-side sketch.
     fn sketch(&self, rows: Vec<SketchRow>) -> ColumnSketch {
         ColumnSketch::new(
-            SketchKind::Tupsk,
             Side::Right,
             rows,
             self.value_dtype,
@@ -546,8 +542,7 @@ impl RightSketchBuilder {
     /// rebuild. A sketch that does not match the current selection is
     /// ignored; the cache is then simply rebuilt on the next finish.
     pub fn prime_cache(&mut self, sketch: &ColumnSketch) {
-        if sketch.kind() != SketchKind::Tupsk
-            || sketch.config() != &self.cfg
+        if sketch.config() != &self.cfg
             || sketch.source_rows() != self.source_rows
             || sketch.len() != self.selection_len()
         {
@@ -764,7 +759,7 @@ impl RightSketchBuilder {
         &self,
         w: &mut joinmi_store::Writer<W>,
     ) -> StoreResult<()> {
-        w.write_u8(sketch_kind_tag(SketchKind::Tupsk))?;
+        w.write_u8(TUPSK_KIND_TAG)?;
         w.write_u8(aggregation_tag(self.agg))?;
         w.write_u8(dtype_tag(self.key_dtype))?;
         w.write_u8(dtype_tag(self.input_dtype))?;
@@ -892,6 +887,7 @@ impl RightSketchBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tupsk;
     use joinmi_store::Writer;
 
     /// Decodes a whole buffer as one builder state.
@@ -949,7 +945,6 @@ mod tests {
     }
 
     fn assert_sketch_bits_equal(a: &ColumnSketch, b: &ColumnSketch, context: &str) {
-        assert_eq!(a.kind(), b.kind(), "{context}: kind");
         assert_eq!(a.len(), b.len(), "{context}: len");
         assert_eq!(a.source_rows(), b.source_rows(), "{context}: source rows");
         assert_eq!(
@@ -969,9 +964,6 @@ mod tests {
         }
     }
 
-    /// The one kind the builder builds, in test names "every kind".
-    const KIND: SketchKind = SketchKind::Tupsk;
-
     #[test]
     fn one_shot_builder_matches_build_right_for_every_kind_and_agg() {
         let cfg = SketchConfig::new(16, 5);
@@ -989,7 +981,7 @@ mod tests {
             (Aggregation::First, DataType::Str),
         ] {
             let table = table_slice("t", 0..230, dtype);
-            let direct = KIND.build_right(&table, "k", "z", agg, &cfg).unwrap();
+            let direct = tupsk::build_right(&table, "k", "z", agg, &cfg).unwrap();
             let built = RightSketchBuilder::start(&table, "k", "z", agg, &cfg)
                 .unwrap()
                 .finish();
@@ -1001,9 +993,7 @@ mod tests {
     fn append_then_finalize_equals_from_scratch_for_every_kind() {
         let cfg = SketchConfig::new(12, 9);
         let full = table_slice("t", 0..300, DataType::Float);
-        let direct = KIND
-            .build_right(&full, "k", "z", Aggregation::Avg, &cfg)
-            .unwrap();
+        let direct = tupsk::build_right(&full, "k", "z", Aggregation::Avg, &cfg).unwrap();
         // Split 0..300 into uneven chunks, including an empty one.
         let mut builder = RightSketchBuilder::start(
             &table_slice("t", 0..57, DataType::Float),
@@ -1045,9 +1035,7 @@ mod tests {
                 .all(|&slots| (36..=4 * 36).contains(&slots)),
             "{allocated:?} slots allocated for 36 keys"
         );
-        let direct = KIND
-            .build_right(&table, "k", "z", Aggregation::Avg, &cfg)
-            .unwrap();
+        let direct = tupsk::build_right(&table, "k", "z", Aggregation::Avg, &cfg).unwrap();
         assert_sketch_bits_equal(&direct, &builder.finish(), "small");
     }
 
@@ -1068,15 +1056,14 @@ mod tests {
         builder
             .append_table(&table_slice("t", 100..150, DataType::Int))
             .unwrap();
-        let direct = KIND
-            .build_right(
-                &table_slice("t", 0..150, DataType::Int),
-                "k",
-                "z",
-                Aggregation::Mode,
-                &cfg,
-            )
-            .unwrap();
+        let direct = tupsk::build_right(
+            &table_slice("t", 0..150, DataType::Int),
+            "k",
+            "z",
+            Aggregation::Mode,
+            &cfg,
+        )
+        .unwrap();
         assert_sketch_bits_equal(&direct, &builder.finish(), "grow after finish");
     }
 
@@ -1172,15 +1159,14 @@ mod tests {
         assert_sketch_bits_equal(&original.finish(), &restored.finish(), "reload append");
 
         // And both equal a from-scratch build of the concatenation.
-        let direct = KIND
-            .build_right(
-                &table_slice("t", 0..260, DataType::Float),
-                "k",
-                "z",
-                Aggregation::Avg,
-                &cfg,
-            )
-            .unwrap();
+        let direct = tupsk::build_right(
+            &table_slice("t", 0..260, DataType::Float),
+            "k",
+            "z",
+            Aggregation::Avg,
+            &cfg,
+        )
+        .unwrap();
         assert_sketch_bits_equal(&direct, &restored.finish(), "vs direct");
     }
 
@@ -1244,7 +1230,7 @@ mod tests {
         bad_dtype[3] = 3; // Str
         assert_rejected(bad_dtype, "AVG over a Str value column");
 
-        // Every valid kind tag but TUPSK's.
+        // The four baseline kind tags.
         for tag in 2..=5 {
             let mut bad_kind = bytes.clone();
             assert_eq!(bad_kind[0], 1, "kind tag offset (Tupsk)");
@@ -1332,15 +1318,14 @@ mod tests {
             .unwrap();
         assert!(builder.append_table(&missing).is_err());
         // The failed appends must not have corrupted the builder.
-        let direct = KIND
-            .build_right(
-                &table_slice("t", 0..30, DataType::Float),
-                "k",
-                "z",
-                Aggregation::Avg,
-                &cfg,
-            )
-            .unwrap();
+        let direct = tupsk::build_right(
+            &table_slice("t", 0..30, DataType::Float),
+            "k",
+            "z",
+            Aggregation::Avg,
+            &cfg,
+        )
+        .unwrap();
         assert_sketch_bits_equal(&direct, &builder.finish(), "after rejected appends");
     }
 

@@ -292,14 +292,12 @@ impl JoinedSketch {
 mod tests {
     use super::*;
     use crate::config::{Side, SketchConfig};
-    use crate::kind::SketchKind;
     use crate::row::SketchRow;
     use joinmi_estimators::EstimatorKind;
     use joinmi_hash::KeyHash;
 
     fn sketch(side: Side, dtype: DataType, rows: Vec<(u64, Value)>) -> ColumnSketch {
         ColumnSketch::new(
-            SketchKind::Tupsk,
             side,
             rows.into_iter()
                 .map(|(k, v)| SketchRow::new(KeyHash(k), v))

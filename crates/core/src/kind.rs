@@ -1,14 +1,12 @@
-//! Dynamic dispatch over the sketching strategies.
+//! The names of the sketching strategies the paper evaluates.
+//!
+//! This crate builds TUPSK only ([`crate::tupsk`]). The four baselines are
+//! built by `joinmi_eval::baselines`, which dispatches on this enum. A
+//! discovery query names its kind with it too, and refuses any kind but
+//! TUPSK.
 
 use std::fmt;
 use std::str::FromStr;
-
-use joinmi_table::{Aggregation, Table};
-
-use crate::config::SketchConfig;
-use crate::row::ColumnSketch;
-use crate::Result;
-use crate::{csk, indsk, lv2sk, prisk, tupsk};
 
 /// The sketching strategies evaluated in the paper.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -35,9 +33,6 @@ impl SketchKind {
         Self::Tupsk,
     ];
 
-    /// The strategies compared on real data in Table II.
-    pub const TABLE2: [Self; 3] = [Self::Lv2sk, Self::Prisk, Self::Tupsk];
-
     /// Upper-case name as used in the paper.
     #[must_use]
     pub fn name(self) -> &'static str {
@@ -47,43 +42,6 @@ impl SketchKind {
             Self::Prisk => "PRISK",
             Self::Indsk => "INDSK",
             Self::Csk => "CSK",
-        }
-    }
-
-    /// Builds a sketch of the base (training) table's `(key, target)` pair.
-    pub fn build_left(
-        self,
-        table: &Table,
-        key: &str,
-        value: &str,
-        cfg: &SketchConfig,
-    ) -> Result<ColumnSketch> {
-        match self {
-            Self::Tupsk => tupsk::build_left(table, key, value, cfg),
-            Self::Lv2sk => lv2sk::build_left(table, key, value, cfg),
-            Self::Prisk => prisk::build_left(table, key, value, cfg),
-            Self::Indsk => indsk::build_left(table, key, value, cfg),
-            Self::Csk => csk::build_left(table, key, value, cfg),
-        }
-    }
-
-    /// Builds a sketch of the candidate table's `(key, feature)` pair,
-    /// aggregating repeated keys with `agg` (except CSK, which keeps the
-    /// first value per key by construction).
-    pub fn build_right(
-        self,
-        table: &Table,
-        key: &str,
-        value: &str,
-        agg: Aggregation,
-        cfg: &SketchConfig,
-    ) -> Result<ColumnSketch> {
-        match self {
-            Self::Tupsk => tupsk::build_right(table, key, value, agg, cfg),
-            Self::Lv2sk => lv2sk::build_right(table, key, value, agg, cfg),
-            Self::Prisk => prisk::build_right(table, key, value, agg, cfg),
-            Self::Indsk => indsk::build_right(table, key, value, agg, cfg),
-            Self::Csk => csk::build_right(table, key, value, agg, cfg),
         }
     }
 }
@@ -112,43 +70,6 @@ impl FromStr for SketchKind {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn tiny_tables() -> (Table, Table) {
-        let train = Table::builder("train")
-            .push_str_column("k", vec!["a", "a", "b", "c", "d", "e"])
-            .push_int_column("y", vec![1, 2, 3, 4, 5, 6])
-            .build()
-            .unwrap();
-        let cand = Table::builder("cand")
-            .push_str_column("k", vec!["a", "b", "b", "c", "d", "e", "e"])
-            .push_float_column("z", vec![1.0, 2.0, 4.0, 3.0, 4.0, 5.0, 7.0])
-            .build()
-            .unwrap();
-        (train, cand)
-    }
-
-    #[test]
-    fn every_kind_builds_and_joins() {
-        let (train, cand) = tiny_tables();
-        let cfg = SketchConfig::new(8, 1);
-        for kind in SketchKind::ALL {
-            let left = kind.build_left(&train, "k", "y", &cfg).unwrap();
-            let right = kind
-                .build_right(&cand, "k", "z", Aggregation::Avg, &cfg)
-                .unwrap();
-            assert_eq!(left.kind(), kind);
-            assert_eq!(right.kind(), kind);
-            let joined = left.join(&right);
-            assert!(joined.len() <= 6, "{kind}: {}", joined.len());
-            if kind != SketchKind::Indsk {
-                assert!(
-                    joined.len() >= 5,
-                    "{kind}: join too small ({})",
-                    joined.len()
-                );
-            }
-        }
-    }
 
     #[test]
     fn parse_and_display_round_trip() {

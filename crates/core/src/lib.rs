@@ -10,21 +10,23 @@
 //! are joined on their hashed keys and the recovered paired sample is fed to
 //! an off-the-shelf MI estimator.
 //!
-//! # The sketches
+//! # The sketch
 //!
-//! | Kind | Sampling frame | Coordination | Size bound | Notes |
-//! |---|---|---|---|---|
-//! | [`SketchKind::Tupsk`] | individual rows `⟨k, j⟩` | on `⟨k, 1⟩` | `n` | **proposed method** — uniform inclusion probability `1/N`, i.i.d.-like samples |
-//! | [`SketchKind::Lv2sk`] | distinct keys, then rows | on `k` | `2n` | two-level baseline; inclusion probability depends on the key-frequency distribution |
-//! | [`SketchKind::Prisk`] | distinct keys (priority sampling), then rows | on `k` | `2n` | weighted first level; behaves like LV2SK in practice |
-//! | [`SketchKind::Indsk`] | rows, independent Bernoulli | none | expected `n` | no coordination → tiny sketch-join sizes |
-//! | [`SketchKind::Csk`] | distinct keys (KMV), first value per key | on `k` | `n` | Correlation-Sketches extension; ignores key multiplicity |
+//! TUPSK ([`tupsk`], Section IV-B) samples individual rows `⟨k, j⟩`,
+//! coordinated on `⟨k, 1⟩`, and keeps at most `n` of them: every row has
+//! inclusion probability `1/N`, so a sketch join recovers an i.i.d.-like
+//! sample of the left-outer join. The paper's four baselines (LV2SK, PRISK,
+//! INDSK, CSK) live in `joinmi_eval::baselines`; [`SketchKind`] names all
+//! five.
+//!
+//! A repository keeps right-side TUPSK sketches, appendable through
+//! [`RightSketchBuilder`] and embedded in its file through [`persist`].
 //!
 //! # Quick example
 //!
 //! ```
 //! use joinmi_table::{Aggregation, Table};
-//! use joinmi_sketch::{SketchConfig, SketchKind};
+//! use joinmi_sketch::{tupsk, SketchConfig};
 //!
 //! let train = Table::builder("train")
 //!     .push_str_column("k", vec!["a", "a", "b", "c"])
@@ -38,10 +40,8 @@
 //!     .unwrap();
 //!
 //! let cfg = SketchConfig::new(128, 7);
-//! let left = SketchKind::Tupsk.build_left(&train, "k", "y", &cfg).unwrap();
-//! let right = SketchKind::Tupsk
-//!     .build_right(&cand, "k", "z", Aggregation::Avg, &cfg)
-//!     .unwrap();
+//! let left = tupsk::build_left(&train, "k", "y", &cfg).unwrap();
+//! let right = tupsk::build_right(&cand, "k", "z", Aggregation::Avg, &cfg).unwrap();
 //! let joined = left.join(&right);
 //! assert_eq!(joined.len(), 4); // small tables: the sketch recovers the full join
 //! let est = joined.estimate_mi().unwrap();
@@ -52,17 +52,13 @@
 #![warn(missing_docs)]
 
 pub mod config;
-pub mod csk;
 pub mod distinct;
 pub mod incremental;
-pub mod indsk;
 pub mod join;
 pub mod kind;
 pub mod kmv;
-pub mod lv2sk;
 pub mod persist;
 pub mod prep;
-pub mod prisk;
 pub mod row;
 pub mod tupsk;
 

@@ -1,13 +1,15 @@
-//! Sketch persistence: the on-disk encoding of [`ColumnSketch`].
+//! Sketch persistence: the encoding of a [`ColumnSketch`] embedded in a
+//! repository file.
 //!
 //! Sketches are the artifact the paper builds *once*, offline; this module
-//! makes them durable using the [`joinmi_store`] framing (versioned header,
-//! checksummed sections, little-endian wire format). A serialized sketch is
-//! two sections:
+//! makes them durable inside a `joinmi_discovery` repository, using the
+//! [`joinmi_store`] framing (checksummed sections, little-endian wire
+//! format). An embedded sketch is two sections:
 //!
 //! ```text
-//! META  (tag 0x01): kind | side | value dtype | config{size, seed}
-//!                   | source_rows | source_distinct_keys | row count
+//! META  (tag 0x01): kind (always 1, TUPSK) | side | value dtype
+//!                   | config{size, seed} | source_rows
+//!                   | source_distinct_keys | row count (<= size)
 //! ROWS  (tag 0x02): key digest column (u64 LE × n), then value column
 //!                   (tagged values, in the same row order)
 //! ```
@@ -22,22 +24,18 @@
 //! in place and leaves the rows as borrowed bytes — validation at snapshot
 //! open, and with [`SketchView::to_sketch`] the decode on first touch.
 //!
-//! This module also owns the tag codecs for the enums shared across
-//! artifacts ([`SketchKind`], [`Side`], [`DataType`], [`Value`],
-//! [`Aggregation`]), which the repository format in `joinmi_discovery`
-//! reuses. Tags are append-only: a tag value, once released, is never
-//! reassigned.
+//! This module also owns the tag codecs for the enums shared across the
+//! repository format in `joinmi_discovery` ([`Side`], [`DataType`],
+//! [`Value`], [`Aggregation`]) and the one sketch-kind byte a repository
+//! holds ([`TUPSK_KIND_TAG`]). Tags are append-only: a tag value, once
+//! released, is never reassigned.
 
 use std::io::Write;
 
-use joinmi_store::{
-    read_header, write_header, ArtifactKind, Result, SectionBuilder, SliceReader, StoreError,
-    Writer,
-};
+use joinmi_store::{Result, SectionBuilder, SliceReader, StoreError, Writer};
 use joinmi_table::{Aggregation, DataType, Value};
 
 use crate::config::{Side, SketchConfig};
-use crate::kind::SketchKind;
 use crate::row::{ColumnSketch, SketchRow};
 
 /// Section tag of the sketch metadata section.
@@ -49,38 +47,16 @@ pub const SECTION_SKETCH_ROWS: u8 = 0x02;
 // Enum tag codecs (shared with the repository format in joinmi_discovery).
 // ---------------------------------------------------------------------------
 
-/// On-disk tag of a [`SketchKind`].
-#[must_use]
-pub fn sketch_kind_tag(kind: SketchKind) -> u8 {
-    match kind {
-        SketchKind::Tupsk => 1,
-        SketchKind::Lv2sk => 2,
-        SketchKind::Prisk => 3,
-        SketchKind::Indsk => 4,
-        SketchKind::Csk => 5,
-    }
-}
+/// The sketch-kind byte every repository writer stamps: TUPSK, the one kind
+/// a repository serves. Tags 2–5 named the four baselines in retired
+/// standalone sketch files; they stay reserved.
+pub const TUPSK_KIND_TAG: u8 = 1;
 
-/// Decodes a [`SketchKind`] tag.
-pub fn sketch_kind_from_tag(tag: u8) -> Result<SketchKind> {
-    match tag {
-        1 => Ok(SketchKind::Tupsk),
-        2 => Ok(SketchKind::Lv2sk),
-        3 => Ok(SketchKind::Prisk),
-        4 => Ok(SketchKind::Indsk),
-        5 => Ok(SketchKind::Csk),
-        other => Err(StoreError::corrupt(format!(
-            "unknown sketch kind tag {other}"
-        ))),
-    }
-}
-
-/// Reads a sketch-kind byte inside a repository, which serves TUPSK only:
-/// any other tag — a valid baseline kind included — is
-/// [`StoreError::Corrupt`].
+/// Reads a sketch-kind byte inside a repository: any value but
+/// [`TUPSK_KIND_TAG`] is [`StoreError::Corrupt`].
 pub fn read_served_kind(r: &mut SliceReader<'_>, what: &'static str) -> Result<()> {
     let tag = r.read_u8(what)?;
-    if tag != sketch_kind_tag(SketchKind::Tupsk) {
+    if tag != TUPSK_KIND_TAG {
         return Err(StoreError::corrupt(format!(
             "{what} tag {tag}: a repository holds TUPSK (1) sketches only"
         )));
@@ -218,32 +194,13 @@ pub(crate) fn read_value<'a>(r: &mut SliceReader<'a>) -> Result<ValueRef<'a>> {
 // ---------------------------------------------------------------------------
 
 impl ColumnSketch {
-    /// Serializes the sketch as a standalone store artifact (header +
-    /// sections) to any `std::io::Write`.
-    pub fn to_writer<W: Write>(&self, out: W) -> Result<()> {
-        let mut w = Writer::new(out);
-        write_header(&mut w, ArtifactKind::Sketch)?;
-        self.write_embedded(&mut w)
-    }
-
-    /// Deserializes a standalone sketch artifact written by
-    /// [`ColumnSketch::to_writer`]. Trailing bytes after the last section
-    /// are rejected (the encoding is canonical).
-    pub fn from_bytes(buf: &[u8]) -> Result<Self> {
-        let mut r = SliceReader::new(buf);
-        read_header(&mut r, ArtifactKind::Sketch)?;
-        let view = SketchView::parse(&mut r)?;
-        r.expect_consumed("sketch artifact")?;
-        Ok(view.to_sketch())
-    }
-
-    /// Writes the sketch's sections without a file header — the form used
-    /// when a sketch is embedded inside a larger artifact (a repository).
+    /// Writes the sketch's META and ROWS sections, as embedded in a
+    /// repository file. The kind byte is always [`TUPSK_KIND_TAG`].
     pub fn write_embedded<W: Write>(&self, w: &mut Writer<W>) -> Result<()> {
         let mut meta = SectionBuilder::new();
         {
             let m = meta.writer();
-            m.write_u8(sketch_kind_tag(self.kind()))?;
+            m.write_u8(TUPSK_KIND_TAG)?;
             m.write_u8(side_tag(self.side()))?;
             m.write_u8(dtype_tag(self.value_dtype()))?;
             m.write_len(self.config().size)?;
@@ -270,12 +227,12 @@ impl ColumnSketch {
 }
 
 /// An embedded sketch (META + ROWS sections) validated in place: the
-/// metadata is decoded and the row columns are fully checked — row count,
-/// value tags, string UTF-8, no trailing bytes — but stay borrowed bytes
-/// until [`SketchView::to_sketch`] materializes them.
+/// metadata is decoded and checked (kind byte, row count within the size),
+/// and the row columns are fully checked — row count, value tags, string
+/// UTF-8, no trailing bytes — but stay borrowed bytes until
+/// [`SketchView::to_sketch`] materializes them.
 #[derive(Debug, Clone, Copy)]
 pub struct SketchView<'a> {
-    kind: SketchKind,
     side: Side,
     value_dtype: DataType,
     config: SketchConfig,
@@ -293,17 +250,21 @@ impl<'a> SketchView<'a> {
     /// needs runs here, so [`Self::to_sketch`] cannot fail.
     pub fn parse(r: &mut SliceReader<'a>) -> Result<Self> {
         let mut m = r.section(SECTION_SKETCH_META)?;
-        let kind = sketch_kind_from_tag(m.read_u8("sketch kind")?)?;
+        read_served_kind(&mut m, "sketch kind")?;
         let side = side_from_tag(m.read_u8("sketch side")?)?;
         let value_dtype = dtype_from_tag(m.read_u8("sketch value dtype")?)?;
         let size = m.read_len("sketch config size")?;
         let seed = m.read_u64("sketch config seed")?;
         let source_rows = m.read_len("sketch source rows")?;
         let source_distinct_keys = m.read_len("sketch source distinct keys")?;
-        // No row-count-vs-size sanity check: the storage bound depends on the
-        // kind (TUPSK/CSK ≤ n, LV2SK/PRISK ≤ 2n, INDSK is only *expected* n),
-        // and the count is checked against the bytes actually present below.
         let row_count = m.read_len("sketch row count")?;
+        // A TUPSK sketch keeps at most `size` rows; the count is also checked
+        // against the bytes actually present below.
+        if row_count > size {
+            return Err(StoreError::corrupt(format!(
+                "sketch holds {row_count} rows, more than its size {size}"
+            )));
+        }
         m.expect_consumed("sketch META section")?;
 
         let mut p = r.section(SECTION_SKETCH_ROWS)?;
@@ -319,7 +280,6 @@ impl<'a> SketchView<'a> {
         v.expect_consumed("sketch ROWS section")?;
 
         Ok(Self {
-            kind,
             side,
             value_dtype,
             config: SketchConfig::new(size, seed),
@@ -328,12 +288,6 @@ impl<'a> SketchView<'a> {
             digests,
             values,
         })
-    }
-
-    /// The sketching strategy recorded in META.
-    #[must_use]
-    pub fn kind(&self) -> SketchKind {
-        self.kind
     }
 
     /// Which side of the join the sketch was built for.
@@ -356,7 +310,6 @@ impl<'a> SketchView<'a> {
             })
             .collect();
         ColumnSketch::new(
-            self.kind,
             self.side,
             rows,
             self.value_dtype,
@@ -370,40 +323,29 @@ impl<'a> SketchView<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tupsk;
     use joinmi_table::Table;
 
-    fn sample_sketch(kind: SketchKind) -> ColumnSketch {
-        let table = Table::builder("t")
+    fn sample_table() -> Table {
+        Table::builder("t")
             .push_str_column("k", vec!["a", "b", "b", "c", "d", "e", "a", "f"])
             .push_float_column("z", vec![1.5, -0.0, 2.0, 3.25, 4.0, 5.5, 1.0, 9.0])
             .build()
-            .unwrap();
-        kind.build_right(
-            &table,
-            "k",
-            "z",
-            Aggregation::Avg,
-            &SketchConfig::new(16, 3),
-        )
+            .unwrap()
+    }
+
+    /// A TUPSK sketch of either side; the right side aggregates `b`.
+    fn sample_sketch(side: Side) -> ColumnSketch {
+        let cfg = SketchConfig::new(16, 3);
+        match side {
+            Side::Left => tupsk::build_left(&sample_table(), "k", "z", &cfg),
+            Side::Right => tupsk::build_right(&sample_table(), "k", "z", Aggregation::Avg, &cfg),
+        }
         .unwrap()
     }
 
     #[test]
-    fn every_kind_round_trips_standalone() {
-        for kind in SketchKind::ALL {
-            let sketch = sample_sketch(kind);
-            let mut buf = Vec::new();
-            sketch.to_writer(&mut buf).unwrap();
-            let loaded = ColumnSketch::from_bytes(&buf).unwrap();
-            assert_eq!(loaded, sketch, "{kind} round trip");
-        }
-    }
-
-    #[test]
     fn enum_tags_round_trip() {
-        for kind in SketchKind::ALL {
-            assert_eq!(sketch_kind_from_tag(sketch_kind_tag(kind)).unwrap(), kind);
-        }
         for side in [Side::Left, Side::Right] {
             assert_eq!(side_from_tag(side_tag(side)).unwrap(), side);
         }
@@ -413,10 +355,17 @@ mod tests {
         for agg in Aggregation::ALL {
             assert_eq!(aggregation_from_tag(aggregation_tag(agg)).unwrap(), agg);
         }
-        assert!(sketch_kind_from_tag(0).is_err());
         assert!(side_from_tag(9).is_err());
         assert!(dtype_from_tag(77).is_err());
         assert!(aggregation_from_tag(0).is_err());
+        // The kind byte: TUPSK only; the retired baseline tags are corrupt.
+        for tag in 0..=u8::MAX {
+            let result = read_served_kind(&mut SliceReader::new(&[tag]), "kind");
+            match tag {
+                TUPSK_KIND_TAG => result.unwrap(),
+                _ => assert!(matches!(result, Err(StoreError::Corrupt(_))), "{tag}"),
+            }
+        }
     }
 
     #[test]
@@ -445,19 +394,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn wrong_artifact_kind_is_rejected() {
-        let sketch = sample_sketch(SketchKind::Tupsk);
-        let mut buf = Vec::new();
-        sketch.to_writer(&mut buf).unwrap();
-        // Overwrite the artifact-kind byte with the repository tag.
-        buf[6] = ArtifactKind::Repository.tag();
-        assert!(matches!(
-            ColumnSketch::from_bytes(&buf),
-            Err(StoreError::WrongArtifact { .. })
-        ));
-    }
-
     fn embedded_bytes(sketch: &ColumnSketch) -> Vec<u8> {
         let mut w = Writer::new(Vec::new());
         sketch.write_embedded(&mut w).unwrap();
@@ -471,11 +407,32 @@ mod tests {
         Ok(view.to_sketch())
     }
 
+    /// Rewrites the 8-byte META field at `offset` and re-stamps the META
+    /// checksum, so the decoder, not the checksum, meets the edit.
+    fn with_meta_field(buf: &[u8], offset: usize, value: u64) -> Vec<u8> {
+        let mut buf = buf.to_vec();
+        let meta_len = u64::from_le_bytes(buf[1..9].try_into().unwrap()) as usize;
+        buf[17 + offset..17 + offset + 8].copy_from_slice(&value.to_le_bytes());
+        let fixed = joinmi_store::checksum(&buf[17..17 + meta_len]);
+        buf[9..17].copy_from_slice(&fixed.to_le_bytes());
+        buf
+    }
+
+    /// META offsets: kind, side, dtype, then size (3), seed (11), source
+    /// rows (19), source distinct keys (27), row count (35).
+    const META_SIZE: usize = 3;
+    const META_ROW_COUNT: usize = 35;
+
     #[test]
-    fn view_round_trips_every_kind_and_consumes_exactly() {
-        for kind in SketchKind::ALL {
-            let sketch = sample_sketch(kind);
-            assert_eq!(parse_embedded(&embedded_bytes(&sketch)).unwrap(), sketch);
+    fn view_round_trips_both_sides_and_consumes_exactly() {
+        for side in [Side::Left, Side::Right] {
+            let sketch = sample_sketch(side);
+            let bytes = embedded_bytes(&sketch);
+            let decoded = parse_embedded(&bytes).unwrap();
+            assert_eq!(decoded, sketch, "{side:?}");
+            // Exact: re-encoding is byte-identical, so float bits (the -0.0
+            // in the sample included) survive the round trip.
+            assert_eq!(embedded_bytes(&decoded), bytes, "{side:?}");
         }
     }
 
@@ -484,7 +441,7 @@ mod tests {
         // A checksum is integrity, not authenticity: a crafted file can carry
         // a correct checksum over a structurally invalid payload. Overwrite
         // the sketch-kind tag with 99 and re-stamp the section checksum.
-        let mut buf = embedded_bytes(&sample_sketch(SketchKind::Tupsk));
+        let mut buf = embedded_bytes(&sample_sketch(Side::Right));
         let meta_len = u64::from_le_bytes(buf[1..9].try_into().unwrap()) as usize;
         buf[17] = 99; // first META payload byte = sketch kind tag
         let fixed = joinmi_store::checksum(&buf[17..17 + meta_len]);
@@ -498,7 +455,7 @@ mod tests {
         // Re-frame the ROWS section with one extra payload byte (checksum
         // valid over the padded payload): two byte streams must never decode
         // to the same sketch.
-        let sketch = sample_sketch(SketchKind::Tupsk);
+        let sketch = sample_sketch(Side::Right);
         let buf = embedded_bytes(&sketch);
         let meta_len = u64::from_le_bytes(buf[1..9].try_into().unwrap()) as usize;
         let meta_end = 17 + meta_len;
@@ -518,27 +475,29 @@ mod tests {
     }
 
     #[test]
-    fn trailing_bytes_after_standalone_artifact_are_corrupt() {
-        let sketch = sample_sketch(SketchKind::Csk);
-        let mut buf = Vec::new();
-        sketch.to_writer(&mut buf).unwrap();
-        buf.push(0);
-        assert!(matches!(
-            ColumnSketch::from_bytes(&buf),
-            Err(StoreError::Corrupt(_))
-        ));
-    }
-
-    #[test]
     fn corrupt_row_count_is_typed() {
-        let sketch = sample_sketch(SketchKind::Tupsk);
-        let mut buf = Vec::new();
-        sketch.to_writer(&mut buf).unwrap();
-        // Truncate mid-rows-section: typed truncation, never a panic.
+        let sketch = sample_sketch(Side::Right);
+        let rows = sketch.len() as u64;
+        let buf = embedded_bytes(&sketch);
+        // Truncated mid-rows-section: typed truncation, never a panic.
         let cut = buf.len() - 5;
         assert!(matches!(
-            ColumnSketch::from_bytes(&buf[..cut]),
+            parse_embedded(&buf[..cut]),
             Err(StoreError::Truncated { .. })
         ));
+        // A count past the rows present, within the size: typed.
+        assert!(parse_embedded(&with_meta_field(&buf, META_ROW_COUNT, rows + 1)).is_err());
+        // More rows than the sketch's size: no writer produces that.
+        assert!(matches!(
+            parse_embedded(&with_meta_field(&buf, META_SIZE, rows - 1)),
+            Err(StoreError::Corrupt(_))
+        ));
+        // A count that overflows the digest column: typed, not a panic.
+        let huge = with_meta_field(
+            &with_meta_field(&buf, META_SIZE, u64::MAX),
+            META_ROW_COUNT,
+            u64::MAX,
+        );
+        assert!(parse_embedded(&huge).is_err());
     }
 }

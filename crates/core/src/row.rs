@@ -8,7 +8,6 @@ use joinmi_table::{DataType, Value};
 
 use crate::config::{Side, SketchConfig};
 use crate::join::JoinedSketch;
-use crate::kind::SketchKind;
 
 /// One sampled tuple `⟨h(k), value⟩` stored in a sketch.
 #[derive(Debug, Clone, PartialEq)]
@@ -69,14 +68,14 @@ impl SampleCodes {
 
 /// A sketch of one `(join key, value column)` pair of a table.
 ///
-/// Built offline with one of the [`SketchKind`]
-/// strategies; joined with another column's sketch at query time to recover a
-/// sample of the (never materialized) join. Equality is exact (float values
+/// Built offline (by [`crate::tupsk`], or by one of the evaluation's
+/// baselines); joined with another column's sketch at query time to recover
+/// a sample of the (never materialized) join. A sketch does not record which
+/// strategy built it: whoever builds one knows. Equality is exact (float values
 /// compare by canonical bit pattern via [`Value`]), which is what the
 /// persistence round-trip tests rely on.
 #[derive(Debug, Clone)]
 pub struct ColumnSketch {
-    kind: SketchKind,
     side: Side,
     rows: Vec<SketchRow>,
     value_dtype: DataType,
@@ -90,8 +89,7 @@ pub struct ColumnSketch {
 
 impl PartialEq for ColumnSketch {
     fn eq(&self, other: &Self) -> bool {
-        self.kind == other.kind
-            && self.side == other.side
+        self.side == other.side
             && self.rows == other.rows
             && self.value_dtype == other.value_dtype
             && self.source_rows == other.source_rows
@@ -104,7 +102,6 @@ impl ColumnSketch {
     /// Assembles a sketch from its parts (used by the builder modules).
     #[must_use]
     pub fn new(
-        kind: SketchKind,
         side: Side,
         rows: Vec<SketchRow>,
         value_dtype: DataType,
@@ -113,7 +110,6 @@ impl ColumnSketch {
         config: SketchConfig,
     ) -> Self {
         Self {
-            kind,
             side,
             rows,
             value_dtype,
@@ -122,12 +118,6 @@ impl ColumnSketch {
             config,
             codes: OnceLock::new(),
         }
-    }
-
-    /// The sketching strategy that produced this sketch.
-    #[must_use]
-    pub fn kind(&self) -> SketchKind {
-        self.kind
     }
 
     /// Which side of the join this sketch represents.
@@ -207,16 +197,15 @@ impl ColumnSketch {
     /// processes.
     ///
     /// Two sketches fingerprint equal exactly when they are `==`: the digest
-    /// covers the strategy, side, value dtype, build configuration, source
+    /// covers the side, value dtype, build configuration, source
     /// cardinalities, and every stored row (key digest plus the value in the
     /// same canonical form `Value`'s `Eq`/`Hash` use, so `-0.0`/`+0.0` and
     /// all NaN payloads collapse). The cross-query stage cache keys on this
     /// to recognise "the same left sketch" across distinct query objects.
     #[must_use]
     pub fn content_fingerprint(&self) -> (u64, u64) {
-        // 25 bytes covers the fixed-size header fields; rows dominate.
+        // 42 bytes covers the fixed-size header fields; rows dominate.
         let mut bytes = Vec::with_capacity(64 + self.rows.len() * 17);
-        bytes.push(self.kind as u8);
         bytes.push(match self.side {
             Side::Left => 0u8,
             Side::Right => 1u8,
@@ -276,7 +265,6 @@ mod tests {
             .map(|(k, v)| SketchRow::new(KeyHash(k), v))
             .collect();
         ColumnSketch::new(
-            SketchKind::Tupsk,
             Side::Left,
             rows,
             DataType::Int,
@@ -299,7 +287,6 @@ mod tests {
         assert_eq!(s.value_dtype(), DataType::Int);
         assert_eq!(s.source_rows(), 100);
         assert_eq!(s.source_distinct_keys(), 10);
-        assert_eq!(s.kind(), SketchKind::Tupsk);
         assert_eq!(s.side(), Side::Left);
         assert_eq!(s.config().size, 256);
     }

@@ -21,7 +21,6 @@ use joinmi_hash::digest_map_with_capacity;
 use joinmi_table::{Aggregation, Table};
 
 use crate::config::{Side, SketchConfig};
-use crate::kind::SketchKind;
 use crate::kmv::BoundedMinSet;
 use crate::prep::{prepare_left, prepare_right};
 use crate::row::{ColumnSketch, SketchRow};
@@ -49,7 +48,6 @@ pub fn build_left(
 
     let rows: Vec<SketchRow> = set.into_sorted().into_iter().map(|(_, row)| row).collect();
     Ok(ColumnSketch::new(
-        SketchKind::Tupsk,
         Side::Left,
         rows,
         prep.value_dtype,
@@ -84,7 +82,6 @@ pub fn build_right(
 
     let rows: Vec<SketchRow> = set.into_sorted().into_iter().map(|(_, row)| row).collect();
     Ok(ColumnSketch::new(
-        SketchKind::Tupsk,
         Side::Right,
         rows,
         prep.value_dtype,

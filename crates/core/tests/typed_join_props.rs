@@ -12,7 +12,7 @@ use joinmi_estimators::{
     select_estimator, EstimatorError, EstimatorWorkspace, MiEstimate, MiInterval, Variable,
 };
 use joinmi_hash::KeyHash;
-use joinmi_sketch::{ColumnSketch, JoinedSketch, Side, SketchConfig, SketchKind, SketchRow};
+use joinmi_sketch::{ColumnSketch, JoinedSketch, Side, SketchConfig, SketchRow};
 use joinmi_table::{DataType, Value};
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -55,7 +55,6 @@ fn sketch(side: Side, dtype: DataType, raw: &[RawRow]) -> ColumnSketch {
         })
         .collect();
     ColumnSketch::new(
-        SketchKind::Tupsk,
         side,
         rows,
         dtype,

@@ -220,7 +220,7 @@ impl JoinabilityIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use joinmi_sketch::{SketchConfig, SketchKind};
+    use joinmi_sketch::{tupsk, SketchConfig};
     use joinmi_table::{Aggregation, Table};
 
     fn keyed_table(name: &str, keys: Vec<&str>) -> Table {
@@ -236,37 +236,32 @@ mod tests {
     fn overlapping_candidates_are_found_and_ranked() {
         let cfg = SketchConfig::new(64, 1);
         let query_table = keyed_table("q", vec!["a", "b", "c", "d"]);
-        let query = SketchKind::Tupsk
-            .build_left(&query_table, "k", "v", &cfg)
-            .unwrap();
+        let query = tupsk::build_left(&query_table, "k", "v", &cfg).unwrap();
 
-        let full = SketchKind::Tupsk
-            .build_right(
-                &keyed_table("full", vec!["a", "b", "c", "d"]),
-                "k",
-                "v",
-                Aggregation::Avg,
-                &cfg,
-            )
-            .unwrap();
-        let partial = SketchKind::Tupsk
-            .build_right(
-                &keyed_table("partial", vec!["a", "b", "x", "y"]),
-                "k",
-                "v",
-                Aggregation::Avg,
-                &cfg,
-            )
-            .unwrap();
-        let disjoint = SketchKind::Tupsk
-            .build_right(
-                &keyed_table("disjoint", vec!["p", "q", "r"]),
-                "k",
-                "v",
-                Aggregation::Avg,
-                &cfg,
-            )
-            .unwrap();
+        let full = tupsk::build_right(
+            &keyed_table("full", vec!["a", "b", "c", "d"]),
+            "k",
+            "v",
+            Aggregation::Avg,
+            &cfg,
+        )
+        .unwrap();
+        let partial = tupsk::build_right(
+            &keyed_table("partial", vec!["a", "b", "x", "y"]),
+            "k",
+            "v",
+            Aggregation::Avg,
+            &cfg,
+        )
+        .unwrap();
+        let disjoint = tupsk::build_right(
+            &keyed_table("disjoint", vec!["p", "q", "r"]),
+            "k",
+            "v",
+            Aggregation::Avg,
+            &cfg,
+        )
+        .unwrap();
 
         let index = JoinabilityIndex::build(&[&full, &partial, &disjoint]);
         assert_eq!(index.len(), 3);
@@ -290,9 +285,7 @@ mod tests {
         // ignored. The persistence loader rejects such files outright — this
         // guard is defense in depth for direct API use.
         let cfg = SketchConfig::new(16, 0);
-        let q = SketchKind::Tupsk
-            .build_left(&keyed_table("q", vec!["a"]), "k", "v", &cfg)
-            .unwrap();
+        let q = tupsk::build_left(&keyed_table("q", vec!["a"]), "k", "v", &cfg).unwrap();
         let digest = q.rows()[0].key.raw();
         let index =
             JoinabilityIndex::from_canonical_parts(vec![(digest, vec![0, 5])], vec![(0, 1)]);
@@ -303,9 +296,7 @@ mod tests {
     fn update_matches_an_index_rebuilt_from_scratch() {
         let cfg = SketchConfig::new(64, 1);
         let build = |keys: Vec<&str>, name: &str| {
-            SketchKind::Tupsk
-                .build_right(&keyed_table(name, keys), "k", "v", Aggregation::Avg, &cfg)
-                .unwrap()
+            tupsk::build_right(&keyed_table(name, keys), "k", "v", Aggregation::Avg, &cfg).unwrap()
         };
         let a_old = build(vec!["a", "b", "c"], "a");
         let b = build(vec!["p", "q"], "b");
@@ -345,9 +336,7 @@ mod tests {
         let index = JoinabilityIndex::default();
         assert!(index.is_empty());
         let cfg = SketchConfig::new(16, 0);
-        let q = SketchKind::Tupsk
-            .build_left(&keyed_table("q", vec!["a"]), "k", "v", &cfg)
-            .unwrap();
+        let q = tupsk::build_left(&keyed_table("q", vec!["a"]), "k", "v", &cfg).unwrap();
         assert!(index.query(&q, 1).is_empty());
     }
 }

@@ -8,12 +8,10 @@ use std::io::Write;
 use std::ops::Range;
 
 use joinmi_sketch::persist::{
-    aggregation_from_tag, aggregation_tag, dtype_from_tag, dtype_tag, read_served_kind,
-    sketch_kind_tag, SketchView,
+    aggregation_from_tag, aggregation_tag, dtype_from_tag, dtype_tag, read_served_kind, SketchView,
+    TUPSK_KIND_TAG,
 };
-use joinmi_sketch::{
-    Aggregation, DistinctSketch, RightSketchBuilder, Side, SketchConfig, SketchKind,
-};
+use joinmi_sketch::{Aggregation, DistinctSketch, RightSketchBuilder, Side, SketchConfig};
 use joinmi_store::{Result, SectionBuilder, SliceReader, StoreError, Writer};
 
 use crate::index::{IndexDelta, JoinabilityIndex};
@@ -69,7 +67,7 @@ pub(super) fn write_repo_meta<W: Write>(
     let mut meta = SectionBuilder::new();
     {
         let m = meta.writer();
-        m.write_u8(sketch_kind_tag(SketchKind::Tupsk))?;
+        m.write_u8(TUPSK_KIND_TAG)?;
         m.write_len(config.sketch.size)?;
         m.write_u64(config.sketch.seed)?;
         m.write_len(config.max_pairs_per_table)?;
@@ -397,12 +395,11 @@ impl<'a> CandidateView<'a> {
             sketch: SketchView::parse(&mut p)?,
         };
         p.expect_consumed("CANDIDATE section")?;
-        // Standalone sketch files carry any of the five kinds; a repository
-        // serves right-side TUPSK sketches only.
-        if view.sketch.kind() != SketchKind::Tupsk || view.sketch.side() != Side::Right {
+        // `SketchView::parse` refused any kind but TUPSK; a candidate is
+        // also a right-side sketch.
+        if view.sketch.side() != Side::Right {
             return Err(StoreError::corrupt(format!(
-                "candidate sketch is {} {:?}; a repository holds right-side TUPSK sketches only",
-                view.sketch.kind(),
+                "candidate sketch is {:?}; a repository holds right-side sketches only",
                 view.sketch.side()
             )));
         }

@@ -15,17 +15,16 @@
 //!   candidates whose cheap upper bound cannot reach the running top-k lower
 //!   bound.
 //!
-//! The four public `execute*` entry points are thin delegating wrappers over
-//! this engine, so the parallel/sequential × cached/uncached combinations
-//! cannot drift apart.
+//! The six public `execute*` entry points are thin delegating wrappers over
+//! this engine, so the parallel/sequential × cached/uncached × stats
+//! combinations cannot drift apart.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use joinmi_estimators::special::EULER_MASCHERONI;
 use joinmi_estimators::{EstimatorKind, EstimatorWorkspace, MiInterval, DEFAULT_K};
 use joinmi_hash::{digest_map_with_capacity, DigestHashMap};
-use joinmi_sketch::{Aggregation, ColumnSketch, JoinedSketch, SketchConfig, SketchKind};
+use joinmi_sketch::{tupsk, Aggregation, ColumnSketch, JoinedSketch, SketchConfig, SketchKind};
 use joinmi_table::{Table, TableError};
 
 use crate::cache::{CacheScope, CachedEstimate, CachedInterval};
@@ -230,17 +229,10 @@ impl RelationshipQuery {
         self
     }
 
-    /// Sets the scoring policy.
-    #[must_use]
-    pub fn with_policy(mut self, policy: ScoringPolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
     /// Requests interval scoring at the given two-sided confidence level
-    /// (e.g. `0.95`) — shorthand for
-    /// `with_policy(ScoringPolicy::Interval { level })`. The level is
-    /// validated at execution time; values outside `(0, 1)` fail the query.
+    /// (e.g. `0.95`), i.e. the policy `ScoringPolicy::Interval { level }`.
+    /// The level is validated at execution time; values outside `(0, 1)`
+    /// fail the query.
     #[must_use]
     pub fn with_confidence(mut self, level: f64) -> Self {
         self.policy = ScoringPolicy::Interval { level };
@@ -255,9 +247,18 @@ impl RelationshipQuery {
         self
     }
 
-    /// Builds the query-side sketch.
+    /// Builds the query-side TUPSK sketch.
+    ///
+    /// A query of any other kind fails here, before any work: it would join
+    /// against TUPSK candidates and rank meaningless results.
     pub fn build_query_sketch(&self) -> Result<ColumnSketch> {
-        self.sketch_kind.build_left(
+        if self.sketch_kind != SketchKind::Tupsk {
+            return Err(TableError::Unsupported(format!(
+                "repositories serve TUPSK sketches only; the query asks for {}",
+                self.sketch_kind
+            )));
+        }
+        tupsk::build_left(
             &self.train,
             &self.key_column,
             &self.target_column,
@@ -270,20 +271,12 @@ impl RelationshipQuery {
     /// surviving `(candidate_index, key_overlap)` hits in their fixed
     /// pre-filter order. The later stages (join, estimate) consume this;
     /// exposing it separately lets callers inspect or cache the candidate
-    /// set without scoring it.
-    ///
-    /// A query sketched with any kind but TUPSK fails here, before any work:
-    /// it would join against TUPSK candidates and rank meaningless results.
+    /// set without scoring it. A query of any kind but TUPSK fails in
+    /// [`Self::build_query_sketch`].
     pub fn probe<S: CandidateSource>(
         &self,
         repository: &S,
     ) -> Result<(ColumnSketch, Vec<(usize, usize)>)> {
-        if self.sketch_kind != SketchKind::Tupsk {
-            return Err(TableError::Unsupported(format!(
-                "repositories serve TUPSK sketches only; the query asks for {}",
-                self.sketch_kind
-            )));
-        }
         let query_sketch = self.build_query_sketch()?;
         let hits = repository
             .joinability()
@@ -627,37 +620,6 @@ impl RelationshipQuery {
             interval,
         })
     }
-
-    /// Executes the query and groups the ranking by estimator, reflecting the
-    /// paper's observation (Section V-C3) that MI magnitudes produced by
-    /// different estimators are not directly comparable and should be ranked
-    /// separately.
-    pub fn execute_grouped<S: CandidateSource + Sync>(
-        &self,
-        repository: &S,
-    ) -> Result<HashMap<EstimatorKind, Vec<RankedCandidate>>> {
-        let all = self.with_unlimited_k().execute(repository)?;
-        let mut grouped: HashMap<EstimatorKind, Vec<RankedCandidate>> = HashMap::new();
-        for candidate in all {
-            grouped
-                .entry(candidate.estimator)
-                .or_default()
-                .push(candidate);
-        }
-        for ranking in grouped.values_mut() {
-            sort_by_mi_desc(ranking);
-            if self.top_k > 0 {
-                ranking.truncate(self.top_k);
-            }
-        }
-        Ok(grouped)
-    }
-
-    fn with_unlimited_k(&self) -> Self {
-        let mut q = self.clone();
-        q.top_k = 0;
-        q
-    }
 }
 
 /// Chunk size of the early-terminating interval scan: small enough that the
@@ -936,17 +898,6 @@ mod tests {
             .find(|r| r.table_name == "demographics" && r.feature_column == "population")
             .expect("population candidate missing from ranking");
         assert!(pop.mi > 0.2, "population MI suspiciously low: {}", pop.mi);
-    }
-
-    #[test]
-    fn grouped_ranking_separates_estimators() {
-        let (repo, query) = repo_and_query();
-        let grouped = query.execute_grouped(&repo).unwrap();
-        assert!(!grouped.is_empty());
-        for (kind, ranking) in &grouped {
-            assert!(ranking.iter().all(|r| r.estimator == *kind));
-            assert!(ranking.windows(2).all(|w| w[0].mi >= w[1].mi));
-        }
     }
 
     #[test]

@@ -263,7 +263,7 @@ impl TableRepository {
 
         // The parallel fan-out: one appendable sketch builder per planned
         // pair. `finish()` is pinned bit-for-bit against the one-shot
-        // `SketchKind::build_right`, so candidates are identical to the
+        // `tupsk::build_right`, so candidates are identical to the
         // pre-incremental ingest path.
         let built: Vec<Result<(RightSketchBuilder, ColumnSketch)>> =
             joinmi_par::par_map(&planned, |pair| {

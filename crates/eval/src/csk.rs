@@ -10,14 +10,9 @@
 //! `Y` rather than the row distribution of the actual join result.
 
 use joinmi_hash::digest_set_with_capacity;
+use joinmi_sketch::prep::{prepare_left, prepare_right};
+use joinmi_sketch::{BoundedMinSet, ColumnSketch, Result, Side, SketchConfig, SketchRow};
 use joinmi_table::{Aggregation, Table};
-
-use crate::config::{Side, SketchConfig};
-use crate::kind::SketchKind;
-use crate::kmv::BoundedMinSet;
-use crate::prep::{prepare_left, prepare_right};
-use crate::row::{ColumnSketch, SketchRow};
-use crate::Result;
 
 /// Builds a CSK sketch of the base table: KMV over distinct keys, first value
 /// seen per key.
@@ -43,7 +38,6 @@ pub fn build_left(
     }
     let rows: Vec<SketchRow> = set.into_sorted().into_iter().map(|(_, row)| row).collect();
     Ok(ColumnSketch::new(
-        SketchKind::Csk,
         Side::Left,
         rows,
         prep.value_dtype,
@@ -81,7 +75,6 @@ pub fn build_right(
     }));
     let rows: Vec<SketchRow> = set.into_sorted().into_iter().map(|(_, row)| row).collect();
     Ok(ColumnSketch::new(
-        SketchKind::Csk,
         Side::Right,
         rows,
         prep.value_dtype,

@@ -13,6 +13,8 @@ use joinmi_sketch::{JoinedSketch, SketchConfig, SketchKind};
 use joinmi_synth::OpenDataCollection;
 use joinmi_table::{augment, Aggregation, AugmentSpec, DataType, Table};
 
+use crate::baselines;
+
 /// The evaluation of one table pair.
 #[derive(Debug, Clone)]
 pub struct PairResult {
@@ -49,7 +51,7 @@ pub struct CollectionEval {
 impl Default for CollectionEval {
     fn default() -> Self {
         Self {
-            kinds: SketchKind::TABLE2.to_vec(),
+            kinds: baselines::TABLE2.to_vec(),
             sketch_size: 1024,
             min_join_size: 100,
             max_pairs: 150,
@@ -77,11 +79,12 @@ impl CollectionEval {
 
             let mut sketches = BTreeMap::new();
             for &kind in &self.kinds {
-                let Ok(left) = kind.build_left(train, "key", "value", &config) else {
+                let Ok(left) = baselines::build_left(kind, train, "key", "value", &config) else {
                     continue;
                 };
                 let agg = aggregation_for(cand);
-                let Ok(right) = kind.build_right(cand, "key", "value", agg, &config) else {
+                let Ok(right) = baselines::build_right(kind, cand, "key", "value", agg, &config)
+                else {
                     continue;
                 };
                 let joined = left.join(&right);

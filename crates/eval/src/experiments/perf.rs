@@ -11,7 +11,7 @@
 use std::time::Instant;
 
 use joinmi_estimators::EstimatorWorkspace;
-use joinmi_sketch::{SketchConfig, SketchKind};
+use joinmi_sketch::{tupsk, SketchConfig};
 use joinmi_synth::{decompose, KeyDistribution, TrinomialConfig};
 use joinmi_table::{augment, AugmentSpec};
 
@@ -122,23 +122,21 @@ pub fn run(cfg: &Config) -> Vec<Timing> {
             full_est.push(ms_since(t0));
 
             let t0 = Instant::now();
-            let left = SketchKind::Tupsk
-                .build_left(
-                    &pair.train,
-                    &pair.key_column,
-                    &pair.target_column,
-                    &sketch_cfg,
-                )
-                .expect("left sketch");
-            let right = SketchKind::Tupsk
-                .build_right(
-                    &pair.cand,
-                    &pair.key_column,
-                    &pair.feature_column,
-                    pair.aggregation,
-                    &sketch_cfg,
-                )
-                .expect("right sketch");
+            let left = tupsk::build_left(
+                &pair.train,
+                &pair.key_column,
+                &pair.target_column,
+                &sketch_cfg,
+            )
+            .expect("left sketch");
+            let right = tupsk::build_right(
+                &pair.cand,
+                &pair.key_column,
+                &pair.feature_column,
+                pair.aggregation,
+                &sketch_cfg,
+            )
+            .expect("right sketch");
             sketch_build.push(ms_since(t0));
 
             let t0 = Instant::now();

@@ -13,18 +13,12 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use joinmi_hash::SplitMix64;
+use joinmi_sketch::prep::{prepare_left, prepare_right};
+use joinmi_sketch::{ColumnSketch, Result, Side, SketchConfig, SketchRow};
 use joinmi_table::{Aggregation, Table};
 
-use crate::config::{Side, SketchConfig};
-use crate::kind::SketchKind;
-use crate::prep::{prepare_left, prepare_right};
-use crate::row::{ColumnSketch, SketchRow};
-use crate::Result;
-
-/// Seed-derivation index of the right-side Bernoulli stream. Shared with the
-/// incremental builder (`crate::incremental`), whose INDSK finalization must
-/// replay exactly this stream to stay bit-for-bit with [`build_right`].
-pub(crate) const RIGHT_STREAM_INDEX: u64 = 0xB0B_CA7;
+/// Seed-derivation index of the right-side Bernoulli stream.
+const RIGHT_STREAM_INDEX: u64 = 0xB0B_CA7;
 
 /// Builds an INDSK sketch of the base table (independent Bernoulli row
 /// sample with expected size `n`).
@@ -45,7 +39,6 @@ pub fn build_left(
         .map(|(digest, val)| SketchRow::new(*digest, val.clone()))
         .collect();
     Ok(ColumnSketch::new(
-        SketchKind::Indsk,
         Side::Left,
         rows,
         prep.value_dtype,
@@ -77,7 +70,6 @@ pub fn build_right(
         .map(|(digest, val)| SketchRow::new(*digest, val.clone()))
         .collect();
     Ok(ColumnSketch::new(
-        SketchKind::Indsk,
         Side::Right,
         rows,
         prep.value_dtype,
@@ -140,9 +132,12 @@ mod tests {
         let ind_join = build_left(&train, "k", "y", &cfg)
             .unwrap()
             .join(&build_right(&cand, "k", "z", Aggregation::Avg, &cfg).unwrap());
-        let tup_join = crate::tupsk::build_left(&train, "k", "y", &cfg)
+        let tup_join = joinmi_sketch::tupsk::build_left(&train, "k", "y", &cfg)
             .unwrap()
-            .join(&crate::tupsk::build_right(&cand, "k", "z", Aggregation::Avg, &cfg).unwrap());
+            .join(
+                &joinmi_sketch::tupsk::build_right(&cand, "k", "z", Aggregation::Avg, &cfg)
+                    .unwrap(),
+            );
         assert!(
             ind_join.len() < 40,
             "INDSK join unexpectedly large: {}",

@@ -18,21 +18,28 @@
 //! | `exp_calibration` | credible-interval coverage of the exact full-join MI |
 //! | `exp_all` | runs everything above in sequence |
 //!
-//! The library part exposes the building blocks (metrics, the
-//! sketch-estimation pipeline, report formatting) so the binaries stay thin
-//! and the logic is unit-tested.
+//! The library part exposes the building blocks (the five sketch kinds in
+//! [`baselines`], metrics, the sketch-estimation pipeline, report
+//! formatting) so the binaries stay thin and the logic is unit-tested.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod baselines;
 pub mod experiments;
 pub mod metrics;
 pub mod pipeline;
 pub mod report;
 
+// The four baseline builders, reached through `baselines` only.
+mod csk;
+mod indsk;
+mod lv2sk;
+mod prisk;
+
 pub use metrics::{mae, mean_error, mse, rmse, Summary};
 pub use pipeline::{
-    full_join_estimate, run_grid, run_grid_persisted, sketch_estimate, sketch_estimate_persisted,
-    EstimatorMode, GridCell, SketchTrial, TrialOutcome,
+    full_join_estimate, run_grid, sketch_estimate, EstimatorMode, GridCell, SketchTrial,
+    TrialOutcome,
 };
 pub use report::TableReport;

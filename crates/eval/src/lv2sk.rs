@@ -16,14 +16,9 @@
 //! target are dependent (the `KeyDep` scenario).
 
 use joinmi_hash::{digest_map_with_capacity, DigestHashMap};
+use joinmi_sketch::prep::{prepare_left, prepare_right, PreparedRows};
+use joinmi_sketch::{BoundedMinSet, ColumnSketch, Result, Side, SketchConfig, SketchRow};
 use joinmi_table::{Aggregation, Table};
-
-use crate::config::{Side, SketchConfig};
-use crate::kind::SketchKind;
-use crate::kmv::BoundedMinSet;
-use crate::prep::{prepare_left, prepare_right, PreparedRows};
-use crate::row::{ColumnSketch, SketchRow};
-use crate::Result;
 
 /// Number of per-key samples LV2SK keeps for a key with frequency `count` in
 /// a table of `total` usable rows, for sketch budget `n`.
@@ -47,7 +42,6 @@ pub fn build_left(
     let prep = prepare_left(table, key, value, &hasher)?;
     let rows = sample_two_level(&prep, cfg);
     Ok(ColumnSketch::new(
-        SketchKind::Lv2sk,
         Side::Left,
         rows,
         prep.value_dtype,
@@ -80,7 +74,6 @@ pub fn build_right(
     }));
     let rows: Vec<SketchRow> = set.into_sorted().into_iter().map(|(_, row)| row).collect();
     Ok(ColumnSketch::new(
-        SketchKind::Lv2sk,
         Side::Right,
         rows,
         prep.value_dtype,
@@ -92,7 +85,7 @@ pub fn build_right(
 
 /// Shared two-level sampling used by LV2SK (uniform first level) — also
 /// reused by PRISK with a different first-level key selection.
-pub(crate) fn sample_two_level(prep: &PreparedRows, cfg: &SketchConfig) -> Vec<SketchRow> {
+fn sample_two_level(prep: &PreparedRows, cfg: &SketchConfig) -> Vec<SketchRow> {
     let unit = cfg.unit_hasher();
     // Level 1: KMV over distinct keys.
     let mut key_set = BoundedMinSet::new(cfg.size);

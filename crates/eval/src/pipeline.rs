@@ -10,6 +10,8 @@ use joinmi_estimators::{
     EstimatorWorkspace, Variable, DEFAULT_K,
 };
 use joinmi_sketch::{ColumnSketch, JoinedSketch, SketchConfig, SketchKind};
+
+use crate::baselines;
 use joinmi_synth::DecomposedPair;
 use joinmi_table::Value;
 
@@ -147,50 +149,30 @@ pub struct SketchTrial {
     pub mode: EstimatorMode,
 }
 
-/// Builds the left/right sketches of one trial (shared by the in-memory and
-/// persisted estimation paths).
+/// Builds the left/right sketches of one trial.
 fn build_sketch_pair(
     pair: &DecomposedPair,
-    trial: &SketchTrial,
+    kind: SketchKind,
+    config: &SketchConfig,
 ) -> Option<(ColumnSketch, ColumnSketch)> {
-    let left = trial
-        .kind
-        .build_left(
-            &pair.train,
-            &pair.key_column,
-            &pair.target_column,
-            &trial.config,
-        )
-        .ok()?;
-    let right = trial
-        .kind
-        .build_right(
-            &pair.cand,
-            &pair.key_column,
-            &pair.feature_column,
-            pair.aggregation,
-            &trial.config,
-        )
-        .ok()?;
+    let left = baselines::build_left(
+        kind,
+        &pair.train,
+        &pair.key_column,
+        &pair.target_column,
+        config,
+    )
+    .ok()?;
+    let right = baselines::build_right(
+        kind,
+        &pair.cand,
+        &pair.key_column,
+        &pair.feature_column,
+        pair.aggregation,
+        config,
+    )
+    .ok()?;
     Some((left, right))
-}
-
-/// Joins a sketch pair and applies the trial's estimator.
-fn estimate_from_sketches(
-    ws: &mut EstimatorWorkspace,
-    left: &ColumnSketch,
-    right: &ColumnSketch,
-    trial: &SketchTrial,
-) -> Option<TrialOutcome> {
-    let joined: JoinedSketch = left.join(right);
-    let estimate = trial
-        .mode
-        .estimate_joined_in(ws, &joined, trial.config.seed)?;
-    Some(TrialOutcome {
-        estimate,
-        join_size: joined.len(),
-        left_storage: left.len(),
-    })
 }
 
 /// Runs one sketch trial over a decomposed table pair.
@@ -209,40 +191,16 @@ pub fn sketch_estimate_in(
     pair: &DecomposedPair,
     trial: &SketchTrial,
 ) -> Option<TrialOutcome> {
-    let (left, right) = build_sketch_pair(pair, trial)?;
-    estimate_from_sketches(ws, &left, &right, trial)
-}
-
-/// Like [`sketch_estimate`], but round-trips both sketches through the
-/// on-disk store encoding (`joinmi_sketch::persist`) before joining — the
-/// offline-ingest → online-query pipeline in miniature. Because the encoding
-/// is exact (float bits round-trip), the outcome is bit-for-bit identical to
-/// [`sketch_estimate`]; the test below pins that.
-#[must_use]
-pub fn sketch_estimate_persisted(
-    pair: &DecomposedPair,
-    trial: &SketchTrial,
-) -> Option<TrialOutcome> {
-    sketch_estimate_persisted_in(&mut EstimatorWorkspace::new(), pair, trial)
-}
-
-/// [`sketch_estimate_persisted`] against a caller-owned
-/// [`EstimatorWorkspace`].
-#[must_use]
-pub fn sketch_estimate_persisted_in(
-    ws: &mut EstimatorWorkspace,
-    pair: &DecomposedPair,
-    trial: &SketchTrial,
-) -> Option<TrialOutcome> {
-    let (left, right) = build_sketch_pair(pair, trial)?;
-    let round_trip = |sketch: &ColumnSketch| -> Option<ColumnSketch> {
-        let mut buf = Vec::new();
-        sketch.to_writer(&mut buf).ok()?;
-        ColumnSketch::from_bytes(&buf).ok()
-    };
-    let left = round_trip(&left)?;
-    let right = round_trip(&right)?;
-    estimate_from_sketches(ws, &left, &right, trial)
+    let (left, right) = build_sketch_pair(pair, trial.kind, &trial.config)?;
+    let joined: JoinedSketch = left.join(&right);
+    let estimate = trial
+        .mode
+        .estimate_joined_in(ws, &joined, trial.config.seed)?;
+    Some(TrialOutcome {
+        estimate,
+        join_size: joined.len(),
+        left_storage: left.len(),
+    })
 }
 
 /// One cell of an experiment grid: which decomposed pair to sketch (an index
@@ -265,23 +223,6 @@ pub fn run_grid(pairs: &[DecomposedPair], cells: &[GridCell]) -> Vec<Option<Tria
     )
 }
 
-/// The persisted-repository variant of [`run_grid`]: every trial's sketches
-/// pass through the on-disk encoding before estimation (see
-/// [`sketch_estimate_persisted`]). Outcomes are bit-for-bit identical to
-/// [`run_grid`]; experiments use it to prove that conclusions drawn from
-/// persisted sketch repositories match the in-memory evaluation.
-#[must_use]
-pub fn run_grid_persisted(
-    pairs: &[DecomposedPair],
-    cells: &[GridCell],
-) -> Vec<Option<TrialOutcome>> {
-    joinmi_par::par_map_with(
-        cells,
-        EstimatorWorkspace::new,
-        |ws, &(pair_index, trial)| sketch_estimate_persisted_in(ws, &pairs[pair_index], &trial),
-    )
-}
-
 /// Runs the sketch join only (no estimation) — used by experiments that only
 /// need join-size statistics.
 #[must_use]
@@ -290,18 +231,7 @@ pub fn sketch_join_size(
     kind: SketchKind,
     config: &SketchConfig,
 ) -> Option<usize> {
-    let left = kind
-        .build_left(&pair.train, &pair.key_column, &pair.target_column, config)
-        .ok()?;
-    let right = kind
-        .build_right(
-            &pair.cand,
-            &pair.key_column,
-            &pair.feature_column,
-            pair.aggregation,
-            config,
-        )
-        .ok()?;
+    let (left, right) = build_sketch_pair(pair, kind, config)?;
     Some(left.join(&right).len())
 }
 
@@ -425,46 +355,6 @@ mod tests {
                 }
                 (None, None) => {}
                 _ => panic!("parallel/sequential disagreement"),
-            }
-        }
-    }
-
-    #[test]
-    fn persisted_grid_is_bit_identical_to_in_memory_grid() {
-        let gen = TrinomialConfig::new(32, 0.45, 0.4);
-        let pairs: Vec<_> = (0..2u64)
-            .map(|s| {
-                let data = gen.generate(1200, s);
-                decompose(&data.xs, &data.ys, KeyDistribution::KeyInd)
-            })
-            .collect();
-        let mut cells = Vec::new();
-        for pair_index in 0..pairs.len() {
-            for kind in SketchKind::ALL {
-                for mode in EstimatorMode::TRINOMIAL {
-                    cells.push((
-                        pair_index,
-                        SketchTrial {
-                            kind,
-                            config: SketchConfig::new(128, 9),
-                            mode,
-                        },
-                    ));
-                }
-            }
-        }
-        let in_memory = run_grid(&pairs, &cells);
-        let persisted = run_grid_persisted(&pairs, &cells);
-        assert_eq!(in_memory.len(), persisted.len());
-        for (a, b) in in_memory.iter().zip(&persisted) {
-            match (a, b) {
-                (Some(m), Some(p)) => {
-                    assert_eq!(m.estimate.to_bits(), p.estimate.to_bits());
-                    assert_eq!(m.join_size, p.join_size);
-                    assert_eq!(m.left_storage, p.left_storage);
-                }
-                (None, None) => {}
-                _ => panic!("persisted/in-memory grid disagreement"),
             }
         }
     }

@@ -14,15 +14,11 @@
 //! reverse of `u_k` order and PRISK selects exactly the same keys as LV2SK —
 //! coordination between the two levels is preserved.
 
+use joinmi_sketch::prep::{prepare_left, prepare_right};
+use joinmi_sketch::{BoundedMinSet, ColumnSketch, Result, Side, SketchConfig, SketchRow};
 use joinmi_table::{Aggregation, Table};
 
-use crate::config::{Side, SketchConfig};
-use crate::kind::SketchKind;
-use crate::kmv::BoundedMinSet;
 use crate::lv2sk::sample_selected_keys;
-use crate::prep::{prepare_left, prepare_right};
-use crate::row::{ColumnSketch, SketchRow};
-use crate::Result;
 
 /// Builds a PRISK sketch of the base table's `(key, target)` pair.
 pub fn build_left(
@@ -48,7 +44,6 @@ pub fn build_left(
 
     let rows = sample_selected_keys(&prep, cfg, &selected);
     Ok(ColumnSketch::new(
-        SketchKind::Prisk,
         Side::Left,
         rows,
         prep.value_dtype,
@@ -81,7 +76,6 @@ pub fn build_right(
     }));
     let rows: Vec<SketchRow> = set.into_sorted().into_iter().map(|(_, row)| row).collect();
     Ok(ColumnSketch::new(
-        SketchKind::Prisk,
         Side::Right,
         rows,
         prep.value_dtype,

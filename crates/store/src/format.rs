@@ -21,38 +21,28 @@ use crate::wire::{SliceReader, Writer};
 /// Magic bytes identifying a `joinmi` store file.
 pub const MAGIC: [u8; 4] = *b"JMIS";
 
-/// The format version this library writes and the only one it reads, for
-/// both artifact kinds. The byte-level specification lives in
-/// `docs/FORMAT.md`.
+/// The format version this library writes and the only one it reads. The
+/// byte-level specification lives in `docs/FORMAT.md`.
 pub const FORMAT_VERSION: u16 = 3;
 
 /// What a store file holds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ArtifactKind {
-    /// A single serialized column sketch.
-    Sketch,
     /// A full table repository: config, profiles, index postings, candidates.
     Repository,
 }
+
+/// The artifact tag of the retired standalone sketch file. It stays
+/// reserved: a file stamped with it is [`StoreError::WrongArtifact`], and the
+/// tag is never reassigned.
+pub(crate) const RESERVED_SKETCH_TAG: u8 = 1;
 
 impl ArtifactKind {
     /// The on-disk tag byte.
     #[must_use]
     pub fn tag(self) -> u8 {
         match self {
-            Self::Sketch => 1,
             Self::Repository => 2,
-        }
-    }
-
-    /// Decodes a tag byte.
-    pub fn from_tag(tag: u8) -> Result<Self> {
-        match tag {
-            1 => Ok(Self::Sketch),
-            2 => Ok(Self::Repository),
-            other => Err(StoreError::corrupt(format!(
-                "unknown artifact kind tag {other}"
-            ))),
         }
     }
 }
@@ -83,11 +73,14 @@ pub fn read_header(r: &mut SliceReader<'_>, expected: ArtifactKind) -> Result<()
         });
     }
     let kind_tag = r.read_u8("file header artifact kind")?;
-    let kind = ArtifactKind::from_tag(kind_tag)?;
-    if kind != expected {
-        return Err(StoreError::WrongArtifact {
-            expected: expected.tag(),
-            found: kind_tag,
+    if kind_tag != expected.tag() {
+        return Err(if kind_tag == RESERVED_SKETCH_TAG {
+            StoreError::WrongArtifact {
+                expected: expected.tag(),
+                found: kind_tag,
+            }
+        } else {
+            StoreError::corrupt(format!("unknown artifact kind tag {kind_tag}"))
         });
     }
     let _reserved = r.read_u8("file header reserved byte")?;
@@ -110,20 +103,18 @@ mod tests {
 
     #[test]
     fn header_round_trips() {
-        for kind in [ArtifactKind::Sketch, ArtifactKind::Repository] {
-            let bytes = header_bytes(kind);
-            assert_eq!(bytes.len(), 8);
-            assert_eq!(u16::from_le_bytes([bytes[4], bytes[5]]), FORMAT_VERSION);
-            read(&bytes, kind).unwrap();
-        }
+        let bytes = header_bytes(ArtifactKind::Repository);
+        assert_eq!(bytes.len(), 8);
+        assert_eq!(u16::from_le_bytes([bytes[4], bytes[5]]), FORMAT_VERSION);
+        read(&bytes, ArtifactKind::Repository).unwrap();
     }
 
     #[test]
     fn wrong_magic_is_rejected() {
-        let mut bytes = header_bytes(ArtifactKind::Sketch);
+        let mut bytes = header_bytes(ArtifactKind::Repository);
         bytes[0] = b'X';
         assert!(matches!(
-            read(&bytes, ArtifactKind::Sketch),
+            read(&bytes, ArtifactKind::Repository),
             Err(StoreError::BadMagic { .. })
         ));
     }
@@ -131,9 +122,9 @@ mod tests {
     #[test]
     fn any_other_version_is_rejected() {
         for version in [0, 1, 2, FORMAT_VERSION + 1, u16::MAX] {
-            let mut bytes = header_bytes(ArtifactKind::Sketch);
+            let mut bytes = header_bytes(ArtifactKind::Repository);
             bytes[4..6].copy_from_slice(&version.to_le_bytes());
-            match read(&bytes, ArtifactKind::Sketch) {
+            match read(&bytes, ArtifactKind::Repository) {
                 Err(StoreError::UnsupportedVersion { found, supported }) => {
                     assert_eq!(found, version);
                     assert_eq!(supported, FORMAT_VERSION);
@@ -145,18 +136,31 @@ mod tests {
 
     #[test]
     fn artifact_kind_mismatch_is_rejected() {
-        let bytes = header_bytes(ArtifactKind::Sketch);
-        assert!(matches!(
-            read(&bytes, ArtifactKind::Repository),
-            Err(StoreError::WrongArtifact { .. })
-        ));
+        // The retired sketch-file tag is a typed mismatch; a tag nobody
+        // assigned is corrupt.
+        let mut bytes = header_bytes(ArtifactKind::Repository);
+        for tag in 0..=u8::MAX {
+            bytes[6] = tag;
+            let result = read(&bytes, ArtifactKind::Repository);
+            match tag {
+                2 => result.unwrap(),
+                RESERVED_SKETCH_TAG => assert!(matches!(
+                    result,
+                    Err(StoreError::WrongArtifact {
+                        expected: 2,
+                        found: 1
+                    })
+                )),
+                _ => assert!(matches!(result, Err(StoreError::Corrupt(_))), "{tag}"),
+            }
+        }
     }
 
     #[test]
     fn truncated_header_is_typed() {
-        let bytes = header_bytes(ArtifactKind::Sketch);
+        let bytes = header_bytes(ArtifactKind::Repository);
         assert!(matches!(
-            read(&bytes[..3], ArtifactKind::Sketch),
+            read(&bytes[..3], ArtifactKind::Repository),
             Err(StoreError::Truncated { .. })
         ));
     }

@@ -1,4 +1,5 @@
-//! Versioned on-disk binary format for `joinmi` sketches and repositories.
+//! Versioned on-disk binary format for `joinmi` repositories and the sketches
+//! they embed.
 //!
 //! The paper's efficiency claim rests on sketches being built **once**,
 //! offline, and reused across many online queries. This crate supplies the

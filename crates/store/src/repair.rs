@@ -284,9 +284,10 @@ mod tests {
 
     #[test]
     fn wrong_artifact_kind_is_rejected() {
-        let (buf, _) = artifact(1);
+        let (mut buf, _) = artifact(1);
+        buf[6] = crate::format::RESERVED_SKETCH_TAG;
         assert!(matches!(
-            scan_recoverable(&buf, ArtifactKind::Sketch, GRAMMAR),
+            scan_recoverable(&buf, ArtifactKind::Repository, GRAMMAR),
             Err(StoreError::WrongArtifact { .. })
         ));
     }

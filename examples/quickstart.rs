@@ -4,6 +4,7 @@
 //! Run with: `cargo run --example quickstart --release`
 
 use joinmi::prelude::*;
+use joinmi::sketch::tupsk;
 use joinmi::table::{augment, AugmentSpec};
 
 fn main() {
@@ -40,18 +41,15 @@ fn main() {
     // 1. Build sketches for both sides. In a real deployment the candidate
     //    sketch is built offline, once, when the table is ingested.
     let cfg = SketchConfig::new(256, 42);
-    let left = SketchKind::Tupsk
-        .build_left(&taxi, "zipcode", "num_trips", &cfg)
-        .expect("left sketch");
-    let right = SketchKind::Tupsk
-        .build_right(
-            &demographics,
-            "zipcode",
-            "population",
-            Aggregation::Avg,
-            &cfg,
-        )
-        .expect("right sketch");
+    let left = tupsk::build_left(&taxi, "zipcode", "num_trips", &cfg).expect("left sketch");
+    let right = tupsk::build_right(
+        &demographics,
+        "zipcode",
+        "population",
+        Aggregation::Avg,
+        &cfg,
+    )
+    .expect("right sketch");
 
     // 2. Join the sketches (never the tables) and estimate MI.
     let joined = left.join(&right);

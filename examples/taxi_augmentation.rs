@@ -5,6 +5,7 @@
 //! Run with: `cargo run --example taxi_augmentation --release`
 
 use joinmi::prelude::*;
+use joinmi::sketch::tupsk;
 use joinmi::synth::TaxiScenario;
 use joinmi::table::{augment, AugmentSpec};
 
@@ -68,11 +69,8 @@ fn main() {
         // Join keys differ per candidate (date vs zipcode) — the left sketch
         // must be built per join key.
         let left_key = cand.key;
-        let left = SketchKind::Tupsk
-            .build_left(taxi, left_key, "num_trips", &cfg)
-            .expect("left sketch");
-        let right = SketchKind::Tupsk
-            .build_right(&cand.table, cand.key, cand.feature, cand.aggregation, &cfg)
+        let left = tupsk::build_left(taxi, left_key, "num_trips", &cfg).expect("left sketch");
+        let right = tupsk::build_right(&cand.table, cand.key, cand.feature, cand.aggregation, &cfg)
             .expect("right sketch");
         let joined = left.join(&right);
         let sketch_mi = joined.estimate_mi().map(|e| e.mi).unwrap_or(f64::NAN);

@@ -13,25 +13,29 @@
 //! * [`par`] — scoped-thread parallel map primitives with deterministic
 //!   output order (thread count via `JOINMI_THREADS`).
 //! * [`hash`] — MurmurHash3, Fibonacci hashing, seeded unit-range hashers.
-//! * [`store`] — versioned, checksummed on-disk binary format; sketches and
-//!   repositories persist across processes (offline ingest → online query).
+//! * [`store`] — versioned, checksummed on-disk binary format; repositories
+//!   (and the sketches they embed) persist across processes (offline ingest
+//!   → online query).
 //! * [`table`] — in-memory relational substrate (typed columns, joins,
 //!   group-by aggregation, CSV, type inference).
 //! * [`estimators`] — entropy / MI estimators (MLE, KSG, MixedKSG, DC-KSG).
-//! * [`sketch`] — the paper's contribution: TUPSK, LV2SK, PRISK, INDSK, CSK
-//!   sketches, sketch joins, and MI estimation over sketch joins.
+//! * [`sketch`] — the paper's contribution: TUPSK sketches, sketch joins,
+//!   and MI estimation over sketch joins.
 //! * [`synth`] — synthetic benchmark generators with analytically known MI.
 //! * [`discovery`] — MI-based data discovery (repositories, joinability
 //!   indexes, top-k relationship queries).
 //! * [`serve`] — the sharded discovery daemon: REST queries over N shard
 //!   repositories with timeout/admission/cache guardrails (protocol spec
 //!   and runbook in `docs/SERVING.md`).
-//! * [`eval`] — the experiment harness reproducing the paper's evaluation.
+//! * [`eval`] — the experiment harness reproducing the paper's evaluation,
+//!   with the four baseline sketches (LV2SK, PRISK, INDSK, CSK) in
+//!   [`eval::baselines`].
 //!
 //! ## Quickstart
 //!
 //! ```
 //! use joinmi::prelude::*;
+//! use joinmi::sketch::tupsk;
 //!
 //! // Base table: one row per (date, zip) with the taxi-trip count target.
 //! let train = Table::builder("taxi")
@@ -50,9 +54,8 @@
 //! // Sketch both sides (offline, independently), then estimate MI without
 //! // materializing the left join.
 //! let cfg = SketchConfig::new(256, 42);
-//! let left = SketchKind::Tupsk.build_left(&train, "zipcode", "num_trips", &cfg).unwrap();
-//! let right = SketchKind::Tupsk
-//!     .build_right(&cand, "zipcode", "population", Aggregation::Avg, &cfg)
+//! let left = tupsk::build_left(&train, "zipcode", "num_trips", &cfg).unwrap();
+//! let right = tupsk::build_right(&cand, "zipcode", "population", Aggregation::Avg, &cfg)
 //!     .unwrap();
 //! let joined = left.join(&right);
 //! let estimate = joined.estimate_mi().unwrap();

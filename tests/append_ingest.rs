@@ -6,7 +6,7 @@
 
 use joinmi::discovery::RepositoryConfig;
 use joinmi::prelude::*;
-use joinmi::sketch::RightSketchBuilder;
+use joinmi::sketch::{tupsk, RightSketchBuilder};
 use joinmi::store::StoreError;
 use proptest::prelude::*;
 
@@ -151,25 +151,19 @@ fn corrupt_append_section_is_a_typed_error_never_a_panic() {
 
 #[test]
 fn any_format_version_other_than_3_is_unsupported() {
-    // One readable version, for both artifact kinds and on every path that
-    // opens a file: older stamps are refused exactly like newer ones.
+    // One readable version, on every path that opens a repository file:
+    // older stamps are refused exactly like newer ones.
     let full = corpus_table("cand", 200);
     let mut repo = repo_with(vec![full.slice_rows(0..180)]);
-    let (mut repo_bytes, mut sketch_bytes) = (Vec::new(), Vec::new());
+    let mut repo_bytes = Vec::new();
     repo.save_to(&mut repo_bytes).unwrap();
-    repo.candidates()[0]
-        .sketch
-        .to_writer(&mut sketch_bytes)
-        .unwrap();
     assert_eq!(joinmi::store::FORMAT_VERSION, 3);
     assert_eq!(repo_bytes[4..6], [3, 0]);
-    assert_eq!(sketch_bytes[4..6], [3, 0]);
 
     repo.append_rows(&full.slice_rows(180..200)).unwrap();
     let path = std::env::temp_dir().join(format!("joinmi-version-{}.jmi", std::process::id()));
     for version in [0u16, 1, 2, 4, u16::MAX] {
         repo_bytes[4..6].copy_from_slice(&version.to_le_bytes());
-        sketch_bytes[4..6].copy_from_slice(&version.to_le_bytes());
         std::fs::write(&path, &repo_bytes).unwrap();
         for (what, result) in [
             (
@@ -179,10 +173,6 @@ fn any_format_version_other_than_3_is_unsupported() {
             (
                 "eager load",
                 TableRepository::load_from(repo_bytes.as_slice()).map(drop),
-            ),
-            (
-                "standalone sketch",
-                ColumnSketch::from_bytes(&sketch_bytes).map(drop),
             ),
             ("append target", repo.append_to(&path)),
             (
@@ -214,8 +204,7 @@ proptest! {
     ) {
         let cfg = SketchConfig::new(24, seed);
         let full = corpus_table("cand", rows);
-        let direct = SketchKind::Tupsk
-            .build_right(&full, "key", "f0", Aggregation::Avg, &cfg)
+        let direct = tupsk::build_right(&full, "key", "f0", Aggregation::Avg, &cfg)
             .unwrap();
 
         let mut cuts: Vec<usize> = splits.into_iter().map(|s| s % (rows + 1)).collect();

@@ -17,6 +17,7 @@
 //! budget) and 3 000 rows (above it). An estimator error is absorbed as its
 //! own marker, so a change in which joins are refused shows too.
 
+use joinmi::eval::baselines;
 use joinmi::prelude::*;
 use joinmi::sketch::Side;
 use joinmi::synth::{decompose, DecomposedPair};
@@ -241,13 +242,11 @@ fn digests(pair: &DecomposedPair) -> [u64; 5] {
     };
     SketchKind::ALL.map(|kind| {
         let mut hash = FNV_OFFSET;
-        let left = kind.build_left(&pair.train, key, y, &cfg).unwrap();
-        let right = kind
-            .build_right(&pair.cand, key, x, pair.aggregation, &cfg)
-            .unwrap();
-        let aggregated = kind
-            .build_right(&pair.train, key, y, target_agg, &cfg)
-            .unwrap();
+        let left = baselines::build_left(kind, &pair.train, key, y, &cfg).unwrap();
+        let right =
+            baselines::build_right(kind, &pair.cand, key, x, pair.aggregation, &cfg).unwrap();
+        let aggregated =
+            baselines::build_right(kind, &pair.train, key, y, target_agg, &cfg).unwrap();
         for sketch in [&left, &right, &aggregated] {
             absorb_sketch(&mut hash, sketch);
         }

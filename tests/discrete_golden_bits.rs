@@ -22,6 +22,7 @@ use joinmi::estimators::{
     estimate_mi_with_workspace, mi_posterior, mle_mi, EstimatorKind, EstimatorWorkspace, Variable,
 };
 use joinmi::prelude::*;
+use joinmi::sketch::tupsk;
 
 const SIZES: [usize; 5] = [1, 5, 64, 790, 4_096];
 const LEVELS: [f64; 2] = [0.9, 0.95];
@@ -213,12 +214,8 @@ fn sketch_joins(n: usize) -> Vec<(JoinedSketch, bool)> {
         ("label", "count", Aggregation::Avg),
         ("score", "count", Aggregation::Avg),
     ] {
-        let left = SketchKind::Tupsk
-            .build_left(&train, "key", target, &cfg)
-            .unwrap();
-        let right = SketchKind::Tupsk
-            .build_right(&cand, "key", feature, agg, &cfg)
-            .unwrap();
+        let left = tupsk::build_left(&train, "key", target, &cfg).unwrap();
+        let right = tupsk::build_right(&cand, "key", feature, agg, &cfg).unwrap();
         out.push((left.join(&right), target == "label" && feature == "cat"));
     }
     out

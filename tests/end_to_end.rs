@@ -3,8 +3,9 @@
 //! same realistic scenario.
 
 use joinmi::discovery::{AugmentationPlan, RelationshipQuery, RepositoryConfig, TableRepository};
+use joinmi::eval::baselines;
 use joinmi::prelude::*;
-use joinmi::sketch::JoinedSketch;
+use joinmi::sketch::{tupsk, JoinedSketch};
 use joinmi::synth::TaxiScenario;
 use joinmi::table::{augment, AugmentSpec};
 
@@ -49,18 +50,16 @@ fn sketch_estimates_track_full_join_estimates_on_the_taxi_scenario() {
         "population",
         Aggregation::Avg,
     );
-    let left = SketchKind::Tupsk
-        .build_left(&scenario.taxi, "zipcode", "num_trips", &cfg)
-        .expect("left sketch");
-    let right = SketchKind::Tupsk
-        .build_right(
-            &scenario.demographics,
-            "zipcode",
-            "population",
-            Aggregation::Avg,
-            &cfg,
-        )
-        .expect("right sketch");
+    let left =
+        tupsk::build_left(&scenario.taxi, "zipcode", "num_trips", &cfg).expect("left sketch");
+    let right = tupsk::build_right(
+        &scenario.demographics,
+        "zipcode",
+        "population",
+        Aggregation::Avg,
+        &cfg,
+    )
+    .expect("right sketch");
     let joined = left.join(&right);
     let sketch = joined.estimate_mi().expect("estimate").mi;
 
@@ -79,18 +78,17 @@ fn every_sketch_kind_completes_the_pipeline_on_the_taxi_scenario() {
     let scenario = TaxiScenario::generate(45, 12, 3);
     let cfg = SketchConfig::new(512, 9);
     for kind in SketchKind::ALL {
-        let left = kind
-            .build_left(&scenario.taxi, "date", "num_trips", &cfg)
+        let left = baselines::build_left(kind, &scenario.taxi, "date", "num_trips", &cfg)
             .expect("left sketch");
-        let right = kind
-            .build_right(
-                &scenario.weather,
-                "date",
-                "rainfall",
-                Aggregation::Avg,
-                &cfg,
-            )
-            .expect("right sketch");
+        let right = baselines::build_right(
+            kind,
+            &scenario.weather,
+            "date",
+            "rainfall",
+            Aggregation::Avg,
+            &cfg,
+        )
+        .expect("right sketch");
         let joined = left.join(&right);
         if joined.len() >= 8 {
             let est = joined.estimate_mi().expect("estimate");
@@ -173,12 +171,8 @@ fn csv_round_trip_feeds_the_sketch_pipeline() {
     // legitimately reads back as integers), dates stay strings, so the two
     // sketches must be bit-identical.
     let cfg = SketchConfig::new(128, 1);
-    let a = SketchKind::Tupsk
-        .build_left(&scenario.taxi, "date", "num_trips", &cfg)
-        .expect("sketch original");
-    let b = SketchKind::Tupsk
-        .build_left(&reread, "date", "num_trips", &cfg)
-        .expect("sketch reread");
+    let a = tupsk::build_left(&scenario.taxi, "date", "num_trips", &cfg).expect("sketch original");
+    let b = tupsk::build_left(&reread, "date", "num_trips", &cfg).expect("sketch reread");
     assert_eq!(a.len(), b.len());
     let keys_a: Vec<u64> = a.rows().iter().map(|r| r.key.raw()).collect();
     let keys_b: Vec<u64> = b.rows().iter().map(|r| r.key.raw()).collect();

@@ -7,6 +7,7 @@ use joinmi::discovery::{RepositoryConfig, TableRepository};
 use joinmi::estimators::knn::{kth_nn_distances_1d, kth_nn_distances_chebyshev};
 use joinmi::par::with_threads;
 use joinmi::prelude::*;
+use joinmi::sketch::tupsk;
 use joinmi::synth::TaxiScenario;
 
 fn scenario_repo(threads: usize) -> (TableRepository, Vec<joinmi::discovery::RankedCandidate>) {
@@ -217,12 +218,8 @@ fn mi_estimation_is_reproducible_bit_for_bit() {
     let cfg = SketchConfig::new(512, 11);
     let estimate = |threads: usize| {
         with_threads(threads, || {
-            let left = SketchKind::Tupsk
-                .build_left(&train, "k", "y", &cfg)
-                .unwrap();
-            let right = SketchKind::Tupsk
-                .build_right(&cand, "k", "z", SketchAggregation::Avg, &cfg)
-                .unwrap();
+            let left = tupsk::build_left(&train, "k", "y", &cfg).unwrap();
+            let right = tupsk::build_right(&cand, "k", "z", SketchAggregation::Avg, &cfg).unwrap();
             left.join(&right).estimate_mi().unwrap().mi
         })
     };

@@ -4,6 +4,7 @@
 
 use joinmi::discovery::RepositoryConfig;
 use joinmi::prelude::*;
+use joinmi::sketch::tupsk;
 use joinmi::synth::TaxiScenario;
 
 fn build_repo() -> (TableRepository, RelationshipQuery) {
@@ -58,6 +59,8 @@ fn ingest_save_load_query_is_bit_identical() {
 
 #[test]
 fn single_sketch_round_trips_through_the_facade() {
+    use joinmi::sketch::persist::SketchView;
+    use joinmi::store::{SliceReader, Writer};
     use joinmi::table::Table;
 
     let table = Table::builder("t")
@@ -66,17 +69,22 @@ fn single_sketch_round_trips_through_the_facade() {
         .build()
         .unwrap();
     let cfg = SketchConfig::new(8, 1);
-    let sketch = SketchKind::Tupsk
-        .build_left(&table, "k", "v", &cfg)
-        .unwrap();
+    let sketch = tupsk::build_left(&table, "k", "v", &cfg).unwrap();
 
-    let mut buf = Vec::new();
-    sketch.to_writer(&mut buf).unwrap();
-    let decoded = ColumnSketch::from_bytes(&buf).unwrap();
-    assert_eq!(decoded, sketch);
+    // The embedded form a repository file carries.
+    let mut w = Writer::new(Vec::new());
+    sketch.write_embedded(&mut w).unwrap();
+    let buf = w.into_inner();
+    let decode = |bytes: &[u8]| {
+        let mut r = SliceReader::new(bytes);
+        let view = SketchView::parse(&mut r)?;
+        r.expect_consumed("embedded sketch")?;
+        Ok::<_, StoreError>(view.to_sketch())
+    };
+    assert_eq!(decode(&buf).unwrap(), sketch);
 
     // Typed error surface reaches the facade.
-    match ColumnSketch::from_bytes(&buf[..4]) {
+    match decode(&buf[..4]) {
         Err(StoreError::Truncated { .. }) => {}
         other => panic!("expected StoreError::Truncated, got {other:?}"),
     }

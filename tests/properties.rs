@@ -7,10 +7,11 @@ use joinmi::estimators::knn::{
     kth_nn_distances_chebyshev_bruteforce, kth_nn_distances_chebyshev_scalar,
 };
 use joinmi::estimators::{mixed_ksg_mi, mle_mi, smoothed_mle_mi};
+use joinmi::eval::baselines;
 use joinmi::hash::{KeyHasher, UnitHasher};
 use joinmi::par::with_threads;
 use joinmi::prelude::*;
-use joinmi::sketch::BoundedMinSet;
+use joinmi::sketch::{tupsk, BoundedMinSet};
 use joinmi::table::{
     group_by_aggregate, left_outer_join, read_csv_str, write_csv_string, CsvOptions,
 };
@@ -194,7 +195,7 @@ proptest! {
             .unwrap();
         let cfg = SketchConfig::new(n, seed);
         for kind in SketchKind::ALL {
-            let left = kind.build_left(&table, "k", "v", &cfg).unwrap();
+            let left = baselines::build_left(kind, &table, "k", "v", &cfg).unwrap();
             let bound = match kind {
                 SketchKind::Lv2sk | SketchKind::Prisk => 2 * n,
                 SketchKind::Indsk => table.num_rows(), // Bernoulli: bounded by the table
@@ -202,7 +203,7 @@ proptest! {
             };
             prop_assert!(left.len() <= bound, "{}: {} > {}", kind, left.len(), bound);
 
-            let right = kind.build_right(&table, "k", "v", Aggregation::Avg, &cfg).unwrap();
+            let right = baselines::build_right(kind, &table, "k", "v", Aggregation::Avg, &cfg).unwrap();
             let right_bound = match kind {
                 // Bernoulli sampling has expected size n but is only bounded
                 // by the number of distinct keys.
@@ -227,8 +228,8 @@ proptest! {
             .build()
             .unwrap();
         let cfg = SketchConfig::new(n, 7);
-        let left = SketchKind::Tupsk.build_left(&table, "k", "v", &cfg).unwrap();
-        let right = SketchKind::Tupsk.build_right(&table, "k", "v", Aggregation::Avg, &cfg).unwrap();
+        let left = tupsk::build_left(&table, "k", "v", &cfg).unwrap();
+        let right = tupsk::build_right(&table, "k", "v", Aggregation::Avg, &cfg).unwrap();
         let joined = left.join(&right);
         prop_assert!(joined.len() <= left.len());
     }

@@ -3,6 +3,7 @@
 //! estimate against the exact value computed on the materialized join.
 
 use joinmi::prelude::*;
+use joinmi::sketch::tupsk;
 use joinmi::table::{augment, AugmentSpec};
 
 /// Builds the base table: `rows` observations of (zipcode, num_trips) where
@@ -41,18 +42,15 @@ fn quickstart_path_estimates_mi_close_to_full_join() {
     // Sketch both sides (offline, independently), then join the sketches and
     // estimate MI without materializing the join — the quickstart path.
     let cfg = SketchConfig::new(256, 42);
-    let left = SketchKind::Tupsk
-        .build_left(&taxi, "zipcode", "num_trips", &cfg)
-        .expect("left sketch");
-    let right = SketchKind::Tupsk
-        .build_right(
-            &demographics,
-            "zipcode",
-            "population",
-            Aggregation::Avg,
-            &cfg,
-        )
-        .expect("right sketch");
+    let left = tupsk::build_left(&taxi, "zipcode", "num_trips", &cfg).expect("left sketch");
+    let right = tupsk::build_right(
+        &demographics,
+        "zipcode",
+        "population",
+        Aggregation::Avg,
+        &cfg,
+    )
+    .expect("right sketch");
     let joined = left.join(&right);
     assert!(!joined.is_empty(), "sketch join recovered no pairs");
 

@@ -3,6 +3,7 @@
 
 use joinmi::eval::{full_join_estimate, sketch_estimate, EstimatorMode, SketchTrial};
 use joinmi::prelude::*;
+use joinmi::sketch::tupsk;
 use joinmi::synth::decompose;
 
 /// §V-B1: on the full data, every estimator tracks the analytical MI.
@@ -114,9 +115,7 @@ fn tupsk_sample_reflects_row_frequencies_on_the_worked_example() {
         .expect("table");
 
     let cfg = SketchConfig::new(50, 4);
-    let sketch = SketchKind::Tupsk
-        .build_left(&train, "k", "y", &cfg)
-        .expect("sketch");
+    let sketch = tupsk::build_left(&train, "k", "y", &cfg).expect("sketch");
     // The dominant key must occupy roughly 95% of the TUPSK sample.
     let hasher = cfg.key_hasher();
     let f_hash = Value::from("f").key_hash(&hasher);
