@@ -1,23 +1,22 @@
 //! Relationship-discovery queries: rank candidate augmentations by estimated
 //! MI with the query table's target column, without materializing any join.
 //!
-//! Scoring runs through **one** internal engine ([`RelationshipQuery`]'s
-//! `run_engine`) parameterized on three axes:
+//! Every `execute*` entry point runs **one** query plan. After the probe
+//! ([`RelationshipQuery::probe`]) a crate-private `QueryPlan` gathers what
+//! the query shares across its stages: the query, the candidate source, the
+//! query sketch, its cache fingerprint, the optional cross-query
+//! [`CacheScope`] and, when a pre-join screen is active, the query's key
+//! multiplicities. One chunk loop then screens the pre-filter hits, scores
+//! the survivors, tracks the running top-k lower bound, sorts and truncates.
 //!
-//! * **strategy** — parallel fan-out across `JOINMI_THREADS` workers or
-//!   sequential scoring with a caller-owned workspace (the serving daemon's
-//!   per-query hot path);
-//! * **cache** — an optional cross-query [`CacheScope`] consulted before the
-//!   join and estimate stages;
-//! * **policy** — [`ScoringPolicy::Point`] (today's behaviour, bit-for-bit)
-//!   or [`ScoringPolicy::Interval`], which decorates every estimate with a
-//!   Hutter–Zaffalon posterior credible interval and **early-terminates**
-//!   candidates whose cheap upper bound cannot reach the running top-k lower
-//!   bound.
-//!
-//! The six public `execute*` entry points are thin delegating wrappers over
-//! this engine, so the parallel/sequential × cached/uncached × stats
-//! combinations cannot drift apart.
+//! The two `*_stats` entry points differ only in how a batch of survivors is
+//! scored: fanned out across `JOINMI_THREADS` workers with one workspace per
+//! worker, or in order with a caller-owned workspace (the serving daemon's
+//! per-query hot path). The other three forward to them. The policy —
+//! [`ScoringPolicy::Point`] or [`ScoringPolicy::Interval`], which decorates
+//! every estimate with a Hutter–Zaffalon posterior credible interval and
+//! **early-terminates** candidates whose cheap upper bound cannot reach the
+//! running top-k lower bound — is read from the query.
 
 use std::sync::Arc;
 
@@ -239,14 +238,6 @@ impl RelationshipQuery {
         self
     }
 
-    /// Enables or disables the distinct-sketch join-size pruning stage
-    /// (enabled by default; the ranking is identical either way).
-    #[must_use]
-    pub fn with_distinct_pruning(mut self, enabled: bool) -> Self {
-        self.prune_by_distinct = enabled;
-        self
-    }
-
     /// Builds the query-side TUPSK sketch.
     ///
     /// A query of any other kind fails here, before any work: it would join
@@ -328,25 +319,14 @@ impl RelationshipQuery {
         repository: &S,
         cache: Option<&CacheScope<'_>>,
     ) -> Result<(Vec<RankedCandidate>, QueryStats)> {
+        let (plan, hits) = QueryPlan::new(self, repository, cache)?;
         // One estimator workspace per worker: candidates scored on the same
         // worker share the sort-once buffers of the KSG-family estimators.
-        self.run_engine(repository, cache, |query_sketch, left_fp, batch| {
-            joinmi_par::par_map_with(
-                batch,
-                EstimatorWorkspace::new,
-                |ws, &(candidate_index, key_overlap)| {
-                    self.score_hit(
-                        repository,
-                        query_sketch,
-                        left_fp,
-                        cache,
-                        ws,
-                        candidate_index,
-                        key_overlap,
-                    )
-                },
-            )
-        })
+        Ok(plan.run(&hits, |batch| {
+            joinmi_par::par_map_with(batch, EstimatorWorkspace::new, |ws, &hit| {
+                score_hit(&plan, ws, hit)
+            })
+        }))
     }
 
     /// Executes the query sequentially, scoring every surviving candidate
@@ -362,116 +342,128 @@ impl RelationshipQuery {
         repository: &S,
         ws: &mut EstimatorWorkspace,
     ) -> Result<Vec<RankedCandidate>> {
-        self.execute_in_cached(repository, ws, None)
+        Ok(self.execute_in_cached_stats(repository, ws, None)?.0)
     }
 
-    /// [`Self::execute_in`] with an optional cross-query stage cache — the
-    /// serving daemon's hot path (one shared cache, one workspace per
-    /// query). Bit-for-bit identical to the uncached run against the same
-    /// (immutable) repository.
-    pub fn execute_in_cached<S: CandidateSource>(
-        &self,
-        repository: &S,
-        ws: &mut EstimatorWorkspace,
-        cache: Option<&CacheScope<'_>>,
-    ) -> Result<Vec<RankedCandidate>> {
-        Ok(self.execute_in_cached_stats(repository, ws, cache)?.0)
-    }
-
-    /// [`Self::execute_in_cached`], additionally reporting the run's
-    /// [`QueryStats`].
+    /// [`Self::execute_in`] with an optional cross-query stage cache,
+    /// additionally reporting the run's [`QueryStats`] — the serving daemon's
+    /// hot path (one shared cache, one workspace per query). Bit-for-bit
+    /// identical to the uncached run against the same (immutable) repository.
     pub fn execute_in_cached_stats<S: CandidateSource>(
         &self,
         repository: &S,
         ws: &mut EstimatorWorkspace,
         cache: Option<&CacheScope<'_>>,
     ) -> Result<(Vec<RankedCandidate>, QueryStats)> {
-        self.run_engine(repository, cache, |query_sketch, left_fp, batch| {
-            batch
-                .iter()
-                .map(|&(candidate_index, key_overlap)| {
-                    self.score_hit(
-                        repository,
-                        query_sketch,
-                        left_fp,
-                        cache,
-                        ws,
-                        candidate_index,
-                        key_overlap,
-                    )
-                })
-                .collect()
-        })
+        let (plan, hits) = QueryPlan::new(self, repository, cache)?;
+        Ok(plan.run(&hits, |batch| {
+            batch.iter().map(|&hit| score_hit(&plan, ws, hit)).collect()
+        }))
     }
 
-    /// The one scoring engine behind every `execute*` entry point.
-    ///
-    /// `score_batch` abstracts the parallel-vs-sequential strategy: it maps
-    /// `score_hit` over a batch of pre-filter hits and returns the results in
-    /// batch order. Everything else — probing, the cheap pre-join screens,
-    /// the running top-k lower bound, ranking, truncation — lives here, once.
-    ///
-    /// **Early termination** (interval policy with `top_k > 0`): candidates
-    /// are processed in chunks; between chunks the tracker knows the k-th
-    /// largest credible lower bound `L` among scored candidates, and any
-    /// later candidate whose cheap upper bound (from the join-size bound,
-    /// valid for every shipped estimator) is strictly below `L` is skipped.
-    /// Its point estimate could be at most that upper bound `< L ≤` the k-th
-    /// largest final MI, so it can never enter the top-k — even on ties —
-    /// under any processing order. Hence parallel, sequential, cached, and
-    /// exhaustive runs all return the identical top-k.
-    ///
-    /// **Distinct pruning** (`prune_by_distinct`, any policy): a candidate
-    /// whose join-size upper bound is below `min_join_size` is skipped before
-    /// the join; the bound is sound, so the gate would have dropped it anyway.
-    fn run_engine<S, F>(
-        &self,
-        repository: &S,
-        cache: Option<&CacheScope<'_>>,
-        mut score_batch: F,
-    ) -> Result<(Vec<RankedCandidate>, QueryStats)>
-    where
-        S: CandidateSource,
-        F: FnMut(&ColumnSketch, (u64, u64), &[(usize, usize)]) -> Vec<Option<RankedCandidate>>,
-    {
-        if let ScoringPolicy::Interval { level } = self.policy {
+    /// Whether the distinct-sketch join-size screen is active.
+    fn prunes(&self) -> bool {
+        self.prune_by_distinct && self.min_join_size > 0
+    }
+
+    /// Whether the interval early-termination screen is active.
+    fn early_terminates(&self) -> bool {
+        matches!(self.policy, ScoringPolicy::Interval { .. }) && self.top_k > 0
+    }
+}
+
+/// Everything one query run shares across its stages, built once after the
+/// probe and dropped when the `execute*` call returns. The parallel strategy
+/// shares it by reference with its workers, so it holds nothing mutable.
+struct QueryPlan<'a, S> {
+    query: &'a RelationshipQuery,
+    source: &'a S,
+    query_sketch: ColumnSketch,
+    /// The cache-key component identifying `query_sketch`; computed only when
+    /// a cache is in play (the fingerprint walks every sketch row).
+    left_fp: (u64, u64),
+    cache: Option<CacheScope<'a>>,
+    /// The query-side multiplicity profile both pre-join screens bound the
+    /// join size with; present only when a screen is active.
+    multiplicity: Option<KeyMultiplicity>,
+}
+
+impl<'a, S: CandidateSource> QueryPlan<'a, S> {
+    /// Validates the policy, probes, and prepares the screens. Returns the
+    /// plan and the `(candidate_index, key_overlap)` hits in pre-filter order.
+    fn new(
+        query: &'a RelationshipQuery,
+        source: &'a S,
+        cache: Option<&CacheScope<'a>>,
+    ) -> Result<(Self, Vec<(usize, usize)>)> {
+        if let ScoringPolicy::Interval { level } = query.policy {
             if !joinmi_estimators::posterior::is_valid_level(level) {
                 return Err(TableError::Unsupported(format!(
                     "interval scoring requires a confidence level in (0, 1), got {level}"
                 )));
             }
         }
-        let (query_sketch, hits) = self.probe(repository)?;
-        let left_fp = left_fingerprint(&query_sketch, cache);
-        let mut stats = QueryStats::default();
+        let (query_sketch, hits) = query.probe(source)?;
+        let left_fp = match cache {
+            Some(_) => query_sketch.content_fingerprint(),
+            None => (0, 0),
+        };
+        let multiplicity = (query.prunes() || query.early_terminates())
+            .then(|| KeyMultiplicity::from_sketch(&query_sketch));
+        let plan = Self {
+            query,
+            source,
+            query_sketch,
+            left_fp,
+            cache: cache.copied(),
+            multiplicity,
+        };
+        Ok((plan, hits))
+    }
 
-        let early_term = matches!(self.policy, ScoringPolicy::Interval { .. }) && self.top_k > 0;
-        let prune = self.prune_by_distinct && self.min_join_size > 0;
-        // Both cheap screens consume the same join-size upper bound; the
-        // query-side multiplicity profile is computed once, and only when a
-        // screen is active.
-        let multiplicity =
-            (prune || early_term).then(|| KeyMultiplicity::from_sketch(&query_sketch));
-
-        // Point scoring processes all hits as one batch (identical to the
-        // historical fan-out); early termination needs chunk boundaries to
-        // refresh the top-k lower bound between batches.
+    /// The engine behind every `execute*` entry point. `score_batch` is the
+    /// strategy: it maps [`score_hit`] over a batch of hits and returns the
+    /// results in batch order. Screening, the running top-k lower bound,
+    /// ranking and truncation live here, once.
+    ///
+    /// **Early termination** (interval policy with `top_k > 0`): hits are
+    /// processed in chunks; between chunks the tracker knows the k-th largest
+    /// credible lower bound `L` among scored candidates, and any later
+    /// candidate whose cheap upper bound (from the join-size bound, valid for
+    /// every shipped estimator) is strictly below `L` is skipped. Its point
+    /// estimate could be at most that upper bound `< L ≤` the k-th largest
+    /// final MI, so it can never enter the top-k — even on ties — under any
+    /// processing order. Hence parallel, sequential, cached, and exhaustive
+    /// runs all return the identical top-k.
+    ///
+    /// **Distinct pruning** (`prune_by_distinct`, any policy): a candidate
+    /// whose join-size upper bound is below `min_join_size` is skipped before
+    /// the join; the bound is sound, so the gate would have dropped it anyway.
+    fn run(
+        &self,
+        hits: &[(usize, usize)],
+        mut score_batch: impl FnMut(&[(usize, usize)]) -> Vec<Option<RankedCandidate>>,
+    ) -> (Vec<RankedCandidate>, QueryStats) {
+        let query = self.query;
+        let prune = query.prunes();
+        let early_term = query.early_terminates();
+        // Point scoring processes all hits as one batch; early termination
+        // needs chunk boundaries to refresh the top-k lower bound.
         let chunk_size = if early_term {
             EARLY_TERM_CHUNK
         } else {
             usize::MAX
         };
-        let mut tracker = TopKLowerBound::new(if early_term { self.top_k } else { 0 });
+        let mut tracker = TopKLowerBound::new(if early_term { query.top_k } else { 0 });
+        let mut stats = QueryStats::default();
         let mut results: Vec<RankedCandidate> = Vec::new();
         let mut batch: Vec<(usize, usize)> = Vec::new();
 
         for chunk in hits.chunks(chunk_size) {
             batch.clear();
-            for &(candidate_index, key_overlap) in chunk {
-                if let Some(mult) = &multiplicity {
-                    let bound =
-                        join_size_upper_bound(repository, mult, candidate_index, key_overlap);
-                    if prune && bound < self.min_join_size {
+            for &hit in chunk {
+                if let Some(bound) = self.join_size_upper_bound(hit) {
+                    if prune && bound < query.min_join_size {
                         stats.pruned += 1;
                         continue;
                     }
@@ -482,15 +474,12 @@ impl RelationshipQuery {
                         }
                     }
                 }
-                batch.push((candidate_index, key_overlap));
+                batch.push(hit);
             }
             if batch.is_empty() {
                 continue;
             }
-            for ranked in score_batch(&query_sketch, left_fp, &batch)
-                .into_iter()
-                .flatten()
-            {
+            for ranked in score_batch(&batch).into_iter().flatten() {
                 if let Some(interval) = &ranked.interval {
                     tracker.push(interval.ci_lo);
                 }
@@ -499,127 +488,145 @@ impl RelationshipQuery {
         }
         stats.scored = results.len();
         sort_by_mi_desc(&mut results);
-        if self.top_k > 0 {
-            results.truncate(self.top_k);
+        if query.top_k > 0 {
+            results.truncate(query.top_k);
         }
-        Ok((results, stats))
+        (results, stats)
     }
 
-    /// Stages 2–3 — **join** and **estimate** for one pre-filter hit: sketch
-    /// join, minimum-join-size gate, MI estimate (with interval decoration
-    /// under [`ScoringPolicy::Interval`]). Shared by the parallel and
-    /// sequential execution paths so they cannot drift.
+    /// An upper bound on the sketch-join size of one hit, when a screen is
+    /// active.
     ///
-    /// Cache interaction, in order:
-    /// * **Level-2 hit** (same left sketch, candidate, `k`, and policy): the
-    ///   stored estimate — interval included — is replayed; no join, no
-    ///   estimator. The `min_join_size` gate is re-applied to the stored join
-    ///   size, so a query with a stricter threshold still drops the candidate
-    ///   exactly as its cold run would.
-    /// * **Level-1 hit**: the cached [`JoinedSketch`] feeds the estimator
-    ///   directly — estimation is deterministic and workspace-independent,
-    ///   so the result is bit-identical to re-joining.
-    /// * **Miss**: compute both stages and populate both levels. The join is
-    ///   cached even when it fails the size gate (a later query with a lower
-    ///   threshold can still reuse it); failed estimates are never cached.
-    #[allow(clippy::too_many_arguments)] // internal: the staged pipeline's plumbing
-    fn score_hit<S: CandidateSource>(
+    /// The joinability index reports `key_overlap` — the exact number of
+    /// distinct key digests shared by the query sketch and the candidate
+    /// sketch — and the join emits at most one pair per left row whose digest
+    /// matches, so the join size is at most the sum of the `key_overlap`
+    /// largest per-digest row multiplicities on the query side. The
+    /// candidate's key-column distinct sketch caps the number of matchable
+    /// digests as well (binding only while the KMV sketch is exact, i.e.
+    /// under capacity — a belt-and-braces cap, the overlap term is the one
+    /// that usually bites). NULL-valued rows are excluded from the
+    /// multiplicities because the join drops NULL pairs.
+    fn join_size_upper_bound(
         &self,
-        repository: &S,
-        query_sketch: &ColumnSketch,
-        left_fp: (u64, u64),
-        cache: Option<&CacheScope<'_>>,
-        ws: &mut EstimatorWorkspace,
-        candidate_index: usize,
-        key_overlap: usize,
-    ) -> Option<RankedCandidate> {
-        let policy_code = self.policy.cache_code();
-        if let Some(scope) = cache {
-            if let Some(hit) = scope.get_estimate(left_fp, candidate_index, self.k, policy_code) {
-                if hit.join_size < self.min_join_size {
-                    return None;
-                }
-                let interval = match (self.policy, hit.interval) {
-                    (ScoringPolicy::Interval { level }, Some(iv)) => Some(MiInterval {
-                        variance: iv.variance,
-                        ci_lo: iv.ci_lo,
-                        ci_hi: iv.ci_hi,
-                        level,
-                    }),
-                    _ => None,
-                };
-                let candidate = repository.candidate(candidate_index);
-                return Some(RankedCandidate {
-                    candidate_index,
-                    table_index: candidate.table_index,
-                    table_name: candidate.table_name.clone(),
-                    key_column: candidate.key_column.clone(),
-                    feature_column: candidate.feature_column.clone(),
-                    aggregation: candidate.aggregation,
-                    mi: hit.mi,
-                    estimator: hit.estimator,
-                    sketch_join_size: hit.join_size,
-                    key_overlap,
-                    interval,
-                });
-            }
-        }
-
-        let candidate = repository.candidate(candidate_index);
-        let joined: Arc<JoinedSketch> =
-            match cache.and_then(|scope| scope.get_join(left_fp, candidate_index)) {
-                Some(joined) => joined,
-                None => {
-                    let joined = Arc::new(query_sketch.join(&candidate.sketch));
-                    if let Some(scope) = cache {
-                        scope.put_join(left_fp, candidate_index, Arc::clone(&joined));
-                    }
-                    joined
-                }
-            };
-        if joined.len() < self.min_join_size {
-            return None;
-        }
-        let (estimate, interval) = match self.policy {
-            ScoringPolicy::Point => (joined.estimate_mi_in(ws, self.k).ok()?, None),
-            ScoringPolicy::Interval { level } => {
-                let (est, iv) = joined.estimate_mi_interval_in(ws, self.k, level).ok()?;
-                (est, Some(iv))
-            }
+        (candidate_index, key_overlap): (usize, usize),
+    ) -> Option<usize> {
+        let mult = self.multiplicity.as_ref()?;
+        let m = match self.source.key_distinct_bound(candidate_index) {
+            Some(distinct) => key_overlap.min(distinct),
+            None => key_overlap,
         };
-        if let Some(scope) = cache {
-            scope.put_estimate(
-                left_fp,
-                candidate_index,
-                self.k,
-                policy_code,
-                CachedEstimate {
-                    mi: estimate.mi,
-                    estimator: estimate.estimator,
-                    n: estimate.n,
-                    join_size: joined.len(),
-                    interval: interval.map(|iv| CachedInterval {
-                        variance: iv.variance,
-                        ci_lo: iv.ci_lo,
-                        ci_hi: iv.ci_hi,
-                    }),
-                },
-            );
-        }
-        Some(RankedCandidate {
-            candidate_index,
-            table_index: candidate.table_index,
-            table_name: candidate.table_name.clone(),
-            key_column: candidate.key_column.clone(),
-            feature_column: candidate.feature_column.clone(),
-            aggregation: candidate.aggregation,
-            mi: estimate.mi,
-            estimator: estimate.estimator,
-            sketch_join_size: joined.len(),
-            key_overlap,
-            interval,
-        })
+        Some(mult.top_m_sum(m))
     }
+}
+
+/// Stages 2–3 — **join** and **estimate** for one pre-filter hit: sketch
+/// join, minimum-join-size gate, MI estimate (with interval decoration under
+/// [`ScoringPolicy::Interval`]). Both strategies map this over their batches,
+/// so they cannot drift.
+///
+/// Cache interaction, in order:
+/// * **Level-2 hit** (same left sketch, candidate, `k`, and policy): the
+///   stored estimate — interval included — is replayed; no join, no
+///   estimator. The `min_join_size` gate is re-applied to the stored join
+///   size, so a query with a stricter threshold still drops the candidate
+///   exactly as its cold run would.
+/// * **Level-1 hit**: the cached [`JoinedSketch`] feeds the estimator
+///   directly — estimation is deterministic and workspace-independent, so
+///   the result is bit-identical to re-joining.
+/// * **Miss**: compute both stages and populate both levels. The join is
+///   cached even when it fails the size gate (a later query with a lower
+///   threshold can still reuse it); failed estimates are never cached.
+fn score_hit<S: CandidateSource>(
+    plan: &QueryPlan<'_, S>,
+    ws: &mut EstimatorWorkspace,
+    (candidate_index, key_overlap): (usize, usize),
+) -> Option<RankedCandidate> {
+    let query = plan.query;
+    let policy_code = query.policy.cache_code();
+    let scored = match plan
+        .cache
+        .and_then(|scope| scope.get_estimate(plan.left_fp, candidate_index, query.k, policy_code))
+    {
+        Some(hit) if hit.join_size < query.min_join_size => return None,
+        Some(hit) => hit,
+        None => {
+            let scored = estimate_hit(plan, ws, candidate_index)?;
+            if let Some(scope) = plan.cache {
+                scope.put_estimate(plan.left_fp, candidate_index, query.k, policy_code, scored);
+            }
+            scored
+        }
+    };
+    // A fresh estimate and a replayed one take the same stored form, so the
+    // ranked candidate is rebuilt from it identically either way.
+    let candidate = plan.source.candidate(candidate_index);
+    Some(RankedCandidate {
+        candidate_index,
+        table_index: candidate.table_index,
+        table_name: candidate.table_name.clone(),
+        key_column: candidate.key_column.clone(),
+        feature_column: candidate.feature_column.clone(),
+        aggregation: candidate.aggregation,
+        mi: scored.mi,
+        estimator: scored.estimator,
+        sketch_join_size: scored.join_size,
+        key_overlap,
+        interval: match (query.policy, scored.interval) {
+            (ScoringPolicy::Interval { level }, Some(iv)) => Some(MiInterval {
+                variance: iv.variance,
+                ci_lo: iv.ci_lo,
+                ci_hi: iv.ci_hi,
+                level,
+            }),
+            _ => None,
+        },
+    })
+}
+
+/// The join (through the level-1 cache) and the estimate of one candidate,
+/// or `None` when the join fails the size gate or the estimator fails.
+fn estimate_hit<S: CandidateSource>(
+    plan: &QueryPlan<'_, S>,
+    ws: &mut EstimatorWorkspace,
+    candidate_index: usize,
+) -> Option<CachedEstimate> {
+    let query = plan.query;
+    let candidate = plan.source.candidate(candidate_index);
+    let joined: Arc<JoinedSketch> = match plan
+        .cache
+        .and_then(|scope| scope.get_join(plan.left_fp, candidate_index))
+    {
+        Some(joined) => joined,
+        None => {
+            let joined = Arc::new(plan.query_sketch.join(&candidate.sketch));
+            if let Some(scope) = plan.cache {
+                scope.put_join(plan.left_fp, candidate_index, Arc::clone(&joined));
+            }
+            joined
+        }
+    };
+    if joined.len() < query.min_join_size {
+        return None;
+    }
+    let (estimate, interval) = match query.policy {
+        ScoringPolicy::Point => (joined.estimate_mi_in(ws, query.k).ok()?, None),
+        ScoringPolicy::Interval { level } => {
+            let (est, iv) = joined.estimate_mi_interval_in(ws, query.k, level).ok()?;
+            (est, Some(iv))
+        }
+    };
+    Some(CachedEstimate {
+        mi: estimate.mi,
+        estimator: estimate.estimator,
+        n: estimate.n,
+        join_size: joined.len(),
+        interval: interval.map(|iv| CachedInterval {
+            variance: iv.variance,
+            ci_lo: iv.ci_lo,
+            ci_hi: iv.ci_hi,
+        }),
+    })
 }
 
 /// Chunk size of the early-terminating interval scan: small enough that the
@@ -640,30 +647,6 @@ const EARLY_TERM_CHUNK: usize = 32;
 /// plausible join is a handful of rows.
 fn cheap_mi_upper(join_size_bound: usize) -> f64 {
     ((join_size_bound + 1) as f64).ln() + EULER_MASCHERONI
-}
-
-/// An upper bound on the sketch-join size of one candidate.
-///
-/// The joinability index reports `key_overlap` — the exact number of distinct
-/// key digests shared by the query sketch and the candidate sketch — and the
-/// join emits at most one pair per left row whose digest matches, so the join
-/// size is at most the sum of the `key_overlap` largest per-digest row
-/// multiplicities on the query side. The candidate's key-column distinct
-/// sketch caps the number of matchable digests as well (binding only while
-/// the KMV sketch is exact, i.e. under capacity — a belt-and-braces cap, the
-/// overlap term is the one that usually bites). NULL-valued rows are excluded
-/// from the multiplicities because the join drops NULL pairs.
-fn join_size_upper_bound<S: CandidateSource>(
-    repository: &S,
-    mult: &KeyMultiplicity,
-    candidate_index: usize,
-    key_overlap: usize,
-) -> usize {
-    let m = match repository.key_distinct_bound(candidate_index) {
-        Some(distinct) => key_overlap.min(distinct),
-        None => key_overlap,
-    };
-    mult.top_m_sum(m)
 }
 
 /// Per-digest row multiplicities of the query sketch, preprocessed into
@@ -745,16 +728,6 @@ impl TopKLowerBound {
 /// sort deterministically instead of aborting the query.
 pub fn sort_by_mi_desc(results: &mut [RankedCandidate]) {
     results.sort_by(|a, b| b.mi.total_cmp(&a.mi));
-}
-
-/// The level-1/level-2 cache key component identifying the query-side
-/// sketch. Only computed when a cache is actually in play — the fingerprint
-/// walks every sketch row.
-fn left_fingerprint(query_sketch: &ColumnSketch, cache: Option<&CacheScope<'_>>) -> (u64, u64) {
-    match cache {
-        Some(_) => query_sketch.content_fingerprint(),
-        None => (0, 0),
-    }
 }
 
 #[cfg(test)]
@@ -970,7 +943,8 @@ mod tests {
 
         // First cached run: all misses, cache populated.
         let first = query
-            .execute_in_cached(&repo, &mut ws, Some(&scope))
+            .execute_in_cached_stats(&repo, &mut ws, Some(&scope))
+            .map(|(r, _)| r)
             .unwrap();
         assert_eq!(fingerprint(&cold), fingerprint(&first));
         let after_first = cache.stats();
@@ -980,7 +954,8 @@ mod tests {
         // Second run: every scored candidate is a level-2 hit — the join and
         // the estimator never run — and the ranking replays bit-for-bit.
         let second = query
-            .execute_in_cached(&repo, &mut ws, Some(&scope))
+            .execute_in_cached_stats(&repo, &mut ws, Some(&scope))
+            .map(|(r, _)| r)
             .unwrap();
         assert_eq!(fingerprint(&cold), fingerprint(&second));
         let after_second = cache.stats();
@@ -1003,7 +978,8 @@ mod tests {
         let scope = cache.scope(0);
         let mut ws = EstimatorWorkspace::new();
         query
-            .execute_in_cached(&repo, &mut ws, Some(&scope))
+            .execute_in_cached_stats(&repo, &mut ws, Some(&scope))
+            .map(|(r, _)| r)
             .unwrap();
 
         // Drop level 2, keep level 1: the next run re-estimates from the
@@ -1011,7 +987,8 @@ mod tests {
         cache.clear_estimates();
         let joins_before = cache.stats().join_hits;
         let warm = query
-            .execute_in_cached(&repo, &mut ws, Some(&scope))
+            .execute_in_cached_stats(&repo, &mut ws, Some(&scope))
+            .map(|(r, _)| r)
             .unwrap();
         assert_eq!(fingerprint(&cold), fingerprint(&warm));
         assert!(cache.stats().join_hits > joins_before);
@@ -1025,14 +1002,16 @@ mod tests {
         let scope = cache.scope(0);
         let mut ws = EstimatorWorkspace::new();
         query
-            .execute_in_cached(&repo, &mut ws, Some(&scope))
+            .execute_in_cached_stats(&repo, &mut ws, Some(&scope))
+            .map(|(r, _)| r)
             .unwrap();
 
         // A stricter gate over a warm cache must agree with its own cold run.
         let strict = query.clone().with_min_join_size(200);
         let cold = strict.execute(&repo).unwrap();
         let cached = strict
-            .execute_in_cached(&repo, &mut ws, Some(&scope))
+            .execute_in_cached_stats(&repo, &mut ws, Some(&scope))
+            .map(|(r, _)| r)
             .unwrap();
         assert_eq!(fingerprint(&cold), fingerprint(&cached));
     }
@@ -1059,19 +1038,26 @@ mod tests {
         let cache = crate::QueryStageCache::new(crate::StageCacheConfig::default());
         let scope = cache.scope(0);
         let mut ws = EstimatorWorkspace::new();
-        base.execute_in_cached(&repo, &mut ws, Some(&scope))
+        base.execute_in_cached_stats(&repo, &mut ws, Some(&scope))
+            .map(|(r, _)| r)
             .unwrap();
         let misses_after_base = cache.stats().estimate_misses;
-        k7.execute_in_cached(&repo, &mut ws, Some(&scope)).unwrap();
+        k7.execute_in_cached_stats(&repo, &mut ws, Some(&scope))
+            .map(|(r, _)| r)
+            .unwrap();
         let stats = cache.stats();
         assert_eq!(stats.estimate_hits, 0);
         assert!(stats.estimate_misses > misses_after_base);
 
         // And each replays bit-for-bit from its own entries.
         let base_cached = base
-            .execute_in_cached(&repo, &mut ws, Some(&scope))
+            .execute_in_cached_stats(&repo, &mut ws, Some(&scope))
+            .map(|(r, _)| r)
             .unwrap();
-        let k7_cached = k7.execute_in_cached(&repo, &mut ws, Some(&scope)).unwrap();
+        let k7_cached = k7
+            .execute_in_cached_stats(&repo, &mut ws, Some(&scope))
+            .map(|(r, _)| r)
+            .unwrap();
         assert_eq!(fingerprint(&default_ranking), fingerprint(&base_cached));
         assert_eq!(fingerprint(&k7_ranking), fingerprint(&k7_cached));
     }
@@ -1151,6 +1137,7 @@ mod tests {
             interval_fingerprint(&sequential)
         );
         assert!(seq_stats.early_stopped > 0);
+        assert_eq!(stats, seq_stats);
     }
 
     #[test]
@@ -1161,12 +1148,15 @@ mod tests {
         let query = query.with_min_join_size(10).with_top_k(0);
         let (pruned, stats) = query.execute_cached_stats(&repo, None).unwrap();
         assert!(stats.pruned > 0, "pruning never fired: {stats:?}");
-
-        let unpruned = query
-            .clone()
-            .with_distinct_pruning(false)
-            .execute(&repo)
+        let (sequential, seq_stats) = query
+            .execute_in_cached_stats(&repo, &mut EstimatorWorkspace::new(), None)
             .unwrap();
+        assert_eq!(fingerprint(&pruned), fingerprint(&sequential));
+        assert_eq!(stats, seq_stats);
+
+        let mut unpruned_query = query.clone();
+        unpruned_query.prune_by_distinct = false;
+        let unpruned = unpruned_query.execute(&repo).unwrap();
         assert_eq!(fingerprint(&unpruned), fingerprint(&pruned));
 
         // Pruned candidates are exactly the ones the join-size gate would
@@ -1185,7 +1175,8 @@ mod tests {
         let mut ws = EstimatorWorkspace::new();
 
         let point_cold = point
-            .execute_in_cached(&repo, &mut ws, Some(&scope))
+            .execute_in_cached_stats(&repo, &mut ws, Some(&scope))
+            .map(|(r, _)| r)
             .unwrap();
         assert!(!point_cold.is_empty());
         let after_point = cache.stats();
@@ -1193,12 +1184,14 @@ mod tests {
 
         // The interval run must not hit the point entries...
         let interval_cold = interval
-            .execute_in_cached(&repo, &mut ws, Some(&scope))
+            .execute_in_cached_stats(&repo, &mut ws, Some(&scope))
+            .map(|(r, _)| r)
             .unwrap();
         assert_eq!(cache.stats().estimate_hits, 0);
         // ...but replays bit-for-bit from its own, interval included.
         let interval_warm = interval
-            .execute_in_cached(&repo, &mut ws, Some(&scope))
+            .execute_in_cached_stats(&repo, &mut ws, Some(&scope))
+            .map(|(r, _)| r)
             .unwrap();
         assert_eq!(
             interval_fingerprint(&interval_cold),
@@ -1211,7 +1204,8 @@ mod tests {
         );
         // The point ranking still replays from the point entries.
         let point_warm = point
-            .execute_in_cached(&repo, &mut ws, Some(&scope))
+            .execute_in_cached_stats(&repo, &mut ws, Some(&scope))
+            .map(|(r, _)| r)
             .unwrap();
         assert_eq!(fingerprint(&point_cold), fingerprint(&point_warm));
     }

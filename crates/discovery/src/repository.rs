@@ -587,9 +587,7 @@ pub trait CandidateSource {
     /// key column, when the source can prove one — i.e. while the column's
     /// bounded [`DistinctSketch`] is still exact (under capacity). `None`
     /// means "no bound available"; callers must treat it as unbounded.
-    fn key_distinct_bound(&self, _index: usize) -> Option<usize> {
-        None
-    }
+    fn key_distinct_bound(&self, index: usize) -> Option<usize>;
 }
 
 /// Shared [`CandidateSource::key_distinct_bound`] lookup: resolve the

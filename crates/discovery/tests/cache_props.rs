@@ -73,7 +73,7 @@ proptest! {
         for &op in &ops {
             let query = variant(&train, op);
             let cold = query.execute(&repo).unwrap();
-            let cached = query.execute_in_cached(&repo, &mut ws, Some(&scope)).unwrap();
+            let cached = query.execute_in_cached_stats(&repo, &mut ws, Some(&scope)).map(|(r, _)| r).unwrap();
             prop_assert_eq!(fingerprint(&cold), fingerprint(&cached));
         }
         // The bound must have held throughout.
@@ -93,7 +93,7 @@ proptest! {
         for &op in &ops {
             let query = variant(&train, op);
             let cold = query.execute(&repo).unwrap();
-            let cached = query.execute_in_cached(&repo, &mut ws, Some(&scope)).unwrap();
+            let cached = query.execute_in_cached_stats(&repo, &mut ws, Some(&scope)).map(|(r, _)| r).unwrap();
             prop_assert_eq!(fingerprint(&cold), fingerprint(&cached));
             prop_assert!(cache.stats().resident_bytes <= max_bytes);
         }
@@ -127,7 +127,7 @@ proptest! {
                 let query = variant(&train, op);
                 let cold = query.execute(&repo).unwrap();
                 let cached = query
-                    .execute_in_cached(&repo, &mut ws, Some(&cache.scope(0)))
+                    .execute_in_cached_stats(&repo, &mut ws, Some(&cache.scope(0))).map(|(r, _)| r)
                     .unwrap();
                 prop_assert_eq!(fingerprint(&cold), fingerprint(&cached));
             }

@@ -151,8 +151,8 @@ proptest! {
             // Interleave both policies through the same cache scope; each
             // must replay its own cold run bit-for-bit.
             let interval_cached =
-                interval.execute_in_cached(&repo, &mut ws, Some(&scope)).unwrap();
-            let point_cached = point.execute_in_cached(&repo, &mut ws, Some(&scope)).unwrap();
+                interval.execute_in_cached_stats(&repo, &mut ws, Some(&scope)).map(|(r, _)| r).unwrap();
+            let point_cached = point.execute_in_cached_stats(&repo, &mut ws, Some(&scope)).map(|(r, _)| r).unwrap();
             prop_assert_eq!(fingerprint(&point_cold), fingerprint(&point_cached));
             prop_assert_eq!(
                 interval_fingerprint(&interval_cold),

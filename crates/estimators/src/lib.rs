@@ -10,10 +10,8 @@
 //! | discrete | numeric (or vice versa) | DC-KSG ([`dc_ksg`], Ross 2014) |
 //!
 //! plus the classic KSG estimator ([`ksg`], Kraskov et al. 2004) for purely
-//! continuous data, the plug-in entropy ([`entropy`]), the Hutter–Zaffalon
-//! posterior of discrete MI behind the credible intervals ([`posterior`]),
-//! and the correlation measures ([`correlation`]) the evaluation harness
-//! scores estimates and rankings with.
+//! continuous data, the plug-in entropy ([`entropy`]) and the Hutter–Zaffalon
+//! posterior of discrete MI behind the credible intervals ([`posterior`]).
 //!
 //! Two entry points estimate a sample pair: [`estimate_mi_with_workspace`]
 //! runs a chosen estimator (the rule itself is [`select_estimator`]), and
@@ -29,7 +27,6 @@
 #![warn(missing_docs)]
 
 mod contingency;
-pub mod correlation;
 pub mod dc_ksg;
 pub mod entropy;
 pub mod error;
@@ -44,7 +41,6 @@ pub mod special;
 pub mod variable;
 pub mod workspace;
 
-pub use correlation::{pearson, spearman};
 pub use dc_ksg::{dc_ksg_mi, dc_ksg_mi_with};
 pub use entropy::mle_entropy;
 pub use error::EstimatorError;

@@ -46,7 +46,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 
 /// Environment variable controlling the default worker count.
-pub const THREADS_ENV_VAR: &str = "JOINMI_THREADS";
+const THREADS_ENV_VAR: &str = "JOINMI_THREADS";
 
 thread_local! {
     /// Per-thread override installed by [`with_threads`].
@@ -65,7 +65,7 @@ thread_local! {
 /// Parses a `JOINMI_THREADS`-style value. Returns `None` for anything that is
 /// not a positive integer.
 #[must_use]
-pub fn parse_thread_count(value: &str) -> Option<usize> {
+fn parse_thread_count(value: &str) -> Option<usize> {
     match value.trim().parse::<usize>() {
         Ok(n) if n >= 1 => Some(n),
         _ => None,
@@ -80,7 +80,7 @@ pub fn parse_thread_count(value: &str) -> Option<usize> {
 /// an OS query (≈ 15 µs) and callers sit on per-item paths, so it is resolved
 /// once per process.
 #[must_use]
-pub fn num_threads() -> usize {
+fn num_threads() -> usize {
     static AVAILABLE: OnceLock<usize> = OnceLock::new();
     resolve_threads(
         IN_PARALLEL_REGION.with(Cell::get),
@@ -225,7 +225,8 @@ fn enter_parallel_region<R>(f: impl FnOnce() -> R) -> R {
 /// Maps `f` over `items` in parallel, returning results in input order.
 ///
 /// Equivalent to `items.iter().map(f).collect()` — bit-for-bit, for pure `f`
-/// — but spread over [`num_threads`] workers.
+/// — but spread over the workers that the
+/// [thread-count selection](crate#thread-count-selection) resolves.
 pub fn par_map<T, U, F>(items: &[T], f: F) -> Vec<U>
 where
     T: Sync,

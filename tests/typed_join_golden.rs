@@ -184,8 +184,15 @@ fn rankings_match_the_value_cloning_implementation_bit_for_bit() {
         if pass == "join hits" {
             cache.clear_estimates();
         }
-        let cached = digest(|q| q.execute_in_cached(&repo, &mut ws, Some(&scope)).unwrap());
-        assert_eq!(cached, GOLDEN, "execute_in_cached ({pass}): {cached:#018x}");
+        let cached = digest(|q| {
+            q.execute_in_cached_stats(&repo, &mut ws, Some(&scope))
+                .map(|(r, _)| r)
+                .unwrap()
+        });
+        assert_eq!(
+            cached, GOLDEN,
+            "execute_in_cached_stats ({pass}): {cached:#018x}"
+        );
     }
     let stats = cache.stats();
     assert!(stats.estimate_hits > 0 && stats.join_hits > 0, "{stats:?}");
