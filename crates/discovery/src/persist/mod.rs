@@ -888,8 +888,20 @@ mod tests {
             .collect();
         let mut ranked_boundaries = vec![false; boundaries.len()];
 
+        // The file always holds a prefix of `bytes` (the repaired prefix of
+        // the previous cut), so each cut is produced by appending the
+        // missing bytes, never by rewriting the file. Only the repair shrinks
+        // it, and only by bytes that were never synced: a shrink or unlink
+        // of synced data waits on the disk, tens of ms per cut on a busy one.
+        std::fs::write(&path, &bytes[..base_end]).unwrap();
+        let mut file_len = base_end;
         for cut in base_end + 1..bytes.len() {
-            std::fs::write(&path, &bytes[..cut]).unwrap();
+            std::fs::OpenOptions::new()
+                .append(true)
+                .open(&path)
+                .unwrap()
+                .write_all(&bytes[file_len..cut])
+                .unwrap();
             let report = TableRepository::recover_truncated(&path).unwrap();
             let (bi, &expected) = boundaries
                 .iter()
@@ -905,6 +917,7 @@ mod tests {
             // cuts, recover_truncated already re-opened it before shrinking).
             let repaired = std::fs::read(&path).unwrap();
             assert_eq!(repaired, &bytes[..expected], "cut at {cut}");
+            file_len = expected;
 
             // Idempotent: once per boundary, a second pass over a repaired
             // torn file is a no-op that leaves its bytes alone.
