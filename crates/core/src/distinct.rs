@@ -22,15 +22,13 @@
 //! integer-only (`u128` widening, no floats), so estimates are reproducible
 //! across platforms.
 
-use std::collections::BTreeSet;
-
 /// A bounded distinct-count sketch over 64-bit digests (KMV estimator).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DistinctSketch {
     capacity: usize,
-    /// The `≤ capacity` smallest distinct digests seen so far (a `BTreeSet`
-    /// gives dedup, ordered iteration, and O(log k) max eviction at once).
-    digests: BTreeSet<u64>,
+    /// The `≤ capacity` smallest distinct digests seen so far, strictly
+    /// increasing: one allocation, and the order the file stores them in.
+    digests: Vec<u64>,
 }
 
 impl DistinctSketch {
@@ -40,7 +38,7 @@ impl DistinctSketch {
     pub fn new(capacity: usize) -> Self {
         Self {
             capacity: capacity.max(1),
-            digests: BTreeSet::new(),
+            digests: Vec::new(),
         }
     }
 
@@ -69,24 +67,24 @@ impl DistinctSketch {
         self.digests.len() >= self.capacity
     }
 
-    /// Observes one digest. Returns `true` when the kept set changed. A digest
-    /// already present, or one not beating the current `k`-th minimum of a
-    /// full sketch, costs one `BTreeSet` probe.
+    /// Observes one digest. Returns `true` when the kept set changed. On a
+    /// full sketch a digest not below the current `k`-th minimum — the common
+    /// case once full — costs one comparison; otherwise one binary search,
+    /// and an insert that shifts at most `k` digests.
     pub fn observe(&mut self, digest: u64) -> bool {
-        if self.digests.contains(&digest) {
+        let full = self.is_full();
+        if full && self.digests.last().is_some_and(|&max| digest >= max) {
             return false;
         }
-        if self.digests.len() < self.capacity {
-            self.digests.insert(digest);
-            return true;
-        }
-        let &max = self.digests.iter().next_back().expect("full sketch");
-        if digest < max {
-            self.digests.remove(&max);
-            self.digests.insert(digest);
-            true
-        } else {
-            false
+        match self.digests.binary_search(&digest) {
+            Ok(_) => false,
+            Err(at) => {
+                if full {
+                    self.digests.pop();
+                }
+                self.digests.insert(at, digest);
+                true
+            }
         }
     }
 
@@ -99,7 +97,7 @@ impl DistinctSketch {
         if k < self.capacity {
             return k;
         }
-        let kth = *self.digests.iter().next_back().expect("full sketch");
+        let kth = *self.digests.last().expect("full sketch");
         // (k - 1) / ((kth + 1) / 2^64)  ==  (k - 1) * 2^64 / (kth + 1),
         // computed in u128 so the scale never overflows.
         let est = ((k as u128 - 1) << 64) / (u128::from(kth) + 1);
@@ -115,8 +113,9 @@ impl DistinctSketch {
     /// increasing and at most `capacity` long (the decoder enforces both, so
     /// encode(decode(x)) == x).
     #[must_use]
-    pub fn from_parts(capacity: usize, digests: BTreeSet<u64>) -> Self {
+    pub fn from_parts(capacity: usize, digests: Vec<u64>) -> Self {
         debug_assert!(digests.len() <= capacity.max(1));
+        debug_assert!(digests.windows(2).all(|pair| pair[0] < pair[1]));
         Self {
             capacity: capacity.max(1),
             digests,
@@ -127,6 +126,56 @@ impl DistinctSketch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeSet;
+
+    /// The `BTreeSet` sketch the sorted vector replaced, kept as the oracle:
+    /// dedup, ordered iteration and max eviction straight from the set.
+    struct Reference {
+        capacity: usize,
+        digests: BTreeSet<u64>,
+    }
+
+    impl Reference {
+        fn new(capacity: usize) -> Self {
+            Self {
+                capacity: capacity.max(1),
+                digests: BTreeSet::new(),
+            }
+        }
+
+        fn observe(&mut self, digest: u64) -> bool {
+            if self.digests.contains(&digest) {
+                return false;
+            }
+            if self.digests.len() < self.capacity {
+                self.digests.insert(digest);
+                return true;
+            }
+            let &max = self.digests.last().expect("full sketch");
+            if digest < max {
+                self.digests.remove(&max);
+                self.digests.insert(digest);
+                true
+            } else {
+                false
+            }
+        }
+
+        fn is_full(&self) -> bool {
+            self.digests.len() >= self.capacity
+        }
+
+        fn estimate(&self) -> usize {
+            let k = self.digests.len();
+            if k < self.capacity {
+                return k;
+            }
+            let kth = *self.digests.last().expect("full sketch");
+            let est = ((k as u128 - 1) << 64) / (u128::from(kth) + 1);
+            usize::try_from(est).unwrap_or(usize::MAX).max(k)
+        }
+    }
 
     fn digest(i: u64) -> u64 {
         // Cheap SplitMix64-style scramble: well-spread, deterministic.
@@ -207,5 +256,42 @@ mod tests {
         }
         let rebuilt = DistinctSketch::from_parts(s.capacity(), s.digests().collect());
         assert_eq!(s, rebuilt);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Every observable of the sorted-vector sketch equals the `BTreeSet`
+        /// oracle's after every step of a random stream: a small pool of
+        /// values gives heavy duplicates, a wide one evictions past full,
+        /// and the extremes 0 and `u64::MAX` are in both.
+        #[test]
+        fn sorted_vector_matches_the_btreeset_oracle(
+            capacity in capacities(),
+            pool in 1u64..1_000,
+            stream in proptest::collection::vec(0u64..1_000, 0..1_500),
+        ) {
+            let mut sketch = DistinctSketch::new(capacity);
+            let mut oracle = Reference::new(capacity);
+            for value in stream {
+                let d = match value % pool {
+                    0 => 0,
+                    1 => u64::MAX,
+                    v => digest(v),
+                };
+                prop_assert_eq!(sketch.observe(d), oracle.observe(d));
+                prop_assert_eq!(sketch.len(), oracle.digests.len());
+                prop_assert_eq!(sketch.is_full(), oracle.is_full());
+                prop_assert_eq!(sketch.estimate(), oracle.estimate());
+            }
+            let kept: Vec<u64> = sketch.digests().collect();
+            let expected: Vec<u64> = oracle.digests.iter().copied().collect();
+            prop_assert_eq!(kept, expected);
+        }
+    }
+
+    /// The capacities the oracle test covers: 1, 2 and 256.
+    fn capacities() -> impl Strategy<Value = usize> {
+        (0usize..3).prop_map(|i| [1, 2, 256][i])
     }
 }

@@ -15,11 +15,12 @@
 //!   repository that answers queries bit-identically to the original — and,
 //!   thanks to the builder state, accepts [`TableRepository::append_rows`].
 //! * [`TableRepository::load_mmap_like`] opens the artifact as a read-only
-//!   [`RepositorySnapshot`]: the whole file is read into one buffer, every
-//!   section checksum is verified and every candidate validated up front,
-//!   but candidate sketches are only decoded on first access — a query
-//!   prunes through the persisted index and decodes just the surviving
-//!   candidates.
+//!   [`RepositorySnapshot`]: the file streams through a bounded buffer one
+//!   section at a time, every section checksum is verified and every
+//!   candidate validated up front, and only each candidate's latest body and
+//!   builder state are kept; candidate sketches are only decoded on first
+//!   access — a query prunes through the persisted index and decodes just
+//!   the surviving candidates.
 //! * [`TableRepository::append_to`] writes the changes accumulated since the
 //!   file was loaded as an **append group** after the existing payload:
 //!   updated candidate sections plus an index delta, each checksummed. The
@@ -61,7 +62,7 @@
 //! validates it where it is first used, in [`TableRepository::load`] and
 //! [`TableRepository::compact`].
 
-use std::io::{Read, Write};
+use std::io::{BufReader, Read, Write};
 use std::path::Path;
 
 use joinmi_store::{
@@ -86,6 +87,11 @@ use sections::{
     write_candidate_update, write_distincts, write_index, write_index_delta, write_profiles,
     write_repo_meta, REPO_META_END,
 };
+
+/// Capacity of the buffer a file open streams through: small next to a
+/// repository, large enough that a frame or a small section costs no
+/// syscall of its own.
+const READ_BUFFER: usize = 64 * 1024;
 
 /// The repository append-group grammar for the structural repair scanner in
 /// [`joinmi_store::repair`]: a group opens with APPEND_META and commits with
@@ -224,6 +230,8 @@ impl TableRepository {
     }
 
     /// Loads a repository artifact eagerly from a reader (see [`Self::load`]).
+    /// The input is read to its end first: the open walks a stream of known
+    /// length, which is what bounds the counts a file declares.
     pub fn load_from<R: Read>(mut input: R) -> Result<TableRepository> {
         let mut buf = Vec::new();
         input.read_to_end(&mut buf).map_err(StoreError::from)?;
@@ -244,12 +252,15 @@ impl TableRepository {
     }
 
     /// Opens a repository artifact as a read-only [`RepositorySnapshot`]:
-    /// the file is read into a single buffer (one syscall — the closest to
-    /// `mmap` the no-unsafe policy allows), every section checksum is
-    /// verified and every candidate validated immediately, and candidate
-    /// sketches are decoded lazily on first access.
+    /// the file is streamed through a bounded buffer one section at a time,
+    /// every section checksum is verified and every candidate validated
+    /// immediately, and only the latest bytes of each candidate are kept —
+    /// never the whole file, nor the sections later append groups replaced.
+    /// Candidate sketches are decoded lazily on first access.
     pub fn load_mmap_like<P: AsRef<Path>>(path: P) -> Result<RepositorySnapshot> {
-        RepositorySnapshot::from_bytes(joinmi_store::fault::read(path)?)
+        let input = joinmi_store::fault::open_read(path)?;
+        let len = input.file_len();
+        RepositorySnapshot::read_from(BufReader::with_capacity(READ_BUFFER, input), len)
     }
 
     /// Repairs a repository file whose last append group was torn by a crash
@@ -377,9 +388,8 @@ impl TableRepository {
     /// compaction read its input.
     pub fn compact<P: AsRef<Path>>(path: P, mode: CompactMode) -> Result<CompactionReport> {
         let path = path.as_ref();
-        let buf = joinmi_store::fault::read(path)?;
-        let bytes_before = buf.len() as u64;
-        let snapshot = RepositorySnapshot::from_bytes(buf)?;
+        let snapshot = Self::load_mmap_like(path)?;
+        let bytes_before = snapshot.file_len();
         let groups_folded = snapshot.append_groups();
         let mut repo = snapshot.into_repository()?;
         if matches!(mode, CompactMode::Seal) {
@@ -403,8 +413,7 @@ impl TableRepository {
             // open as a repository. Corruption introduced between the
             // in-memory encoding and the platters never replaces a healthy
             // live file.
-            let written = joinmi_store::fault::read(&tmp)?;
-            RepositorySnapshot::from_bytes(written)?;
+            Self::load_mmap_like(&tmp)?;
             Ok(file.metadata()?.len())
         })();
         let bytes_after = match write_result {
@@ -840,6 +849,101 @@ mod tests {
             RepositorySnapshot::from_bytes(flipped),
             Err(StoreError::ChecksumMismatch { .. } | StoreError::Corrupt(_))
         ));
+    }
+
+    /// A reader that hands out 1 to 7 bytes per call, so frames, payloads
+    /// and the file header arrive split at every possible offset.
+    struct Trickle<'a> {
+        bytes: &'a [u8],
+        calls: usize,
+    }
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
+            self.calls += 1;
+            let n = (1 + self.calls % 7).min(out.len()).min(self.bytes.len());
+            out[..n].copy_from_slice(&self.bytes[..n]);
+            self.bytes = &self.bytes[n..];
+            Ok(n)
+        }
+    }
+
+    /// A snapshot streamed in 1- to 7-byte reads equals the one walked over
+    /// a slice — on files with 0 to 4 append groups and a sealed one — and
+    /// a damaged file fails with the same error either way.
+    #[test]
+    fn streamed_open_equals_the_open_over_a_slice() {
+        let (repo, query, tail) = scenario_with_split(8);
+        let path = std::env::temp_dir().join(format!(
+            "joinmi-stream-open-{}-{:?}.jmi",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        repo.save(&path).unwrap();
+        let mut boundaries = vec![std::fs::metadata(&path).unwrap().len() as usize];
+        let mut reloaded = TableRepository::load(&path).unwrap();
+        let step = tail.num_rows().div_ceil(4);
+        for start in (0..tail.num_rows()).step_by(step) {
+            let end = (start + step).min(tail.num_rows());
+            reloaded.append_rows(&tail.slice_rows(start..end)).unwrap();
+            reloaded.append_to(&path).unwrap();
+            boundaries.push(std::fs::metadata(&path).unwrap().len() as usize);
+        }
+        let bytes = std::fs::read(&path).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        let mut sealed = reloaded;
+        sealed.seal();
+
+        let open_streamed = |file: &[u8]| {
+            let input = Trickle {
+                bytes: file,
+                calls: 0,
+            };
+            RepositorySnapshot::read_from(
+                std::io::BufReader::with_capacity(16, input),
+                file.len() as u64,
+            )
+        };
+        // Damaged files fail with the same error either way.
+        for cut in (0..bytes.len()).step_by(61) {
+            let mut damaged = bytes[..cut].to_vec();
+            if let Some(byte) = damaged.get_mut(cut / 2) {
+                *byte ^= u8::from(cut % 3 == 0);
+            }
+            assert_eq!(
+                format!("{:?}", open_streamed(&damaged).map(|s| s.append_groups())),
+                format!(
+                    "{:?}",
+                    RepositorySnapshot::from_bytes(damaged).map(|s| s.append_groups())
+                ),
+                "cut at {cut}"
+            );
+        }
+
+        let mut files: Vec<(Vec<u8>, usize)> = boundaries
+            .iter()
+            .enumerate()
+            .map(|(groups, &end)| (bytes[..end].to_vec(), groups))
+            .collect();
+        files.push((save_bytes(&sealed), 0));
+        assert_eq!(files.len(), 6, "0 to 4 append groups, and a sealed file");
+        for (file, groups) in files {
+            let whole = RepositorySnapshot::from_bytes(file.clone()).unwrap();
+            let streamed = open_streamed(&file).unwrap();
+            assert_eq!(streamed.append_groups(), groups);
+            assert_eq!(whole.append_groups(), groups);
+            assert_eq!(streamed.appended_bytes(), whole.appended_bytes());
+            assert_eq!(streamed.sealed(), whole.sealed());
+            assert_eq!(streamed.profiles(), whole.profiles());
+            assert_eq!(streamed.decoded_candidates(), 0);
+            assert_eq!(whole.decoded_candidates(), 0);
+            assert_eq!(
+                fingerprint(&query.execute(&streamed).unwrap()),
+                fingerprint(&query.execute(&whole).unwrap()),
+                "{groups} groups, sealed: {}",
+                whole.sealed()
+            );
+        }
     }
 
     /// Builds a repository file with two append groups and returns its bytes

@@ -5,7 +5,6 @@
 //! so a crafted payload under a valid checksum is a typed error.
 
 use std::io::Write;
-use std::ops::Range;
 
 use joinmi_sketch::persist::{
     aggregation_from_tag, aggregation_tag, dtype_from_tag, dtype_tag, read_served_kind, SketchView,
@@ -241,17 +240,15 @@ fn decode_distincts(p: &mut SliceReader<'_>, profiles: &[TableProfile]) -> Resul
                     "distinct sketch holds {count} digests over capacity {capacity}"
                 )));
             }
-            let mut digests = std::collections::BTreeSet::new();
-            let mut previous: Option<u64> = None;
+            let mut digests: Vec<u64> = Vec::with_capacity(count.min(p.remaining() / 8));
             for _ in 0..count {
                 let digest = p.read_u64("distinct sketch digest")?;
-                if previous.is_some_and(|prev| digest <= prev) {
+                if digests.last().is_some_and(|&prev| digest <= prev) {
                     return Err(StoreError::corrupt(
                         "distinct sketch digests are not strictly increasing",
                     ));
                 }
-                previous = Some(digest);
-                digests.insert(digest);
+                digests.push(digest);
             }
             table.push(DistinctSketch::from_parts(capacity, digests));
         }
@@ -441,16 +438,13 @@ pub(super) fn write_candidate_state<W: Write>(
     section.finish(SECTION_CANDIDATE_STATE, w)
 }
 
-/// Checks a CANDIDATE_STATE payload's presence flag and returns the range of
-/// the builder state behind it, if any. The state itself is not interpreted
-/// here: nothing on the read-only path uses it, so it stays checksummed
-/// bytes until `RightSketchBuilder::read_state` decodes it for `load` /
-/// `compact`.
-pub(super) fn split_candidate_state(
-    buf: &[u8],
-    payload: Range<usize>,
-) -> Result<Option<Range<usize>>> {
-    match buf[payload.clone()].first() {
+/// Checks a CANDIDATE_STATE payload's presence flag and returns where the
+/// builder state behind it starts, if there is one. The state itself is not
+/// interpreted here: nothing on the read-only path uses it, so it stays
+/// checksummed bytes until `RightSketchBuilder::read_state` decodes it for
+/// `load` / `compact`.
+pub(super) fn split_candidate_state(payload: &[u8]) -> Result<Option<usize>> {
+    match payload.first() {
         None => Err(StoreError::Truncated {
             context: "candidate state flag",
         }),
@@ -458,7 +452,7 @@ pub(super) fn split_candidate_state(
         Some(0) => Err(StoreError::corrupt(
             "trailing bytes in empty CANDIDATE_STATE section",
         )),
-        Some(1) => Ok(Some(payload.start + 1..payload.end)),
+        Some(1) => Ok(Some(1)),
         Some(other) => Err(StoreError::corrupt(format!(
             "invalid candidate state flag {other}"
         ))),

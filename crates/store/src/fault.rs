@@ -43,7 +43,7 @@
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fs::{File, Metadata};
-use std::io::{self, Write};
+use std::io::{self, Read, Write};
 use std::path::Path;
 use std::sync::{Mutex, OnceLock, PoisonError};
 
@@ -62,7 +62,8 @@ pub enum FaultKind {
     Fsync,
     /// `fs::rename`.
     Rename,
-    /// Reading a whole file (`fs::read`).
+    /// Reading a file: one whole-file [`read`], or one [`open_read`] stream
+    /// however many calls drain it.
     Read,
     /// `File::set_len` (torn-tail repair truncation).
     SetLen,
@@ -333,12 +334,17 @@ fn hit(kind: FaultKind, name: Option<&str>) -> io::Result<Outcome> {
     }
 }
 
+/// The byte offset and mask of bit `bit % (len × 8)` of a `len`-byte
+/// buffer; `None` when the buffer is empty.
+fn flip_target(len: u64, bit: u64) -> Option<(u64, u8)> {
+    let bit = bit.checked_rem(len.checked_mul(8)?)?;
+    Some((bit / 8, 1 << (bit % 8)))
+}
+
 fn flip_bit(buf: &mut [u8], bit: u64) {
-    if buf.is_empty() {
-        return;
+    if let Some((at, mask)) = flip_target(buf.len() as u64, bit) {
+        buf[at as usize] ^= mask;
     }
-    let bit = bit % (buf.len() as u64 * 8);
-    buf[(bit / 8) as usize] ^= 1 << (bit % 8);
 }
 
 /// Arms `plan` for the current thread; disarmed when the guard drops.
@@ -499,12 +505,61 @@ pub fn open_rw<P: AsRef<Path>>(path: P) -> io::Result<FaultFile> {
     })
 }
 
+/// A file opened for streaming reads by [`open_read`]. It yields the bytes
+/// the file held when it was opened, and an armed `FlipBit` trigger flips
+/// its bit as that byte passes — the same bit [`read`] would flip in the
+/// whole-file buffer.
+#[derive(Debug)]
+pub struct FaultReader {
+    inner: io::Take<File>,
+    /// The file's length at open.
+    len: u64,
+    /// Bytes yielded so far.
+    pos: u64,
+    /// Offset and mask of the bit an armed flip corrupts.
+    flip: Option<(u64, u8)>,
+}
+
+impl FaultReader {
+    /// The file's length when it was opened: the bytes this reader yields.
+    #[must_use]
+    pub fn file_len(&self) -> u64 {
+        self.len
+    }
+}
+
+impl Read for FaultReader {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let n = self.inner.read(buf)?;
+        if let Some((at, mask)) = self.flip {
+            if let Some(i) = at.checked_sub(self.pos).filter(|&i| i < n as u64) {
+                buf[i as usize] ^= mask;
+            }
+        }
+        self.pos += n as u64;
+        Ok(n)
+    }
+}
+
 /// `File::open` for streaming reads, behind the [`FaultKind::Read`]
-/// checkpoint (an `Error` trigger fails the open; flips are ignored — use
-/// [`read`] where buffer corruption should be injectable).
-pub fn open_read<P: AsRef<Path>>(path: P) -> io::Result<File> {
-    let _ = hit(FaultKind::Read, None)?;
-    File::open(path)
+/// checkpoint: an `Error` trigger fails before the file is opened; a
+/// `FlipBit` trigger corrupts bit `bit % (file_len × 8)` of what the reader
+/// yields (the on-disk file is untouched). One open is one `Read` operation,
+/// however many `read` calls drain it.
+pub fn open_read<P: AsRef<Path>>(path: P) -> io::Result<FaultReader> {
+    let outcome = hit(FaultKind::Read, None)?;
+    let file = File::open(path)?;
+    let len = file.metadata()?.len();
+    let flip = match outcome {
+        Outcome::Flip(bit) => flip_target(len, bit),
+        Outcome::Pass => None,
+    };
+    Ok(FaultReader {
+        inner: file.take(len),
+        len,
+        pos: 0,
+        flip,
+    })
 }
 
 /// `fs::read` behind the [`FaultKind::Read`] checkpoint: an `Error` trigger
@@ -595,6 +650,63 @@ mod tests {
             assert_eq!(read(&path).unwrap(), vec![0xFE, 0xFF]);
         }
         assert_eq!(std::fs::read(&path).unwrap(), vec![0xFF, 0xFF]);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// Drains a streaming reader in uneven pieces (1 to 7 bytes per call),
+    /// so a flipped byte can land anywhere inside one `read` call.
+    fn drain(mut reader: FaultReader) -> Vec<u8> {
+        let mut out = Vec::new();
+        let mut chunk = [0u8; 7];
+        loop {
+            let n = reader.read(&mut chunk[..1 + out.len() % 7]).unwrap();
+            if n == 0 {
+                return out;
+            }
+            out.extend_from_slice(&chunk[..n]);
+        }
+    }
+
+    #[test]
+    fn streaming_reader_flips_the_bit_the_whole_file_read_flips() {
+        let path = temp("streamflip");
+        let contents: Vec<u8> = (0..=255u8).cycle().take(1000).collect();
+        for bytes in [&[][..], &[0xA5][..], &contents[..]] {
+            std::fs::write(&path, bytes).unwrap();
+            for (nth, bit) in [(0, 0), (0, 7), (0, 4_321), (0, u64::MAX), (1, 77)] {
+                let plan = FaultPlan::flip_nth(FaultKind::Read, nth, bit);
+                // Reads 0..=nth under one plan: the last one is the flipped
+                // one, and with nth = 1 the first one stays clean.
+                let whole = {
+                    let _guard = arm(plan.clone());
+                    let mut whole = read(&path).unwrap();
+                    for _ in 0..nth {
+                        whole = read(&path).unwrap();
+                    }
+                    whole
+                };
+                let streamed = {
+                    let guard = arm(plan);
+                    let mut reader = open_read(&path).unwrap();
+                    for _ in 0..nth {
+                        reader = open_read(&path).unwrap();
+                    }
+                    assert_eq!(reader.file_len(), bytes.len() as u64);
+                    assert_eq!(guard.stats().count(FaultKind::Read), nth + 1);
+                    drain(reader)
+                };
+                assert_eq!(
+                    streamed,
+                    whole,
+                    "{} bytes, flip #{nth} bit {bit}",
+                    bytes.len()
+                );
+                assert_eq!(streamed != bytes, !bytes.is_empty(), "the flip lands");
+            }
+        }
+        let guard = arm(FaultPlan::fail_nth(FaultKind::Read, 0));
+        assert!(open_read(&path).is_err(), "an error trigger fails the open");
+        drop(guard);
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -22,9 +22,11 @@
 //! * Readers reject wrong magic, any format version other than the current
 //!   one, wrong artifact kinds, truncation, and checksum mismatches with
 //!   typed [`StoreError`]s — decoding untrusted bytes never panics.
-//! * There is one reader, [`SliceReader`], over the in-memory bytes of an
-//!   artifact: strings and byte runs are borrowed, nothing is copied until a
-//!   decoder materializes a value.
+//! * There is one field reader, [`SliceReader`], over in-memory bytes:
+//!   strings and byte runs are borrowed, nothing is copied until a decoder
+//!   materializes a value. A file is opened through [`SectionStream`], which
+//!   reads one checksummed section payload at a time for a `SliceReader`
+//!   to decode, so a reader holds what it keeps, not the whole file.
 //!
 //! # Append groups
 //!
@@ -62,5 +64,7 @@ pub use error::{Result, StoreError};
 pub use fault::{FaultAction, FaultKind, FaultPlan};
 pub use format::{read_header, write_header, ArtifactKind, FORMAT_VERSION, MAGIC};
 pub use repair::{scan_recoverable, GroupGrammar, RecoveryReport};
-pub use section::{checksum, scan_section, scan_section_any, write_section, SectionBuilder};
+pub use section::{
+    checksum, scan_section, scan_section_any, write_section, SectionBuilder, SectionStream,
+};
 pub use wire::{SliceReader, Writer};

@@ -11,8 +11,13 @@
 //! dependency), salted with a fixed seed so a section of zeros does not
 //! checksum to zero. Readers verify the checksum before any payload decoding,
 //! so structural decoders only ever run over integrity-checked bytes.
+//!
+//! Two readers walk the framing and fail on the same bytes with the same
+//! errors: [`scan_section`] over bytes already in memory, and
+//! [`SectionStream`], which reads one section at a time from a buffered
+//! stream and owns each payload it returns.
 
-use std::io::Write;
+use std::io::{BufRead, Read, Write};
 
 use joinmi_hash::murmur3_x64_128;
 
@@ -72,9 +77,6 @@ impl SectionBuilder {
 /// Walks one framed section inside an in-memory buffer without copying the
 /// payload: verifies the tag and checksum, advances `pos` past the section,
 /// and returns the payload's byte range within `buf`.
-///
-/// This is the "mmap-like" read path: the whole file sits in one buffer and
-/// consumers decode payload slices lazily, on first access.
 pub fn scan_section(
     buf: &[u8],
     pos: &mut usize,
@@ -115,6 +117,112 @@ pub fn scan_section_any(buf: &[u8], pos: &mut usize) -> Result<(u8, std::ops::Ra
     }
     *pos = r.pos;
     Ok((tag, r.pos - len..r.pos))
+}
+
+/// Bytes of a section frame: tag, payload length, checksum.
+const FRAME_LEN: usize = 17;
+
+/// Reads a store artifact one framed section at a time from a buffered
+/// stream, holding only the payload being returned — the streaming
+/// counterpart of [`scan_section`]. On the same bytes it returns the same
+/// payloads and fails with the same errors, so a reader behaves identically
+/// over a file and over a copy of it in memory.
+#[derive(Debug)]
+pub struct SectionStream<R> {
+    inner: R,
+    /// Bytes consumed so far.
+    pos: u64,
+    /// The stream's total length (a file's length at open, a slice's
+    /// length): a frame that claims more bytes than remain fails before
+    /// anything is read or reserved for it.
+    len: u64,
+}
+
+impl<R: BufRead> SectionStream<R> {
+    /// Wraps `inner`, which holds `len` bytes.
+    pub fn new(inner: R, len: u64) -> Self {
+        Self { inner, pos: 0, len }
+    }
+
+    /// Bytes consumed so far.
+    #[must_use]
+    pub fn position(&self) -> u64 {
+        self.pos
+    }
+
+    /// `true` once every byte of the stream has been consumed.
+    pub fn at_end(&mut self) -> Result<bool> {
+        Ok(self.inner.fill_buf()?.is_empty())
+    }
+
+    /// Reads and validates the file header (see [`read_header`](crate::read_header)).
+    pub fn read_header(&mut self, expected: crate::ArtifactKind) -> Result<()> {
+        let mut header = [0u8; 8];
+        let got = self.fill(&mut header)?;
+        crate::read_header(&mut SliceReader::new(&header[..got]), expected)
+    }
+
+    /// Reads the next section, whatever its tag, verifying its checksum.
+    fn section_any(&mut self) -> Result<(u8, Vec<u8>)> {
+        let mut frame = [0u8; FRAME_LEN];
+        let got = self.fill(&mut frame)?;
+        let mut r = SliceReader::new(&frame[..got]);
+        let tag = r.read_u8("section frame")?;
+        let len = r.read_len("section frame")?;
+        let stored = r.read_u64("section frame")?;
+        if len as u64 > self.len.saturating_sub(self.pos) {
+            return Err(StoreError::Truncated {
+                context: "section payload",
+            });
+        }
+        let mut payload = Vec::with_capacity(len);
+        (&mut self.inner)
+            .take(len as u64)
+            .read_to_end(&mut payload)?;
+        self.pos += payload.len() as u64;
+        if payload.len() < len {
+            return Err(StoreError::Truncated {
+                context: "section payload",
+            });
+        }
+        let actual = checksum(&payload);
+        if actual != stored {
+            return Err(StoreError::ChecksumMismatch {
+                section: tag,
+                expected: stored,
+                actual,
+            });
+        }
+        Ok((tag, payload))
+    }
+
+    /// Reads the next section, verifies its checksum, requires its tag to be
+    /// `expected_tag` and returns its payload.
+    pub fn section(&mut self, expected_tag: u8) -> Result<Vec<u8>> {
+        let (tag, payload) = self.section_any()?;
+        if tag != expected_tag {
+            return Err(StoreError::UnexpectedSection {
+                expected: expected_tag,
+                found: tag,
+            });
+        }
+        Ok(payload)
+    }
+
+    /// Reads until `buf` is full or the stream ends; returns the bytes read.
+    fn fill(&mut self, buf: &mut [u8]) -> Result<usize> {
+        let mut got = 0;
+        while got < buf.len() {
+            match self.inner.read(&mut buf[got..]) {
+                Ok(0) => break,
+                Ok(n) => got += n,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e.into()),
+            }
+        }
+        self.pos += got as u64;
+        Ok(got)
+    }
 }
 
 impl<'a> SliceReader<'a> {
@@ -219,6 +327,70 @@ mod tests {
         section.finish(3, &mut built).unwrap();
 
         assert_eq!(direct.into_inner(), built.into_inner());
+    }
+
+    /// Walks `bytes` section by section with both readers, up to and
+    /// including the first error.
+    fn walk_both(bytes: &[u8]) -> (String, String) {
+        type Walk = Vec<Result<(u8, Vec<u8>)>>;
+        let (mut scanned, mut streamed): (Walk, Walk) = (Vec::new(), Vec::new());
+        let mut pos = 0usize;
+        while pos < bytes.len() {
+            let next = scan_section_any(bytes, &mut pos).map(|(tag, r)| (tag, bytes[r].to_vec()));
+            let failed = next.is_err();
+            scanned.push(next);
+            if failed {
+                break;
+            }
+        }
+        let mut stream = SectionStream::new(bytes, bytes.len() as u64);
+        while !stream.at_end().unwrap() {
+            let next = stream.section_any();
+            let failed = next.is_err();
+            streamed.push(next);
+            if failed {
+                break;
+            }
+        }
+        (format!("{scanned:?}"), format!("{streamed:?}"))
+    }
+
+    #[test]
+    fn stream_reads_and_fails_like_the_slice_scan() {
+        let mut w = Writer::new(Vec::new());
+        write_section(&mut w, 5, b"first").unwrap();
+        write_section(&mut w, 6, &[7u8; 300]).unwrap();
+        write_section(&mut w, 7, b"").unwrap();
+        let buf = w.into_inner();
+        let mut flipped = buf.clone();
+        flipped[100] ^= 0x20;
+        for bytes in [&buf, &flipped] {
+            for cut in 0..=bytes.len() {
+                let (scanned, streamed) = walk_both(&bytes[..cut]);
+                assert_eq!(streamed, scanned, "cut at {cut}");
+            }
+        }
+
+        let mut stream = SectionStream::new(buf.as_slice(), buf.len() as u64);
+        assert_eq!(stream.section(5).unwrap(), b"first");
+        assert!(matches!(
+            stream.section(5),
+            Err(StoreError::UnexpectedSection {
+                expected: 5,
+                found: 6
+            })
+        ));
+
+        // A stream that ends before the length it was opened with (a file
+        // that shrank after its length was read) is a truncated payload.
+        let mut stream = SectionStream::new(&buf[..100], buf.len() as u64);
+        stream.section(5).unwrap();
+        assert!(matches!(
+            stream.section(6),
+            Err(StoreError::Truncated {
+                context: "section payload"
+            })
+        ));
     }
 
     #[test]

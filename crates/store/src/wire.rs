@@ -3,10 +3,10 @@
 //! The store deliberately avoids external serialization dependencies (the
 //! workspace builds offline; see `vendor/README.md`): every artifact is
 //! encoded through [`Writer`] (over any `std::io::Write`) and decoded through
-//! [`SliceReader`] (over the in-memory bytes of the artifact — every reader
-//! in the workspace holds the whole file anyway). All multi-byte integers
-//! are little-endian; strings are UTF-8 with a `u32` length prefix; bulk
-//! columns are length-prefixed element runs.
+//! [`SliceReader`] (over in-memory bytes: a whole artifact, or one section
+//! payload that [`SectionStream`](crate::SectionStream) read). All
+//! multi-byte integers are little-endian; strings are UTF-8 with a `u32`
+//! length prefix; bulk columns are length-prefixed element runs.
 
 use std::io::Write;
 
@@ -80,7 +80,8 @@ impl<W: Write> Writer<W> {
     }
 }
 
-/// Zero-copy reads over a borrowed byte slice — the workspace's only reader.
+/// Zero-copy reads over a borrowed byte slice — the workspace's only field
+/// reader.
 ///
 /// Strings and byte runs are borrowed from the slice, so a decoder can walk
 /// an entire artifact without allocating; a length prefix that claims more
